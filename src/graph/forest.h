@@ -25,10 +25,25 @@
 // the map stays O(n). Sparse mode is NOT shard-safe (map nodes are shared
 // state); the limit is far above any graph the sharded executor can hold,
 // and implicit graphs opt out of sharding anyway (shard_parallel_safe).
+//
+// Tree index: per node, the incident edges whose *own* half is marked, in
+// incidence-row order (docs/ARCHITECTURE.md, "Tree index"). TreeView walks
+// read it instead of filtering every incident edge, so a tree walk touches
+// tree edges only. An entry is rebuilt lazily on the next read after its
+// node marks or unmarks its own half, mark_edge / clear_edge touch an edge
+// of the node, clear_all runs, or the node's incidence row changes
+// (Graph::row_version). A node's own-half mutators write only that node's
+// entry, so the node-local contract above keeps the index shard-safe; slab
+// growth goes through a mutex-guarded pool whose segments never move.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -45,7 +60,9 @@ class MarkedForest {
   // graph dense and flips only web-scale implicit families to sparse.
   explicit MarkedForest(const Graph& g,
                         std::size_t dense_slot_limit = kForestDenseSlotLimit)
-      : graph_(&g), sparse_(g.edge_slots() > dense_slot_limit) {
+      : graph_(&g),
+        sparse_(g.edge_slots() > dense_slot_limit),
+        slabs_(g.node_count()) {
     sync_capacity();
   }
 
@@ -77,9 +94,9 @@ class MarkedForest {
   void clear_all();
 
   // An edge is in the maintained forest iff both halves are marked.
-  // Inline: this is the filter predicate of every TreeView neighbor walk,
-  // the single hottest call in the protocol layer. Pure read: edges beyond
-  // the grown range are simply unmarked.
+  // Inline: TreeView walks apply it to every tree-index entry (the peer's
+  // half may be unmarked). Pure read: edges beyond the grown range are
+  // simply unmarked.
   bool is_marked(EdgeIdx e) const {
     if (sparse_) return sparse_marked(e);
     const std::size_t i = 2 * static_cast<std::size_t>(e);
@@ -106,7 +123,7 @@ class MarkedForest {
   // Marked alive edges, ascending.
   std::vector<EdgeIdx> marked_edges() const;
 
-  // Marked alive incident edges of v.
+  // Marked alive incident edges of v, in incidence-row order.
   std::vector<Incidence> marked_incident(NodeId v) const;
   std::size_t marked_degree(NodeId v) const;
 
@@ -125,7 +142,77 @@ class MarkedForest {
 
   const Graph& graph() const noexcept { return *graph_; }
 
+  // Audit of the tree index (tests and debugging; O(m), never called on a
+  // hot path): every fresh entry equals the row-ordered own-half-marked
+  // subset of its node's incidence row, and no two slabs overlap.
+  bool verify_state() const;
+
  private:
+  friend class TreeView;
+
+  // Stable-address bump allocator for the tree index. Segment k holds
+  // kFirst << k entries and never moves once allocated, so a shard worker
+  // may carve a slab (under the mutex) while other workers read theirs.
+  // Released slabs of small capacity are recycled by exact size; reset()
+  // (clear_all) reclaims everything.
+  class SlabPool {
+   public:
+    // Valid only for offsets inside an allocated slab.
+    Incidence* at(std::uint32_t offset) const {
+      const int k = segment_of(offset);
+      return segments_[static_cast<std::size_t>(k)].get() +
+             (offset - segment_start(k));
+    }
+    std::uint32_t allocate(std::uint32_t cap);              // thread-safe
+    void release(std::uint32_t offset, std::uint32_t cap);  // thread-safe
+    void reset();  // sequential context only
+    std::uint64_t tail() const noexcept { return tail_; }
+
+    static int segment_of(std::uint64_t offset) {
+      return static_cast<int>(std::bit_width((offset >> kShift) + 1)) - 1;
+    }
+    static std::uint64_t segment_start(int k) {
+      return ((std::uint64_t{1} << k) - 1) << kShift;
+    }
+
+   private:
+    static constexpr int kShift = 8;  // kFirst = 256 entries
+    // Segment starts stay below 2^32, so offsets fit the slab's uint32.
+    static constexpr int kSegments = 32 - kShift;
+
+    std::array<std::unique_ptr<Incidence[]>, kSegments> segments_;
+    std::mutex mu_;
+    std::uint64_t tail_ = 0;
+    // free_[c]: offsets of released slabs of capacity c (c < 64; larger
+    // slabs are rare and simply abandoned until reset()).
+    std::vector<std::vector<std::uint32_t>> free_ =
+        std::vector<std::vector<std::uint32_t>>(64);
+  };
+
+  // One node's tree-index entry: pool_[offset, offset + len), capacity cap,
+  // fresh while row_version equals the graph's row version of the node
+  // (which would need 2^32 - 1 row changes to reach the stale marker).
+  static constexpr std::uint32_t kStaleRow = ~std::uint32_t{0};
+  struct TreeSlab {
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
+    std::uint32_t cap = 0;
+    std::uint32_t row_version = kStaleRow;
+  };
+
+  // The tree-index entry of v, rebuilt first if stale. Called from v's
+  // handler (or sequential context) only.
+  std::span<const Incidence> tree_row(NodeId v) const {
+    const TreeSlab& s = slabs_[v];
+    if (s.row_version != graph_->row_version(v)) rebuild_tree_row(v);
+    if (s.len == 0) return {};  // maybe no slab yet: never touch the pool
+    return {pool_.at(s.offset), s.len};
+  }
+  void rebuild_tree_row(NodeId v) const;  // slow path of tree_row
+  void invalidate(NodeId v) { slabs_[v].row_version = kStaleRow; }
+  void invalidate_endpoints(EdgeIdx e);
+  bool own_half_marked(EdgeIdx e, NodeId v) const;
+
   // One edge's marks in sparse mode; same slot convention as the arrays.
   struct SparseMarks {
     std::uint8_t marks[2] = {0, 0};
@@ -159,6 +246,10 @@ class MarkedForest {
   // Sparse mode: marks keyed by edge index (ascending iteration order keeps
   // marked_edges / audits deterministic and identical to the dense walk).
   std::map<EdgeIdx, SparseMarks> sparse_marks_;
+  // Tree index: one slab per node (node count is fixed), entries in pool_.
+  // Mutable: reads rebuild stale entries lazily.
+  mutable std::vector<TreeSlab> slabs_;
+  mutable SlabPool pool_;
 };
 
 // A node-local lens on the maintained tree: the marked incident edges as of
@@ -175,9 +266,11 @@ class TreeView {
     return forest_->is_marked_at(e, epoch_limit_);
   }
 
-  // Lazy, allocation-free range over the marked incident edges of `v`:
-  // protocols walk tree neighbors in their hottest loops, so the filter is
-  // applied during iteration instead of materializing a vector per visit.
+  // Allocation-free range over the marked incident edges of `v`, in
+  // incidence-row order: a walk over v's tree-index entry that skips the
+  // entries contains() rejects (peer half unmarked, placed after the epoch
+  // limit). Entries stay valid until v's next mark change. The range
+  // copies the view's fields, so it may outlive a temporary TreeView.
   class NeighborRange {
    public:
     class iterator {
@@ -186,9 +279,9 @@ class TreeView {
       using reference = const Incidence&;
       using difference_type = std::ptrdiff_t;
 
-      iterator(const TreeView* view, const Incidence* cur,
-               const Incidence* end)
-          : view_(view), cur_(cur), end_(end) {
+      iterator(const MarkedForest* forest, std::uint32_t epoch_limit,
+               const Incidence* cur, const Incidence* end)
+          : forest_(forest), epoch_limit_(epoch_limit), cur_(cur), end_(end) {
         skip_unmarked();
       }
 
@@ -204,20 +297,30 @@ class TreeView {
 
      private:
       void skip_unmarked() {
-        while (cur_ != end_ && !view_->contains(cur_->edge)) ++cur_;
+        while (cur_ != end_ &&
+               !forest_->is_marked_at(cur_->edge, epoch_limit_)) {
+          ++cur_;
+        }
       }
 
-      const TreeView* view_;
+      const MarkedForest* forest_;
+      std::uint32_t epoch_limit_;
       const Incidence* cur_;
       const Incidence* end_;
     };
 
-    NeighborRange(const TreeView* view, const Incidence* first,
-                  const Incidence* last)
-        : view_(view), first_(first), last_(last) {}
+    NeighborRange(const MarkedForest* forest, std::uint32_t epoch_limit,
+                  std::span<const Incidence> entries)
+        : forest_(forest), epoch_limit_(epoch_limit), entries_(entries) {}
 
-    iterator begin() const { return {view_, first_, last_}; }
-    iterator end() const { return {view_, last_, last_}; }
+    iterator begin() const {
+      return {forest_, epoch_limit_, entries_.data(),
+              entries_.data() + entries_.size()};
+    }
+    iterator end() const {
+      const Incidence* last = entries_.data() + entries_.size();
+      return {forest_, epoch_limit_, last, last};
+    }
     std::size_t size() const {
       std::size_t d = 0;
       for ([[maybe_unused]] const Incidence& inc : *this) ++d;
@@ -225,23 +328,16 @@ class TreeView {
     }
 
    private:
-    const TreeView* view_;
-    const Incidence* first_;
-    const Incidence* last_;
+    const MarkedForest* forest_;
+    std::uint32_t epoch_limit_;
+    std::span<const Incidence> entries_;
   };
 
   NeighborRange neighbors(NodeId v) const {
-    const auto& adj = forest_->graph().incident(v);
-    return {this, adj.data(), adj.data() + adj.size()};
+    return {forest_, epoch_limit_, forest_->tree_row(v)};
   }
 
-  std::size_t degree(NodeId v) const {
-    std::size_t d = 0;
-    for (const Incidence& inc : forest_->graph().incident(v)) {
-      if (contains(inc.edge)) ++d;
-    }
-    return d;
-  }
+  std::size_t degree(NodeId v) const { return neighbors(v).size(); }
 
   const MarkedForest& forest() const noexcept { return *forest_; }
   const Graph& graph() const noexcept { return forest_->graph(); }

@@ -44,7 +44,8 @@ Graph::Graph(std::size_t n, util::Rng& rng, int id_bits)
       adjacency_(n),
       ext_ids_(random_ext_ids(n, rng, id_bits)),
       sorted_adj_(n),
-      sorted_stale_(n, 1) {
+      sorted_stale_(n, 1),
+      row_version_(n, 0) {
   id_bits_ = infer_id_bits(ext_ids_);
 }
 
@@ -53,7 +54,8 @@ Graph::Graph(std::vector<ExtId> ext_ids)
       adjacency_(ext_ids.size()),
       ext_ids_(std::move(ext_ids)),
       sorted_adj_(ext_ids_.size()),
-      sorted_stale_(ext_ids_.size(), 1) {
+      sorted_stale_(ext_ids_.size(), 1),
+      row_version_(ext_ids_.size(), 0) {
   id_bits_ = infer_id_bits(ext_ids_);
 #ifndef NDEBUG
   std::unordered_set<ExtId> seen;
@@ -72,6 +74,7 @@ Graph::Graph(std::unique_ptr<ImplicitCore> core)
   id_bits_ = implicit_->id_bits();
   alive_edges_ = implicit_->alive_count();
   edge_slots_ = implicit_->edge_slots();
+  row_version_.assign(n_, 0);
 }
 
 Graph Graph::freeze_csr(const Graph& src) {
@@ -111,6 +114,7 @@ Graph Graph::freeze_csr(const Graph& src) {
   g.csr_arena_ = g.csr_arena_own_;
   g.sorted_adj_.resize(g.n_);
   g.sorted_stale_.assign(g.n_, 1);
+  g.row_version_.assign(g.n_, 0);
   return g;
 }
 
@@ -133,6 +137,7 @@ Graph Graph::from_store(std::shared_ptr<const MappedStore> store) {
   }
   g.sorted_adj_.resize(g.n_);
   g.sorted_stale_.assign(g.n_, 1);
+  g.row_version_.assign(g.n_, 0);
   g.store_ = std::move(store);
   return g;
 }
@@ -159,6 +164,7 @@ Graph Graph::clone() const {
   g.ext_ids_ = ext_ids_;
   g.sorted_adj_.resize(n_);
   g.sorted_stale_.assign(n_, 1);
+  g.row_version_.assign(n_, 0);
   g.id_bits_ = id_bits_;
   g.alive_edges_ = alive_edges_;
   g.edge_slots_ = edge_slots_;
@@ -181,6 +187,7 @@ EdgeIdx Graph::add_edge(NodeId u, NodeId v, Weight w) {
   adjacency_[u].push_back(Incidence{v, e});
   adjacency_[v].push_back(Incidence{u, e});
   touch_sorted(u, v);
+  touch_rows(u, v);
   ++alive_edges_;
   return e;
 }
@@ -194,6 +201,7 @@ void Graph::remove_edge(EdgeIdx e) {
       unlink_from_adjacency(ed.u, e);
       unlink_from_adjacency(ed.v, e);
       touch_sorted(ed.u, ed.v);
+      touch_rows(ed.u, ed.v);
       break;
     }
     case Backend::kCsr: {
@@ -202,11 +210,15 @@ void Graph::remove_edge(EdgeIdx e) {
       csr_unlink(ed.u, e);
       csr_unlink(ed.v, e);
       touch_sorted(ed.u, ed.v);
+      touch_rows(ed.u, ed.v);
       break;
     }
-    case Backend::kImplicit:
-      implicit_->remove_edge(e);
+    case Backend::kImplicit: {
+      const Edge ed = implicit_->edge(e);
+      implicit_->remove_edge(e);  // overlays (and reorders) both rows
+      touch_rows(ed.u, ed.v);
       break;
+    }
     case Backend::kMapped:
       assert(false && "mapped stores are read-only");
       return;

@@ -164,6 +164,14 @@ class Graph {
     return implicit_degree(v);
   }
 
+  // Bumped whenever v's incidence row changes: add_edge and remove_edge on
+  // every backend (the swap-with-last reorder of a removal included). Lets
+  // per-node caches over a row -- MarkedForest's tree index -- invalidate
+  // node by node instead of graph-wide. Weight changes keep the row.
+  std::uint32_t row_version(NodeId v) const noexcept {
+    return row_version_[v];
+  }
+
   ExtId ext_id(NodeId v) const noexcept { return ext_ids_[v]; }
 
   // Width of the ID space (IDs < 2^id_bits) and of edge numbers.
@@ -258,6 +266,10 @@ class Graph {
     sorted_stale_[u] = 1;
     sorted_stale_[v] = 1;
   }
+  void touch_rows(NodeId u, NodeId v) {
+    ++row_version_[u];
+    ++row_version_[v];
+  }
   static int infer_id_bits(const std::vector<ExtId>& ids);
 
   // Out-of-line backend paths (graph.cc); keeps ImplicitCore an incomplete
@@ -300,6 +312,7 @@ class Graph {
   // backends but kImplicit, which computes its own).
   mutable std::vector<std::vector<SortedIncidence>> sorted_adj_;
   mutable std::vector<char> sorted_stale_;
+  std::vector<std::uint32_t> row_version_;  // see row_version()
   int id_bits_ = kMaxIdBits;
   std::size_t alive_edges_ = 0;
   std::size_t edge_slots_ = 0;  // kImplicit / kMapped (else edges_.size())

@@ -35,14 +35,17 @@ namespace kkt::lint {
 // added link_state.h (is_down sits on the send path) and delivery_policy.h
 // (delivery_time/drop run once per send) -- their config-time mutators
 // carry justified suppressions, the per-send reads must stay clean.
-inline constexpr std::array<std::string_view, 16> kHotPathFiles = {
+// forest.h joined with the tree index: every TreeView walk reads it from
+// handlers, so it must stay allocation-free (slab growth lives in
+// forest.cc) and free of shard-unsafe statics.
+inline constexpr std::array<std::string_view, 17> kHotPathFiles = {
     "src/sim/inline_words.h", "src/sim/message.h", "src/sim/message.cc",
     "src/sim/network.h",      "src/sim/network.cc", "src/sim/shard.h",
     "src/sim/link_state.h",   "src/sim/delivery_policy.h",
     "src/proto/words.h",      "src/core/wire.h",   "src/proto/scratch.h",
     "src/util/modmath.h",     "src/hashing/odd_hash.h",
     "src/hashing/pairwise_hash.h", "src/graph/graph.h",
-    "src/graph/implicit.h",
+    "src/graph/implicit.h",   "src/graph/forest.h",
 };
 
 // Rule classes for a repo-relative path ('/'-separated); nullopt when the

@@ -95,9 +95,17 @@ void AddEdgeHandshake::relay_and_check(sim::Network& net, NodeId self,
                           {static_cast<std::uint64_t>(edge_num_)}));
   }
   // Is the edge to add incident to me, with me inside the tree? (The edge
-  // itself is unmarked, so it never appears among tree_.neighbors.)
-  for (const graph::Incidence& inc : tree_.graph().incident(self)) {
-    if (tree_.graph().edge_num(inc.edge) == edge_num_) {
+  // itself is unmarked, so it never appears among tree_.neighbors.) The
+  // edge number is the endpoints' external IDs, so a node that is neither
+  // skips the row scan.
+  const graph::Graph& g = tree_.graph();
+  const graph::ExtId me = g.ext_id(self);
+  if (me != graph::edge_num_small_id(edge_num_, g.id_bits()) &&
+      me != graph::edge_num_large_id(edge_num_, g.id_bits())) {
+    return;
+  }
+  for (const graph::Incidence& inc : g.incident(self)) {
+    if (g.edge_num(inc.edge) == edge_num_) {
       forest_->mark_half(inc.edge, self, epoch_);
       net.send(self, inc.peer, sim::Message(sim::Tag::kAddEdge));
       break;

@@ -54,9 +54,17 @@ void BroadcastEcho::on_message(sim::Network& net, NodeId self, NodeId from,
       break;
     case sim::Tag::kEcho: {
       assert(scratch_->started(self) && scratch_->pending(self) > 0);
-      const auto edge = tree_.graph().find_edge(self, from);
-      assert(edge.has_value());
-      combine_(self, from, *edge, scratch_->acc(self), msg.words);
+      // The child's tree edge, from the few tree-index entries rather than
+      // a scan of the full incidence row.
+      graph::EdgeIdx edge = graph::kNoEdge;
+      for (const graph::Incidence& inc : tree_.neighbors(self)) {
+        if (inc.peer == from) {
+          edge = inc.edge;
+          break;
+        }
+      }
+      assert(edge != graph::kNoEdge);
+      combine_(self, from, edge, scratch_->acc(self), msg.words);
       if (--scratch_->pending(self) == 0) absorb_and_maybe_echo(net, self);
       break;
     }

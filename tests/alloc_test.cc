@@ -183,5 +183,37 @@ TEST(Allocation, TreeOpsBroadcastEchoSteadyStateIsAllocationFree) {
   EXPECT_GT(result.at(0), 0u);
 }
 
+TEST(Allocation, BroadcastEchoOnIndexedForestIsAllocationFree) {
+  KKT_SKIP_UNLESS_COUNTING();
+  // Tree walks read the forest's tree index. Once every node's entry is
+  // built, a broadcast-and-echo allocates nothing per message -- and
+  // neither does rebuilding an entry whose slab already has room (here: a
+  // node unmarking and re-marking its own half of a tree edge).
+  test::World w = test::make_gnm_world(256, 4096, 9);  // average degree 32
+  test::mark_msf(w);
+  proto::TreeOps ops(*w.net, graph::TreeView(*w.forest));
+  const graph::Graph& g = ops.graph();
+  const proto::LocalFn local = [&g](NodeId self,
+                                    std::span<const std::uint64_t>) {
+    return proto::Words{g.ext_id(self)};
+  };
+  const proto::CombineFn combine = proto::combine_max();
+  (void)ops.broadcast_echo(0, proto::Words{}, local, combine);  // indexes
+
+  const graph::EdgeIdx e = w.forest->marked_edges().front();
+  const NodeId end = g.edge(e).u;
+  w.forest->unmark_half(e, end);
+  w.forest->mark_half(e, end);
+  const std::uint64_t messages_before = w.net->metrics().messages;
+  const std::uint64_t before = g_allocations.load();
+  const proto::Words result =
+      ops.broadcast_echo(0, proto::Words{}, local, combine);
+  const std::uint64_t delta = g_allocations.load() - before;
+  EXPECT_EQ(delta, 0u);
+  // A spanning tree on 256 nodes: one broadcast and one echo per edge.
+  EXPECT_EQ(w.net->metrics().messages - messages_before, 2u * 255u);
+  EXPECT_GT(result.at(0), 0u);
+}
+
 }  // namespace
 }  // namespace kkt::sim

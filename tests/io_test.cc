@@ -67,6 +67,11 @@ struct BadCase {
   const char* why;
 };
 
+// Prints a case as its `why`, which also names it in ctest. The default
+// printer would show the two pointers, so the name would change with every
+// build and every run under ASLR.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.why; }
+
 class GraphIoRejects : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(GraphIoRejects, MalformedInput) {

@@ -358,6 +358,15 @@ TEST(RepoPolicy, ClassifiesByLayout) {
   EXPECT_TRUE(net->hot_path);
   EXPECT_FALSE(net->header);
 
+  // The tree index makes forest.h part of every protocol tree walk.
+  const auto forest = classify_path("src/graph/forest.h");
+  ASSERT_TRUE(forest.has_value());
+  EXPECT_TRUE(forest->hot_path);
+  EXPECT_TRUE(forest->header);
+  const auto forest_cc = classify_path("src/graph/forest.cc");
+  ASSERT_TRUE(forest_cc.has_value());
+  EXPECT_FALSE(forest_cc->hot_path);
+
   const auto rng = classify_path("src/util/rng.h");
   ASSERT_TRUE(rng.has_value());
   EXPECT_TRUE(rng->rng_util);

@@ -156,6 +156,23 @@ TEST(Shard, RepairCountersBitIdentical) {
   EXPECT_EQ(base, session(heap_path()));
 }
 
+// TreeView walks rebuild the forest's tree index lazily inside handlers.
+// With the serial cutoff at 0, every rebuild and every slab growth of a
+// build on a degree-32 graph runs on a shard worker (the tsan preset runs
+// this suite), next to workers reading their own entries. The counters
+// stay those of S=1 and the index audit passes afterwards.
+TEST(Shard, TreeIndexRebuildsOnWorkersBitIdentical) {
+  const auto body = [](World& w) {
+    EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
+    EXPECT_TRUE(w.forest->verify_state());
+  };
+  const Metrics base =
+      run_config(96, 1536, 21, NetKind::kSync, sharded(1), body);
+  EXPECT_GT(base.messages, 0u);
+  EXPECT_EQ(base,
+            run_config(96, 1536, 21, NetKind::kSync, sharded(8), body));
+}
+
 // The hash partition scatters neighbors across shards (worst case for the
 // merge); the counters still may not move relative to contiguous blocks.
 TEST(Shard, HashPartitionBitIdentical) {

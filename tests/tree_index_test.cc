@@ -1,0 +1,237 @@
+// The tree index of graph::MarkedForest (graph/forest.h) replaced a filter
+// over every incident edge. It must stay observationally identical to that
+// filter: TreeView::neighbors(v) yields exactly the incidence-row-ordered
+// edges that is_marked_at() accepts, for every node and every epoch limit,
+// after any sequence of marking and topology mutations, on every backend
+// and in sparse mode. The reference below is the deleted full-row filter.
+// Each random step also runs the verify_state() audit, before the reads
+// (a missed invalidation shows up as a fresh slab with the wrong entries)
+// and after them (rebuilds must leave a consistent pool).
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "graph/forest.h"
+#include "graph/generators.h"
+#include "graph/graph.h"
+#include "graph/implicit.h"
+#include "graph/mst_oracle.h"
+#include "util/rng.h"
+
+namespace kkt::graph {
+namespace {
+
+constexpr std::uint32_t kEpochLimits[] = {0u, 1u, 3u, ~std::uint32_t{0}};
+
+// The full-row filter TreeView used before the index existed.
+std::vector<Incidence> full_scan(const MarkedForest& f, NodeId v,
+                                 std::uint32_t epoch_limit) {
+  std::vector<Incidence> out;
+  for (const Incidence& inc : f.graph().incident(v)) {
+    if (f.is_marked_at(inc.edge, epoch_limit)) out.push_back(inc);
+  }
+  return out;
+}
+
+void expect_node_matches(const MarkedForest& f, NodeId v) {
+  for (const std::uint32_t limit : kEpochLimits) {
+    const TreeView view(f, limit);
+    const std::vector<Incidence> want = full_scan(f, v, limit);
+    std::vector<Incidence> got;
+    for (const Incidence& inc : view.neighbors(v)) got.push_back(inc);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v << " limit " << limit;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].edge, want[i].edge) << "node " << v << " entry " << i;
+      ASSERT_EQ(got[i].peer, want[i].peer) << "node " << v << " entry " << i;
+    }
+    ASSERT_EQ(view.degree(v), want.size()) << "node " << v;
+  }
+}
+
+struct Backend {
+  std::string name;
+  std::function<Graph()> make;
+  bool can_add = false;  // only the adjacency backend grows
+  std::size_t dense_slot_limit = kForestDenseSlotLimit;
+};
+
+Graph gnm(std::uint64_t seed) {
+  util::Rng rng(seed);
+  return random_connected_gnm(40, 160, {1u << 12}, rng);
+}
+
+std::vector<Backend> backends() {
+  return {
+      {"adjacency", [] { return gnm(3); }, true},
+      {"csr", [] { return Graph::freeze_csr(gnm(4)); }, false},
+      {"implicit_grid",
+       [] {
+         ImplicitSpec spec;
+         spec.family = ImplicitFamily::kGridLong;
+         spec.n = 64;
+         spec.seed = 5;
+         return make_implicit_graph(spec);
+       },
+       false},
+      {"implicit_complete",
+       [] {
+         ImplicitSpec spec;
+         spec.n = 20;
+         spec.seed = 6;
+         return make_implicit_graph(spec);
+       },
+       false},
+      {"sparse_adjacency", [] { return gnm(7); }, true, /*limit=*/0},
+  };
+}
+
+class TreeIndexEquivalence : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(TreeIndexEquivalence, RandomMutationsMatchFullScan) {
+  const Backend& b = GetParam();
+  Graph g = b.make();
+  MarkedForest f(g, b.dense_slot_limit);
+  ASSERT_EQ(f.sparse(), b.dense_slot_limit == 0);
+  util::Rng rng(0x7ee + g.node_count());
+  const auto random_node = [&] {
+    return static_cast<NodeId>(rng.below(g.node_count()));
+  };
+  const auto random_alive_edge = [&] {
+    const std::vector<EdgeIdx> alive = g.alive_edge_indices();
+    return alive[rng.below(alive.size())];
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    // Any slot, dead ones included: marks on deleted edges must stay out of
+    // the index just as they stayed out of the filter.
+    const auto e = static_cast<EdgeIdx>(rng.below(g.edge_slots()));
+    const Edge ed = g.edge(e);
+    const NodeId end = rng.coin() ? ed.u : ed.v;
+    const auto epoch = static_cast<std::uint32_t>(rng.below(5));
+    const std::uint64_t op = rng.below(100);
+    if (op < 35) {
+      f.mark_half(e, end, epoch);
+    } else if (op < 55) {
+      f.unmark_half(e, end);
+    } else if (op < 65) {
+      f.mark_edge(e, epoch);
+    } else if (op < 73) {
+      f.clear_edge(e);
+    } else if (op < 75) {
+      f.clear_all();
+    } else if (op < 87) {
+      if (b.can_add) {
+        const NodeId u = random_node();
+        const NodeId v = random_node();
+        if (u != v && !g.find_edge(u, v).has_value()) {
+          const EdgeIdx added = g.add_edge(u, v, 1 + rng.below(1u << 12));
+          if (rng.coin()) f.mark_edge(added, epoch);
+        }
+      }
+    } else if (g.edge_count() > g.node_count()) {
+      // Remove a marked edge half the time: the row reorder (swap with
+      // last) must reach the index through the row version.
+      const std::vector<EdgeIdx> marked = f.marked_edges();
+      g.remove_edge(rng.coin() && !marked.empty()
+                        ? marked[rng.below(marked.size())]
+                        : random_alive_edge());
+    }
+    ASSERT_TRUE(f.verify_state()) << b.name << " step " << step;
+
+    // Read every node on even steps, a few on odd ones, so some entries
+    // stay stale across several mutations.
+    if (step % 2 == 0) {
+      for (NodeId v = 0; v < g.node_count(); ++v) expect_node_matches(f, v);
+    } else {
+      for (int i = 0; i < 3; ++i) expect_node_matches(f, random_node());
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_TRUE(f.verify_state()) << b.name << " step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, TreeIndexEquivalence, ::testing::ValuesIn(backends()),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return info.param.name;
+    });
+
+// clear_all() used to zero the marks but keep the epochs, so a cleared
+// edge reported its old epoch; clear_edge() zeroes both. They now agree.
+TEST(TreeIndex, ClearAllResetsEpochsLikeClearEdge) {
+  const Graph g = gnm(11);
+  MarkedForest by_edge(g);
+  MarkedForest by_all(g);
+  const EdgeIdx e = 0;
+  const Edge ed = g.edge(e);
+  by_edge.mark_edge(e, 7);
+  by_all.mark_edge(e, 7);
+  by_edge.clear_edge(e);
+  by_all.clear_all();
+  EXPECT_EQ(by_edge.mark_epoch(e), 0u);
+  EXPECT_EQ(by_all.mark_epoch(e), 0u);
+
+  // Re-marking one half must not resurrect the stale epoch of the other.
+  by_all.mark_half(e, ed.u, 2);
+  by_edge.mark_half(e, ed.u, 2);
+  EXPECT_EQ(by_all.mark_epoch(e), by_edge.mark_epoch(e));
+  by_all.mark_half(e, ed.v, 2);
+  EXPECT_TRUE(by_all.is_marked_at(e, 2));
+}
+
+// clear_all() also drops the whole index: nothing is reachable afterwards,
+// and fresh marks rebuild entries from the reset pool.
+TEST(TreeIndex, ClearAllInvalidatesEveryNode) {
+  const Graph g = gnm(12);
+  MarkedForest f(g);
+  for (EdgeIdx e : kruskal_msf(g)) f.mark_edge(e);
+  const TreeView view(f);
+  for (NodeId v = 0; v < g.node_count(); ++v) (void)view.degree(v);
+  f.clear_all();
+  ASSERT_TRUE(f.verify_state());
+  for (NodeId v = 0; v < g.node_count(); ++v) EXPECT_EQ(view.degree(v), 0u);
+  f.mark_edge(3);
+  const Edge ed = g.edge(3);
+  EXPECT_EQ(view.degree(ed.u), 1u);
+  EXPECT_EQ(view.degree(ed.v), 1u);
+  EXPECT_TRUE(f.verify_state());
+}
+
+// The per-node row version moves exactly for the endpoints of a topology
+// change, on every mutable backend; weight changes keep rows intact.
+TEST(TreeIndex, RowVersionBumpsOnlyEndpoints) {
+  Graph adj = gnm(13);
+  Graph csr = Graph::freeze_csr(gnm(13));
+  ImplicitSpec spec;
+  spec.family = ImplicitFamily::kGridLong;
+  spec.n = 64;
+  Graph imp = make_implicit_graph(spec);
+  for (Graph* g : {&adj, &csr, &imp}) {
+    std::vector<std::uint32_t> before(g->node_count());
+    for (NodeId v = 0; v < g->node_count(); ++v) before[v] = g->row_version(v);
+    const EdgeIdx e = g->alive_edge_indices().front();
+    const Edge ed = g->edge(e);
+    g->remove_edge(e);
+    for (NodeId v = 0; v < g->node_count(); ++v) {
+      EXPECT_EQ(g->row_version(v) != before[v], v == ed.u || v == ed.v)
+          << "node " << v;
+    }
+  }
+  const EdgeIdx kept = adj.alive_edge_indices().front();
+  const Edge ked = adj.edge(kept);
+  const std::uint32_t u_before = adj.row_version(ked.u);
+  adj.set_weight(kept, 99);
+  EXPECT_EQ(adj.row_version(ked.u), u_before);
+  NodeId a = 0;
+  NodeId c = 1;
+  while (adj.find_edge(a, c).has_value()) ++c;
+  const std::uint32_t a_before = adj.row_version(a);
+  adj.add_edge(a, c, 5);
+  EXPECT_NE(adj.row_version(a), a_before);
+}
+
+}  // namespace
+}  // namespace kkt::graph
