@@ -84,29 +84,6 @@ BENCHMARK(BM_BuildMst_PhaseDecay)
     ->Arg(128)->Arg(256)->Arg(512)->Arg(1024)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// E16: intra-run sharding (sim/shard.h). One large G(n, m ~ n^1.5) build
-// per shard count; the counters are bit-identical across args by the
-// determinism contract (tests/shard_test.cc pins this), so only wall time
-// moves. ci/run.sh perf runs these under KKT_BENCH_WALL into
-// BENCH_mst_shards.json and gates advisory against bench/baselines/
-// (the speedup depends on how many cores the runner actually has).
-void BM_BuildMst_Shards(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const std::size_t n = 4096;
-  const auto m = static_cast<std::size_t>(std::pow(n, 1.5));
-  for (auto _ : state) {
-    World w = make_gnm_world(n, m, 42);
-    w.net->set_shards(shards);  // explicit: overrides any KKT_SHARDS env
-    const core::BuildStats stats = core::build_mst(*w.net, *w.forest);
-    if (!stats.spanning) state.SkipWithError("did not span");
-    report(state, w.net->metrics(), n, m);
-    state.counters["shards"] = static_cast<double>(shards);
-  }
-}
-BENCHMARK(BM_BuildMst_Shards)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
-
 // E11: peak per-node protocol state (bits) during a build -- the
 // O(log(n+u)) memory claim of Theorem 1.1.
 void BM_BuildMst_NodeMemory(benchmark::State& state) {

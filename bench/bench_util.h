@@ -38,19 +38,6 @@ namespace kkt::bench {
 using scenario::NetKind;
 using scenario::World;
 
-// KKT_SHARDS=N makes every bench world run its network N-way sharded
-// (sim/shard.h). Counters are bit-identical at any N by the determinism
-// contract, so the env knob only moves wall time -- safe to set under
-// KKT_BENCH_WALL without touching artifact counters.
-inline sim::ShardSpec env_shard_spec() {
-  sim::ShardSpec spec;
-  if (const char* s = std::getenv("KKT_SHARDS"); s != nullptr && *s != '\0') {
-    spec.shards = std::atoi(s);
-    if (spec.shards < 1) spec.shards = 1;
-  }
-  return spec;
-}
-
 // Connected G(n, m) scenario with the bench seed discipline (graph from
 // `seed`, network from seed ^ kNetSeedSalt).
 inline scenario::Scenario gnm_scenario(std::size_t n, std::size_t m,
@@ -59,7 +46,6 @@ inline scenario::Scenario gnm_scenario(std::size_t n, std::size_t m,
   scenario::Scenario sc;
   sc.graph = scenario::GraphSpec::gnm(n, m);
   sc.net.kind = kind;
-  sc.net.shards = env_shard_spec();
   sc.seed = seed;
   return sc;
 }
@@ -68,7 +54,6 @@ inline World make_world(std::unique_ptr<graph::Graph> g, std::uint64_t seed,
                         NetKind kind = NetKind::kSync) {
   scenario::NetSpec net;
   net.kind = kind;
-  net.shards = env_shard_spec();
   return scenario::make_world(std::move(g), net, seed);
 }
 

@@ -30,22 +30,17 @@
 #   ci/run.sh faults    # fault-injection gate (docs/FAULTS.md): the
 #                       # fault-labelled suite (loss, link outages, batch
 #                       # deletions, regional outages, partition-and-heal;
-#                       # bit-identical metrics across reruns and shard
-#                       # counts, oracle-clean heals) under the strict dev
-#                       # preset and again under ThreadSanitizer, then the
-#                       # full fault matrix through kkt_lab at the canonical
-#                       # seed; archives BENCH_faultmodel.json (counter-only
+#                       # bit-identical metrics across reruns and delivery
+#                       # paths, oracle-clean heals) under the strict dev
+#                       # preset, then the full fault matrix through kkt_lab
+#                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
 #   ci/run.sh perf      # release build + wall-clock bench passes
 #                       # (KKT_BENCH_WALL median-of-k); gates on
 #                       # bench/baselines/ via `kkt_report perf` -- counter
 #                       # drift always fails, wall regressions fail locally
 #                       # and warn on shared runners (KKT_WALL_GATE=advisory);
-#                       # the sharded suite (BM_BuildMst_Shards) gates against
-#                       # bench/baselines/BENCH_mst_shards.json with an
-#                       # always-advisory wall gate (core counts vary by
-#                       # runner); archives BENCH_mst_perf.json/
-#                       # BENCH_testout_perf.json/BENCH_mst_shards.json
+#                       # archives BENCH_mst_perf.json/BENCH_testout_perf.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,21 +112,10 @@ run_perf() {
   build_release
   local gate="${KKT_WALL_GATE:-hard}"
   echo "==> perf benches (median-of-5 wall passes)"
-  # The sharded suite (BM_BuildMst_Shards, E16) is gated separately below;
-  # excluding it here keeps BENCH_mst_perf.json's record set stable.
   KKT_BENCH_WALL=5 KKT_BENCH_OUT=BENCH_mst_perf.json \
-    ./build/release/bench/bench_build_mst --benchmark_min_time=0.01 \
-    --benchmark_filter=-BM_BuildMst_Shards
+    ./build/release/bench/bench_build_mst --benchmark_min_time=0.01
   KKT_BENCH_WALL=5 KKT_BENCH_OUT=BENCH_testout_perf.json \
     ./build/release/bench/bench_testout --benchmark_min_time=0.01
-  # Sharded execution (sim/shard.h): the counter gate is as hard as ever
-  # (bit-identical at every shard count is the whole contract), but the
-  # wall column depends on how many cores the runner exposes, so this
-  # gate is always advisory regardless of KKT_WALL_GATE (docs/PERF.md).
-  echo "==> sharded bench (E16, median-of-5 wall passes)"
-  KKT_BENCH_WALL=5 KKT_BENCH_OUT=BENCH_mst_shards.json \
-    ./build/release/bench/bench_build_mst --benchmark_min_time=0.01 \
-    --benchmark_filter=BM_BuildMst_Shards
   echo "==> perf gate vs bench/baselines (wall-gate: $gate)"
   ./build/release/tools/kkt_report perf \
     --baseline bench/baselines/BENCH_mst_perf.json \
@@ -139,11 +123,7 @@ run_perf() {
   ./build/release/tools/kkt_report perf \
     --baseline bench/baselines/BENCH_testout_perf.json \
     --current BENCH_testout_perf.json --wall-gate "$gate"
-  ./build/release/tools/kkt_report perf \
-    --baseline bench/baselines/BENCH_mst_shards.json \
-    --current BENCH_mst_shards.json --wall-gate advisory
-  echo "==> archived BENCH_mst_perf.json BENCH_testout_perf.json" \
-       "BENCH_mst_shards.json"
+  echo "==> archived BENCH_mst_perf.json BENCH_testout_perf.json"
 }
 
 # Lint stage: the `lint` preset builds with KKT_CLANG_TIDY=ON (a warning,
@@ -161,10 +141,9 @@ run_lint() {
 
 # Faults stage: the fault-injection gate (docs/FAULTS.md). The labelled
 # suite pins the deterministic fault matrix -- every model x transport x
-# seed with bit-identical metrics across reruns and shard counts, plus the
-# loss-degrade and link-overlay semantics -- under the strict dev build and
-# under ThreadSanitizer (the sharded replays race if the lane merge is
-# wrong). The kkt_lab run then replays all three fault models through
+# seed with bit-identical metrics across reruns and delivery paths, plus
+# the loss-degrade and link-overlay semantics -- under the strict dev
+# build. The kkt_lab run then replays all three fault models through
 # MaintenanceSession::apply_batch and archives the counter-only artifact.
 run_faults() {
   echo "==> configure/build [dev]"
@@ -172,11 +151,6 @@ run_faults() {
   cmake --build --preset dev -j "$jobs"
   echo "==> fault-labelled tests [dev]"
   ctest --test-dir build/dev -L fault --output-on-failure -j "$jobs"
-  echo "==> configure/build [tsan]"
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  echo "==> fault-labelled tests [tsan]"
-  ctest --test-dir build/tsan -L fault --output-on-failure -j "$jobs"
   build_release
   echo "==> fault matrix through kkt_lab (canonical seed)"
   ./build/release/examples/kkt_lab churn --family gnm --n 64 --m 192 \

@@ -7,23 +7,20 @@
 //   kkt_lab build --algo kkt-mst|kkt-st|ghs|flood
 //                 (--in FILE | --store FILE.kkg | --family ... as above)
 //                 [--backend auto|adjacency|csr|implicit] [--seed S]
-//                 [--net sync|async|adversarial] [--shards S]
+//                 [--net sync|async|adversarial]
 //                 [--repeat N] [--rss-budget-mb MB] [--csv]
 //   kkt_lab repair --kind mst|st --ops K
 //                 (--in FILE | --family ...) [--seed S]
-//                 [--net sync|async|adversarial] [--shards S] [--csv]
+//                 [--net sync|async|adversarial] [--csv]
 //   kkt_lab churn --workload uniform|hotspot|bridges|growth --ops K
 //                 [--family ... as above] [--kind mst|st] [--seed S]
-//                 [--net sync|async|adversarial] [--shards S]
+//                 [--net sync|async|adversarial]
 //                 [--sweep N] [--threads T]
 //                 [--trace FILE] [--record FILE] [--csv]
 //   kkt_lab churn --faults batch|regional|partition[,MODEL...]
 //                 [--events E] [--batch-k K] [--churn-ops C]
 //                 [--family ...] [--kind mst|st] [--seed S] [--net ...]
 //                 [--record FILE] [--out FILE] [--csv]
-//   kkt_lab report [--sizes 64,128,256] [--seeds K] [--ops K] [--seed S]
-//                 [--gnm DENSITY] [--net ...] [--threads T] [--out FILE]
-//                 [--csv]
 //
 // Graph families and transports are the kkt_scenario descriptors, so every
 // experiment expressible here is also expressible as a Scenario value in
@@ -37,9 +34,8 @@
 // `--record` writes the generated trace as a reproducible artifact and
 // `--sweep N --threads T` churns N worlds on a thread pool (aggregates are
 // bit-identical for every T). `--csv` emits machine-readable rows.
-// `--shards S` runs each simulation round-bulk-synchronously on S shard
-// workers (sim/shard.h); counters never change, wall time does, and
-// `build --repeat N --csv` reports it as `wall,<repeat>,<shards>,<min>,<med>`.
+// `build --repeat N` times N runs after one warm-up; with `--csv` the
+// timing row is `wall,<repeat>,<min>,<med>` (milliseconds).
 // `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): auto
 // resolves to implicit for the icomplete/igridlong/igeo families, so
 // `build --family igridlong --n 1048576` runs at web scale with O(n)
@@ -57,11 +53,8 @@
 // with per-event oracle checks; `--record` writes the fault trace
 // (docs/TRACE_FORMAT.md F records) and `--out` writes the
 // BENCH_faultmodel.json artifact the CI faults stage archives.
-// `report` runs the KKT-vs-baseline head-to-head grid
-// (scenario::run_headtohead) and prints per-size message bills plus the
-// fitted scaling exponent of every (task, algorithm) series; `--out`
-// additionally writes the unified BENCH_headtohead.json artifact that
-// `kkt_report gen` turns into the experiment docs.
+// The KKT-vs-baseline head-to-head grid lives in `kkt_report run`
+// (tools/kkt_report.cc).
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -81,7 +74,6 @@
 #include "graph/mst_oracle.h"
 #include "graph/store.h"
 #include "report/schema.h"
-#include "scenario/headtohead.h"
 #include "scenario/scenario.h"
 #include "util/rusage.h"
 #include "workload/churn.h"
@@ -190,10 +182,6 @@ kkt::scenario::NetSpec make_net_spec(const Args& a,
   }
   kkt::scenario::NetSpec spec;
   spec.kind = *kind;
-  // Intra-run sharding: --shards N parallelises rounds inside one
-  // simulation (sync networks; other kinds degrade to sequential).
-  // Counters are bit-identical at any N -- only wall time moves.
-  spec.shards.shards = int(a.num("shards", 1));
   // --loss P: seeded per-delivery message loss. Loss is a property of the
   // adversarial schedule, so it requires --net adversarial; the probability
   // is quantized to /4096 so the drawn stream is exactly reproducible.
@@ -326,13 +314,12 @@ int cmd_build(const Args& a) {
     std::sort(wall_ns.begin(), wall_ns.end());
     const double min_ms = double(wall_ns.front()) / 1e6;
     const double med_ms = double(wall_ns[(wall_ns.size() - 1) / 2]) / 1e6;
-    const int shards = std::max(1, static_cast<int>(a.num("shards", 1)));
     if (csv) {
-      std::printf("wall,%d,%d,%.3f,%.3f\n", repeat, shards, min_ms, med_ms);
+      std::printf("wall,%d,%.3f,%.3f\n", repeat, min_ms, med_ms);
     } else {
       std::printf("wall: min=%.3f ms median=%.3f ms over %d reps "
-                  "at %d shard(s) (1 warm-up discarded)\n",
-                  min_ms, med_ms, repeat, shards);
+                  "(1 warm-up discarded)\n",
+                  min_ms, med_ms, repeat);
     }
   }
   // Memory gate: always report peak RSS when a budget is set (the CI
@@ -722,95 +709,12 @@ int cmd_churn(const Args& a) {
   return res.oracle_failures == 0 ? 0 : 1;
 }
 
-int cmd_report(const Args& a) {
-  kkt::scenario::HeadToHeadConfig cfg;
-  if (a.has("sizes")) {
-    cfg.sizes.clear();
-    std::string csv = a.get("sizes", "");
-    for (std::size_t at = 0; at <= csv.size();) {
-      const std::size_t comma = std::min(csv.find(',', at), csv.size());
-      if (comma > at) {
-        cfg.sizes.push_back(std::strtoull(csv.substr(at, comma - at).c_str(),
-                                          nullptr, 10));
-      }
-      at = comma + 1;
-    }
-  }
-  if (cfg.sizes.size() < 2) {
-    std::fprintf(stderr, "error: need at least two --sizes\n");
-    return 2;
-  }
-  for (const std::size_t n : cfg.sizes) {
-    if (n < 2) {
-      std::fprintf(stderr,
-                   "error: every --sizes entry must be >= 2 (got %zu)\n", n);
-      return 2;
-    }
-  }
-  if (a.has("gnm")) {
-    cfg.complete_graphs = false;
-    cfg.density = a.num("gnm", cfg.density);
-  }
-  if (a.has("net")) {
-    cfg.net = make_net_spec(a, kkt::scenario::NetKind::kSync).kind;
-  }
-  cfg.first_seed = a.num("seed", cfg.first_seed);
-  cfg.seeds = static_cast<int>(a.num("seeds", cfg.seeds));
-  cfg.ops = static_cast<int>(a.num("ops", cfg.ops));
-  cfg.threads = static_cast<int>(a.num("threads", cfg.threads));
-  const bool csv = a.has("csv");
-
-  const auto result = kkt::scenario::run_headtohead(cfg);
-
-  if (csv) {
-    for (const auto& c : result.cells) {
-      std::printf("%s,%s,%zu,%zu,%.1f,%.1f,%.1f,%.1f\n", c.task.c_str(),
-                  c.algo.c_str(), c.n, c.m, c.messages, c.bits, c.rounds,
-                  c.bcast_echoes);
-    }
-  } else {
-    std::string task;
-    for (const auto& c : result.cells) {
-      if (c.task != task) {
-        task = c.task;
-        std::printf("%s (messages, mean over %d seed(s)):\n", task.c_str(),
-                    cfg.seeds);
-      }
-      std::printf("  %-6s n=%-5zu m=%-7zu %12.1f msgs %10.1f rounds\n",
-                  c.algo.c_str(), c.n, c.m, c.messages, c.rounds);
-    }
-    std::printf("fitted exponents (messages ~ C*n^e):\n");
-  }
-  for (const auto& fit : result.fits) {
-    if (csv) {
-      std::printf("fit,%s,%s,%.3f,%.3f\n", fit.task.c_str(),
-                  fit.algo.c_str(), fit.exponent, fit.r2);
-    } else {
-      std::printf("  %-14s %-6s e=%.3f (r2 %.3f)\n", fit.task.c_str(),
-                  fit.algo.c_str(), fit.exponent, fit.r2);
-    }
-  }
-  if (a.has("out")) {
-    const std::string out = a.get("out", "BENCH_headtohead.json");
-    if (!kkt::report::write_results_file(out, result.to_result_file())) {
-      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote %s\n", out.c_str());
-  }
-  // The acceptance gate of the o(m) claim, also held by the test suite.
-  const auto* kkt_fit = result.fit("build_mst", "kkt");
-  const auto* flood_fit = result.fit("build_mst", "flood");
-  return kkt_fit && flood_fit && kkt_fit->exponent < flood_fit->exponent ? 0
-                                                                         : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: kkt_lab gen|build|repair|churn|report [--flags]\n"
+                 "usage: kkt_lab gen|build|repair|churn [--flags]\n"
                  "see the header comment of examples/kkt_lab.cpp\n");
     return 2;
   }
@@ -820,7 +724,6 @@ int main(int argc, char** argv) {
   if (cmd == "build") return cmd_build(a);
   if (cmd == "repair") return cmd_repair(a);
   if (cmd == "churn") return cmd_churn(a);
-  if (cmd == "report") return cmd_report(a);
   std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
   return 2;
 }

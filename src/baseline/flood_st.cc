@@ -14,11 +14,7 @@ class Flood final : public sim::Protocol {
   Flood(graph::MarkedForest& forest, NodeId initiator)
       : forest_(&forest),
         initiator_(initiator),
-        seen_(forest.graph().node_count(), 0) {
-    // Handlers mark parent-edge halves on shard workers; pre-grow the half
-    // arrays so no worker ever resizes them.
-    forest_->sync_capacity();
-  }
+        seen_(forest.graph().node_count(), 0) {}
 
   void on_start(sim::Network& net, NodeId self) override {
     assert(self == initiator_);

@@ -33,14 +33,7 @@ class GhsSearch final : public sim::Protocol {
         rejected_(&rejected),
         state_(tree_.graph().node_count()) {}
 
-  // Opt out of shard workers: the shared `rejected_` table is written by the
-  // kGhsReject handler and read by begin() when same-round probes go out, so
-  // the outcome depends on the relative order of different nodes' handlers
-  // within a round. The sequential fast path keeps the baseline's historic
-  // message counts bit-exact at any shard setting.
-  bool shard_safe() const override { return false; }
-
-  // Opt out of message loss too: the search is an interlocked request/reply
+  // Opt out of message loss: the search is an interlocked request/reply
   // chain (every Test expects exactly one Accept/Reject before the node
   // probes its next candidate or echoes its minimum upward), so one dropped
   // reply strands the whole fragment's convergecast and corrupts the phase.

@@ -16,11 +16,7 @@ class CrossMark final : public sim::Protocol {
  public:
   CrossMark(graph::MarkedForest& forest, EdgeIdx e, NodeId initiator,
             NodeId peer)
-      : forest_(&forest), edge_(e), initiator_(initiator), peer_(peer) {
-    // The peer marks its half inside a handler; pre-grow the half arrays
-    // (the edge may be freshly inserted) so no worker ever resizes them.
-    forest_->sync_capacity();
-  }
+      : forest_(&forest), edge_(e), initiator_(initiator), peer_(peer) {}
 
   void on_start(sim::Network& net, NodeId self) override {
     assert(self == initiator_);
@@ -302,9 +298,6 @@ void DynamicForest::cross_mark(EdgeIdx e, NodeId initiator, NodeId peer) {
 void DynamicForest::broadcast_drop(NodeId root, graph::EdgeNum edge_num) {
   graph::MarkedForest& forest = *forest_;
   const graph::Graph& g = *graph_;
-  // The receive hook unmarks halves inside broadcast handlers; pre-grow the
-  // half arrays so shard workers never resize them.
-  forest.sync_capacity();
   proto::TreeOps ops(*net_, graph::TreeView(forest));
   ops.broadcast(root, Words{edge_num},
                 [&forest, &g](NodeId self,

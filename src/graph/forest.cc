@@ -12,7 +12,6 @@ namespace kkt::graph {
 
 std::uint32_t MarkedForest::SlabPool::allocate(std::uint32_t cap) {
   assert(cap > 0);
-  const std::lock_guard<std::mutex> lock(mu_);
   if (cap < free_.size() && !free_[cap].empty()) {
     const std::uint32_t offset = free_[cap].back();
     free_[cap].pop_back();
@@ -38,7 +37,6 @@ std::uint32_t MarkedForest::SlabPool::allocate(std::uint32_t cap) {
 }
 
 void MarkedForest::SlabPool::release(std::uint32_t offset, std::uint32_t cap) {
-  const std::lock_guard<std::mutex> lock(mu_);
   if (cap < free_.size()) free_[cap].push_back(offset);
 }
 

@@ -10,21 +10,16 @@
 // assert the properly-marked invariant and the impromptu discipline (between
 // updates a node stores nothing but its incident edges and these bits).
 //
-// Shard-safety contract (the sharded sim::Network runs handlers of distinct
-// nodes on worker threads): each endpoint's half-mark and half-epoch live in
-// their own array elements -- distinct memory locations per the C++ memory
-// model -- so the two endpoints of one edge may mark/unmark concurrently.
-// Read accessors are bounds-checked and never grow storage; growth happens
-// only in mutators and in sync_capacity(), both of which must be called
-// from sequential context (marking protocols sync capacity in their
-// constructors, before Network::run fans handlers out).
+// Threading contract: a forest belongs to one world (graph, network,
+// protocols) and is only ever touched by that world's thread -- the
+// SweepExecutor runs whole worlds on worker threads, never one forest from
+// two -- so nothing here locks. Read accessors are bounds-checked and never
+// grow storage; growth happens only at construction and in mutators.
 // Storage: dense interleaved arrays indexed by 2e + endpoint-slot, 10 bytes
 // per edge slot. Graphs whose edge-slot count exceeds a limit (implicit K_n
 // at n = 10^6 has ~5*10^11 slots) switch to a sparse std::map keyed by edge
 // index -- a maintained forest holds < n marked edges regardless of m, so
-// the map stays O(n). Sparse mode is NOT shard-safe (map nodes are shared
-// state); the limit is far above any graph the sharded executor can hold,
-// and implicit graphs opt out of sharding anyway (shard_parallel_safe).
+// the map stays O(n).
 //
 // Tree index: per node, the incident edges whose *own* half is marked, in
 // incidence-row order (docs/ARCHITECTURE.md, "Tree index"). TreeView walks
@@ -33,8 +28,7 @@
 // node marks or unmarks its own half, mark_edge / clear_edge touch an edge
 // of the node, clear_all runs, or the node's incidence row changes
 // (Graph::row_version). A node's own-half mutators write only that node's
-// entry, so the node-local contract above keeps the index shard-safe; slab
-// growth goes through a mutex-guarded pool whose segments never move.
+// entry; slabs come from a bump pool whose segments never move.
 #pragma once
 
 #include <array>
@@ -42,7 +36,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -78,13 +71,6 @@ class MarkedForest {
   // Largest epoch among currently marked edges (0 if none) -- lets a new
   // phased operation pick fresh epochs above everything already placed.
   std::uint32_t max_mark_epoch() const;
-
-  // Grows the half-mark/epoch arrays to cover every current edge slot of
-  // the graph. Sequential-context only (it may reallocate); protocols whose
-  // handlers mark or unmark halves call this in their constructors so that
-  // no handler -- possibly running on a shard worker -- ever triggers
-  // growth mid-run.
-  void sync_capacity();
 
   // --- symmetric convenience (driver/test use) ----------------------------
   void mark_edge(EdgeIdx e, std::uint32_t epoch = 0);
@@ -151,8 +137,8 @@ class MarkedForest {
   friend class TreeView;
 
   // Stable-address bump allocator for the tree index. Segment k holds
-  // kFirst << k entries and never moves once allocated, so a shard worker
-  // may carve a slab (under the mutex) while other workers read theirs.
+  // kFirst << k entries and never moves once allocated, so carving a new
+  // slab never invalidates another node's entries.
   // Released slabs of small capacity are recycled by exact size; reset()
   // (clear_all) reclaims everything.
   class SlabPool {
@@ -163,9 +149,9 @@ class MarkedForest {
       return segments_[static_cast<std::size_t>(k)].get() +
              (offset - segment_start(k));
     }
-    std::uint32_t allocate(std::uint32_t cap);              // thread-safe
-    void release(std::uint32_t offset, std::uint32_t cap);  // thread-safe
-    void reset();  // sequential context only
+    std::uint32_t allocate(std::uint32_t cap);
+    void release(std::uint32_t offset, std::uint32_t cap);
+    void reset();
     std::uint64_t tail() const noexcept { return tail_; }
 
     static int segment_of(std::uint64_t offset) {
@@ -181,7 +167,6 @@ class MarkedForest {
     static constexpr int kSegments = 32 - kShift;
 
     std::array<std::unique_ptr<Incidence[]>, kSegments> segments_;
-    std::mutex mu_;
     std::uint64_t tail_ = 0;
     // free_[c]: offsets of released slabs of capacity c (c < 64; larger
     // slabs are rare and simply abandoned until reset()).
@@ -200,8 +185,7 @@ class MarkedForest {
     std::uint32_t row_version = kStaleRow;
   };
 
-  // The tree-index entry of v, rebuilt first if stale. Called from v's
-  // handler (or sequential context) only.
+  // The tree-index entry of v, rebuilt first if stale.
   std::span<const Incidence> tree_row(NodeId v) const {
     const TreeSlab& s = slabs_[v];
     if (s.row_version != graph_->row_version(v)) rebuild_tree_row(v);
@@ -219,6 +203,8 @@ class MarkedForest {
     std::uint32_t epochs[2] = {0, 0};
   };
 
+  // Grows the half-mark/epoch arrays to cover every current edge slot.
+  void sync_capacity();
   // Mutator-only growth: reads never resize (see class comment).
   void ensure_size(EdgeIdx e) {
     if (!sparse_ && half_marks_.size() <= 2 * static_cast<std::size_t>(e) + 1) {
@@ -236,8 +222,7 @@ class MarkedForest {
   const Graph* graph_;
   bool sparse_ = false;
   // Interleaved per-endpoint mark bytes: element 2e + slot is endpoint
-  // slot's half of edge e. Distinct bytes per endpoint keep concurrent
-  // half-writes from different shards race-free.
+  // slot's half of edge e.
   std::vector<std::uint8_t> half_marks_;
   // Per-endpoint epoch at which the half was marked; an edge's epoch is the
   // max over its two halves (both halves carry the same value in every

@@ -12,8 +12,7 @@
 //  * kImplicit  -- incidence computed on demand from (n, seed) by
 //    ImplicitCore (graph/implicit.h); O(n) resident state even for K_n at
 //    n = 10^6. Read-mostly: remove_edge materialises per-node overlays;
-//    add_edge/set_weight unsupported. Shared query caches make it the one
-//    backend with shard_parallel_safe() == false.
+//    add_edge/set_weight unsupported.
 //  * kMapped    -- read-only CSR payload mmap'd from a .kkg file
 //    (graph/store.h); no mutation at all.
 //
@@ -75,14 +74,6 @@ class Graph {
   Graph clone() const;
 
   Backend backend() const noexcept { return backend_; }
-
-  // Whether per-node reads may run concurrently from shard threads. False
-  // only for kImplicit, whose reusable row buffers are shared mutable state;
-  // the sharded executor degrades to its sequential path (counters are
-  // bit-identical either way, see sim/network.cc).
-  bool shard_parallel_safe() const noexcept {
-    return backend_ != Backend::kImplicit;
-  }
 
   // --- topology mutation -------------------------------------------------
   // Inserts edge {u, v} with the given weight. Returns its index.

@@ -37,9 +37,7 @@
 // size; spans returned by one query stay valid for the next few queries
 // (>= 4 interleaved rows) but are invalidated by eviction -- protocols hold
 // at most one row span at a time plus nested oracle walks, which the slot
-// counts cover. The shared mutable cache is why implicit graphs report
-// shard_parallel_safe() == false: the sharded executor degrades to the
-// sequential path (counters unchanged) instead of racing the slots.
+// counts cover.
 #pragma once
 
 #include <array>

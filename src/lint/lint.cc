@@ -14,7 +14,7 @@ namespace {
 
 constexpr std::array<std::string_view, kRuleCount> kRuleNames = {
     "rand-source",         "unordered-iter",      "ptr-key-ordered",
-    "hotpath-alloc",       "shard-unsafe-static", "pragma-once",
+    "hotpath-alloc",       "shared-static",       "pragma-once",
     "using-namespace-header", "test-unregistered", "bad-suppression",
     "unused-suppression",
 };
@@ -640,15 +640,16 @@ std::vector<Finding> scan_file(std::string_view path, std::string_view text,
     }
   }
 
-  // --- shard-unsafe-static -------------------------------------------------
-  // Hot-path code runs concurrently on shard workers (sim/network.h,
-  // "Sharded fast path"): a mutable static is one object shared by every
-  // worker -- an unsynchronized write is a data race and any synchronized
-  // one is a hidden cross-shard channel -- while thread_local silently
-  // forks state per worker, breaking the one-Network-one-state model.
+  // --- shared-static -------------------------------------------------------
+  // Hot-path code runs in every world at once: the SweepExecutor
+  // (scenario/sweep.h) runs whole worlds concurrently on work-stealing
+  // threads. A mutable static is one object shared by every world -- an
+  // unsynchronized write is a data race and any synchronized one is a
+  // hidden cross-world channel -- while thread_local silently forks state
+  // per worker thread, so a world's result would depend on which thread
+  // stole it. Either breaks bit-determinism across thread counts.
   // Immutable statics (const/constexpr) are fine; static functions are not
-  // data. Deliberate uses (the shard lane pointer itself) carry a justified
-  // allow-comment.
+  // data. Deliberate uses carry a justified allow-comment.
   if (cls.hot_path) {
     find_words(code, "static", /*word_end=*/true, [&](std::size_t pos) {
       const std::string_view next =
@@ -667,16 +668,16 @@ std::vector<Finding> scan_file(std::string_view path, std::string_view text,
         if (c == '(') return;
         if (c == ';' || c == '=' || c == '{') break;
       }
-      report(RuleId::kShardUnsafeStatic, pos,
-             "mutable static in shard-hot code -- one object shared by "
-             "every shard worker; keep state node-indexed or per-lane "
-             "(sim/network.h sharded fast path)");
+      report(RuleId::kSharedStatic, pos,
+             "mutable static in hot-path code -- one object shared by "
+             "every concurrently running world; keep state in the "
+             "Network / protocol objects");
     });
     find_words(code, "thread_local", /*word_end=*/true, [&](std::size_t pos) {
-      report(RuleId::kShardUnsafeStatic, pos,
-             "thread_local in shard-hot code -- state silently forks per "
-             "worker thread; keep state node-indexed or per-lane, or "
-             "justify the exception with an allow-comment");
+      report(RuleId::kSharedStatic, pos,
+             "thread_local in hot-path code -- state silently forks per "
+             "sweep worker thread; keep state in the Network / protocol "
+             "objects, or justify the exception with an allow-comment");
     });
   }
 

@@ -38,7 +38,7 @@ enum class RuleId {
   kUnorderedIter,       // iteration over unordered containers
   kPtrKeyOrdered,       // pointer-keyed ordered containers
   kHotpathAlloc,        // allocation on the zero-allocation wire path
-  kShardUnsafeStatic,   // mutable static / thread_local in shard-hot files
+  kSharedStatic,        // mutable static / thread_local in hot-path files
   kPragmaOnce,          // header missing #pragma once
   kUsingNamespaceHeader,// using namespace at header scope
   kTestUnregistered,    // tests/*_test.cc absent from tests/CMakeLists.txt

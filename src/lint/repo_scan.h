@@ -25,9 +25,8 @@ namespace kkt::lint {
 // allocating constructs statically. The perf campaign (PR 7) added the
 // round-bucket delivery path, the protocol scratch arenas and the
 // Barrett/hash inner loops -- all steady-state allocation-free, so they
-// ride the same rule. The sharded executor (PR 8) added sim/shard.h; hot
-// files also get the shard-unsafe-static rule, since these are exactly the
-// files whose code runs concurrently on shard workers. The backend facade
+// ride the same rule. Hot files also get the shared-static rule: their code
+// runs in every world a SweepExecutor drives concurrently. The backend facade
 // (graph.h) and the implicit families (implicit.h) joined with the
 // web-scale backends PR: every protocol incidence read crosses them, and
 // the implicit query paths must stay allocation-free in steady state (the
@@ -37,10 +36,10 @@ namespace kkt::lint {
 // carry justified suppressions, the per-send reads must stay clean.
 // forest.h joined with the tree index: every TreeView walk reads it from
 // handlers, so it must stay allocation-free (slab growth lives in
-// forest.cc) and free of shard-unsafe statics.
-inline constexpr std::array<std::string_view, 17> kHotPathFiles = {
+// forest.cc) and free of shared statics.
+inline constexpr std::array<std::string_view, 16> kHotPathFiles = {
     "src/sim/inline_words.h", "src/sim/message.h", "src/sim/message.cc",
-    "src/sim/network.h",      "src/sim/network.cc", "src/sim/shard.h",
+    "src/sim/network.h",      "src/sim/network.cc",
     "src/sim/link_state.h",   "src/sim/delivery_policy.h",
     "src/proto/words.h",      "src/core/wire.h",   "src/proto/scratch.h",
     "src/util/modmath.h",     "src/hashing/odd_hash.h",

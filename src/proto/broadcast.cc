@@ -55,9 +55,6 @@ AddEdgeHandshake::AddEdgeHandshake(graph::MarkedForest& forest,
       seen_(seen != nullptr ? seen : &own_seen_) {
   seen_->ensure(tree_.graph().node_count());
   seen_->next_run();
-  // The handshake marks both halves of the target edge from inside
-  // handlers; pre-grow the half arrays so shard workers never resize them.
-  forest_->sync_capacity();
 }
 
 void AddEdgeHandshake::on_start(sim::Network& net, NodeId self) {

@@ -11,9 +11,6 @@ CycleBreak::CycleBreak(graph::MarkedForest& forest,
       members_(std::move(members)),
       state_(forest.graph().node_count()) {
   for (const CycleMember& m : members_) state_[m.node].on_cycle = true;
-  // Handlers unmark halves on shard workers; make sure the half arrays
-  // already span every edge so no worker ever triggers growth.
-  forest_->sync_capacity();
 }
 
 void CycleBreak::on_start(sim::Network& net, NodeId self) {
@@ -42,7 +39,7 @@ void CycleBreak::on_message(sim::Network& net, NodeId self, NodeId from,
     const auto e = net.graph().find_edge(self, from);
     assert(e.has_value());
     forest_->unmark_half(*e, self);
-    half_unmarks_.fetch_add(1, std::memory_order_relaxed);
+    ++half_unmarks_;
   }
 }
 

@@ -14,7 +14,6 @@
 // unmarked, so 'enough' mergers still occur").
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "graph/forest.h"
@@ -40,9 +39,7 @@ class CycleBreak final : public sim::Protocol {
   bool loss_safe() const override { return false; }
 
   // Number of unmark decisions made (each counted once per endpoint).
-  int half_unmarks() const noexcept {
-    return half_unmarks_.load(std::memory_order_relaxed);
-  }
+  int half_unmarks() const noexcept { return half_unmarks_; }
 
  private:
   struct NodeState {
@@ -53,10 +50,7 @@ class CycleBreak final : public sim::Protocol {
   graph::MarkedForest* forest_;
   std::vector<CycleMember> members_;
   std::vector<NodeState> state_;
-  // Atomic: both endpoints of a doubly-picked edge decide to unmark in the
-  // same round, possibly on different shard workers. A relaxed sum is
-  // order-independent, so the tally stays deterministic at any shard count.
-  std::atomic<int> half_unmarks_{0};
+  int half_unmarks_ = 0;
 };
 
 }  // namespace kkt::proto

@@ -19,12 +19,10 @@
 // model-cost counters are bit-identical with shared or private scratch
 // (pinned in proto_test/build_test).
 //
-// Shard-safety: every accessor is indexed by a node id, and handlers only
-// ever pass their own `self` (the node-local contract in sim/network.h), so
-// concurrent shard workers touch disjoint column elements of one shared
-// arena -- per-shard arena copies are unnecessary. The growth points
-// (ensure) run in protocol constructors, i.e. sequential context, never on
-// a worker. next_run()/run_ bumps likewise happen between runs only.
+// Locality: every accessor is indexed by a node id, and handlers only ever
+// pass their own `self` (the node-local contract in sim/network.h). The
+// growth points (ensure) run in protocol constructors, never inside a
+// handler; next_run()/run_ bumps likewise happen between runs only.
 #pragma once
 
 #include <cassert>

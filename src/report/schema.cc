@@ -60,7 +60,12 @@ bool set_error(std::string* error, std::string msg) {
 bool parse_unified(const JsonValue& root, ResultFile& out,
                    std::string* error) {
   const JsonValue* version = root.find("kkt_result_schema");
-  if (!version || !version->is_number() ||
+  if (version == nullptr) {
+    return set_error(error,
+                     "missing 'kkt_result_schema': not a unified result "
+                     "artifact (docs/RESULT_SCHEMA.md)");
+  }
+  if (!version->is_number() ||
       version->as_number() < static_cast<double>(kMinResultSchemaVersion) ||
       version->as_number() > static_cast<double>(kResultSchemaVersion)) {
     return set_error(error, "unsupported kkt_result_schema version");
@@ -120,48 +125,6 @@ bool parse_unified(const JsonValue& root, ResultFile& out,
   return true;
 }
 
-// Legacy shim: the Google Benchmark JSON format the benches emitted before
-// the unified writer. Every numeric field of a benchmark entry becomes a
-// counter; per-family bookkeeping indices are dropped.
-bool parse_legacy_gbench(const JsonValue& root, ResultFile& out,
-                         std::string* error) {
-  const JsonValue* benchmarks = root.find("benchmarks");
-  if (!benchmarks || !benchmarks->is_array()) {
-    return set_error(error, "legacy artifact missing 'benchmarks' array");
-  }
-  out.schema_version = kResultSchemaVersion;
-  out.tool = "legacy";
-  if (const JsonValue* ctx = root.find("context")) {
-    if (const JsonValue* exe = ctx->find("executable");
-        exe && exe->is_string()) {
-      const std::string& path = exe->as_string();
-      const std::size_t slash = path.find_last_of('/');
-      out.tool = slash == std::string::npos ? path : path.substr(slash + 1);
-    }
-  }
-  for (const JsonValue& entry : benchmarks->as_array()) {
-    if (!entry.is_object()) {
-      return set_error(error, "legacy benchmark entry is not an object");
-    }
-    const JsonValue* name = entry.find("name");
-    if (!name || !name->is_string()) {
-      return set_error(error, "legacy benchmark entry missing 'name'");
-    }
-    RunRecord r;
-    r.name = name->as_string();
-    for (const auto& [k, v] : entry.as_object()) {
-      if (!v.is_number()) continue;
-      if (k == "family_index" || k == "per_family_instance_index" ||
-          k == "repetitions" || k == "repetition_index" || k == "threads") {
-        continue;
-      }
-      r.counters[k] = v.as_number();
-    }
-    out.records.push_back(std::move(r));
-  }
-  return true;
-}
-
 }  // namespace
 
 std::optional<ResultFile> parse_results(std::string_view text,
@@ -173,11 +136,7 @@ std::optional<ResultFile> parse_results(std::string_view text,
     return std::nullopt;
   }
   ResultFile out;
-  if (root->find("kkt_result_schema") != nullptr) {
-    if (!parse_unified(*root, out, error)) return std::nullopt;
-    return out;
-  }
-  if (!parse_legacy_gbench(*root, out, error)) return std::nullopt;
+  if (!parse_unified(*root, out, error)) return std::nullopt;
   return out;
 }
 

@@ -29,13 +29,6 @@
 // tests/report_test.cc) and artifacts diff line-by-line across commits.
 // Wall fields appear only when a producer opts in (KKT_BENCH_WALL), so the
 // default artifacts keep that property.
-//
-// Legacy shim (one release): parse_results() also accepts the Google
-// Benchmark JSON format that BENCH_messages.json/BENCH_churn.json used
-// before the rebase ({"context": ..., "benchmarks": [...]}); each
-// benchmark entry becomes a RunRecord of its numeric fields. New writers
-// must emit the unified shape; the shim exists only so trajectory tooling
-// can read pre-rebase snapshots and will be dropped next release.
 #pragma once
 
 #include <cstdint>
@@ -97,9 +90,9 @@ std::string serialize_results(const ResultFile& f);
 void write_results(std::ostream& os, const ResultFile& f);
 bool write_results_file(const std::string& path, const ResultFile& f);
 
-// Parses a unified artifact, or (shim) a legacy Google Benchmark artifact.
-// Returns nullopt with a message in *error (if non-null) on malformed
-// input or an unsupported schema version.
+// Parses a unified artifact. Returns nullopt with a message in *error (if
+// non-null) on malformed input, a missing or unsupported schema version,
+// or any other JSON shape (e.g. raw Google Benchmark output).
 std::optional<ResultFile> parse_results(std::string_view text,
                                         std::string* error = nullptr);
 std::optional<ResultFile> read_results(std::istream& is,

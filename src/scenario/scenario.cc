@@ -198,7 +198,6 @@ std::unique_ptr<sim::Network> make_network(const graph::Graph& g,
       break;
   }
   assert(net != nullptr && "unknown network kind");
-  net->set_shards(spec.shards);
   return net;
 }
 

@@ -177,11 +177,6 @@ struct NetSpec {
   NetKind kind = NetKind::kSync;
   sim::AsyncNetwork::Config async_cfg{};     // used when kind == kAsync
   sim::AdversarialConfig adversarial_cfg{};  // used when kind == kAdversarial
-  // Intra-run sharding (sim/shard.h). Applied to every network this spec
-  // builds; non-sync kinds simply degrade to the sequential paths, so the
-  // field is descriptive everywhere and effective under kSync -- results
-  // are bit-identical either way (tests/shard_test.cc).
-  sim::ShardSpec shards{};
 
   static NetSpec sync() { return NetSpec{}; }
   static NetSpec async(sim::AsyncNetwork::Config cfg = {}) {

@@ -62,7 +62,7 @@ class DeliveryPolicy {
   // Network consults this once per run: lossy schedules only apply to
   // protocols that declare Protocol::loss_safe(); for the rest loss
   // degrades to plain delay (drop() is never called, so the delay stream
-  // is untouched), mirroring the shard_safe() degrade.
+  // is untouched).
   virtual bool lossy() const noexcept { return false; }
 
   // Whether the message sent along {from, to} at virtual time `now` is

@@ -10,11 +10,10 @@
 //
 // Because is_down() is a pure function of the endpoint pair (no clock, no
 // randomness, no iteration order), link-state drops are bit-identical
-// across the heap, round-batched, and sharded delivery paths, at every
-// shard and thread count -- unlike policy loss, they therefore apply to
-// every protocol, loss-safe or not (a protocol that cannot make progress
-// across a dead link simply reaches quiescence with a degraded result,
-// exactly as it would on the partitioned topology).
+// across the heap and round-batched delivery paths -- unlike policy loss,
+// they therefore apply to every protocol, loss-safe or not (a protocol that
+// cannot make progress across a dead link simply reaches quiescence with a
+// degraded result, exactly as it would on the partitioned topology).
 //
 // Mutations are sequential-context only (the Network asserts no run is in
 // progress); fault schedules flip links *between* operations, which is the

@@ -2,116 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
 #include <numeric>
-#include <thread>
 
 namespace kkt::sim {
-
-// --- shard runtime ----------------------------------------------------------
-//
-// One Lane per shard: the worker delivering shard s's slice of the current
-// round writes *only* its own lane (outbox of sends, one send-count per
-// delivery, lane-local Metrics). cur_round_ is frozen while workers scan it,
-// shard placement routes every node's handlers to exactly one worker, and
-// protocol state is node-local (Protocol::shard_safe), so the round body is
-// race-free without any locking on the delivery path. The mutex/condvar pair
-// below only implements the round barrier: main thread publishes a new
-// generation, workers run their slice, main thread waits for pending == 0.
-//
-// Workers are persistent (spawned on first sharded run, joined in ~Network):
-// a BuildMST run executes thousands of rounds and thread spawn latency would
-// swamp the per-round work.
-
-struct Network::ShardRuntime {
-  struct alignas(64) Lane {
-    Metrics metrics;                  // merged into Network::metrics_ per run
-    std::vector<Envelope> outbox;     // sends, in this shard's delivery order
-    std::vector<std::uint32_t> counts;  // sends per delivery, same order
-  };
-
-  // Which lane the current thread's deliveries charge to; null on the main
-  // thread outside worker rounds, so sends fall through to the sequential
-  // path. One lane pointer per worker thread, never shared.
-  // kkt-lint: allow(shard-unsafe-static): worker-owned lane pointer, per-thread by design
-  static thread_local Lane* t_lane;
-
-  explicit ShardRuntime(int shards) : lanes(shards) {
-    merge_off.resize(static_cast<std::size_t>(shards));
-    merge_cnt.resize(static_cast<std::size_t>(shards));
-    threads.reserve(static_cast<std::size_t>(shards) - 1);
-    for (int s = 1; s < shards; ++s) {
-      threads.emplace_back([this, s] { worker(s); });
-    }
-  }
-
-  ~ShardRuntime() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      stop = true;
-    }
-    cv_work.notify_all();
-    for (std::thread& t : threads) t.join();
-  }
-
-  void worker(int s) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Network* n = nullptr;
-      Protocol* p = nullptr;
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv_work.wait(lk, [&] { return stop || generation != seen; });
-        if (stop) return;
-        seen = generation;
-        n = net;
-        p = proto;
-      }
-      n->process_shard(*p, s);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (--pending == 0) cv_done.notify_one();
-      }
-    }
-  }
-
-  // Wakes every worker for one round. The caller then processes shard 0
-  // itself and calls wait_workers().
-  void launch_round(Network* n, Protocol* p) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      net = n;
-      proto = p;
-      pending = static_cast<int>(threads.size());
-      ++generation;
-    }
-    cv_work.notify_all();
-  }
-
-  void wait_workers() {
-    std::unique_lock<std::mutex> lk(mu);
-    cv_done.wait(lk, [&] { return pending == 0; });
-  }
-
-  std::vector<Lane> lanes;
-  std::vector<std::size_t> merge_off;  // per-shard outbox cursor (merge)
-  std::vector<std::size_t> merge_cnt;  // per-shard counts cursor (merge)
-
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  Network* net = nullptr;
-  Protocol* proto = nullptr;
-  std::uint64_t generation = 0;
-  int pending = 0;
-  bool stop = false;
-};
-
-// kkt-lint: allow(shard-unsafe-static): definition of the worker-owned lane pointer
-thread_local Network::ShardRuntime::Lane* Network::ShardRuntime::t_lane =
-    nullptr;
 
 Network::Network(const graph::Graph& g, std::uint64_t seed,
                  std::unique_ptr<DeliveryPolicy> policy)
@@ -121,27 +14,6 @@ Network::Network(const graph::Graph& g, std::uint64_t seed,
   node_rngs_.reserve(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) {
     node_rngs_.push_back(master.fork(v));
-  }
-}
-
-Network::~Network() = default;
-
-void Network::set_shards(const ShardSpec& spec) {
-  assert(active_ == nullptr && "set_shards during Network::run");
-  ShardSpec normalized = spec;
-  if (normalized.shards < 1) normalized.shards = 1;
-  if (normalized.shards != shard_spec_.shards) {
-    shard_rt_.reset();  // worker pool is sized to S; rebuild lazily
-  }
-  shard_spec_ = normalized;
-}
-
-void Network::report_node_state_bits(std::uint64_t bits) noexcept {
-  Metrics& m =
-      ShardRuntime::t_lane != nullptr ? ShardRuntime::t_lane->metrics
-                                      : metrics_;
-  if (bits > m.peak_node_state_bits) {
-    m.peak_node_state_bits = bits;
   }
 }
 
@@ -211,37 +83,6 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
   assert(from < graph_->node_count() && to < graph_->node_count());
   assert(graph_->find_edge(from, to).has_value() &&
          "message sent along a non-existent edge");
-  if (ShardRuntime::Lane* lane = ShardRuntime::t_lane; lane != nullptr) {
-    // Shard worker: charge the lane-local Metrics (merged after the run)
-    // and buffer the envelope in the lane outbox; the round barrier splices
-    // it into next_round_ at its sequential position. unit_delay() holds
-    // whenever sharding engages, so the append *is* the schedule, exactly
-    // as on the sequential fast path below.
-    assert(fast_path_ && sharded_);
-    assert(policy_->delivery_time(from, to, now_) == now_ + 1);
-    assert(policy_->duplicates(from, to) == 0);
-    lane->metrics.messages += 1;
-    lane->metrics.message_bits += msg.bits();
-    const auto lane_tag = static_cast<std::size_t>(msg.tag);
-    lane->metrics.per_tag[lane_tag] += 1;
-    lane->metrics.per_tag_bits[lane_tag] += msg.bits();
-    if (msg.words.overflowed()) {
-      ++lane->metrics.oversized_messages;
-      assert(false && "CONGEST message budget exceeded");
-    }
-    // Link outage: the send is paid for but never delivered. is_down() is a
-    // pure function of the endpoints, so every shard count sees the same
-    // drops; skipping both the outbox push and the count increment keeps
-    // the barrier merge consistent (this delivery spliced zero sends).
-    if (links_.is_down(from, to)) {
-      ++lane->metrics.dropped_deliveries;
-      return;
-    }
-    assert(!lane->counts.empty() && "worker send outside a delivery");
-    lane->outbox.push_back(Envelope{from, to, msg});
-    ++lane->counts.back();
-    return;
-  }
   metrics_.messages += 1;
   metrics_.message_bits += msg.bits();
   const auto tag_idx = static_cast<std::size_t>(msg.tag);
@@ -307,83 +148,7 @@ std::uint64_t Network::drain_rounds(Protocol& proto,
   return elapsed;
 }
 
-void Network::process_shard(Protocol& proto, int s) {
-  ShardRuntime::Lane& lane = shard_rt_->lanes[static_cast<std::size_t>(s)];
-  ShardRuntime::t_lane = &lane;
-  // Scan the frozen round bucket and deliver only this shard's envelopes.
-  // Per node, deliveries keep their global relative order: all of a node's
-  // envelopes live in one shard and are visited in cur_round_ order.
-  for (const Envelope& env : cur_round_) {
-    if (shard_map_.shard_of(env.to) != s) continue;
-    lane.counts.push_back(0);  // send() increments the back entry
-    proto.on_message(*this, env.to, env.from, env.msg);
-  }
-  ShardRuntime::t_lane = nullptr;
-}
-
-void Network::merge_shard_outboxes() {
-  ShardRuntime& rt = *shard_rt_;
-  std::fill(rt.merge_off.begin(), rt.merge_off.end(), std::size_t{0});
-  std::fill(rt.merge_cnt.begin(), rt.merge_cnt.end(), std::size_t{0});
-  // Replay the round in global order: delivery k of shard s produced
-  // counts[k] sends, sitting contiguously in lane s's outbox. Appending
-  // those slices in cur_round_ order reconstructs exactly the send sequence
-  // of the sequential drain, so the next round -- and every round after it
-  // -- is bit-identical to S=1.
-  for (const Envelope& env : cur_round_) {
-    const auto s = static_cast<std::size_t>(shard_map_.shard_of(env.to));
-    ShardRuntime::Lane& lane = rt.lanes[s];
-    const std::size_t sends = lane.counts[rt.merge_cnt[s]++];
-    const auto first = lane.outbox.begin() +
-                       static_cast<std::ptrdiff_t>(rt.merge_off[s]);
-    next_round_.insert(next_round_.end(), first,
-                       first + static_cast<std::ptrdiff_t>(sends));
-    rt.merge_off[s] += sends;
-  }
-  for (std::size_t s = 0; s < rt.lanes.size(); ++s) {
-    assert(rt.lanes[s].outbox.size() == rt.merge_off[s] &&
-           "merge must consume every buffered send");
-    rt.lanes[s].outbox.clear();  // keep capacity: zero-alloc steady state
-    rt.lanes[s].counts.clear();
-  }
-}
-
-std::uint64_t Network::drain_rounds_sharded(Protocol& proto,
-                                            std::uint64_t max_rounds) {
-  ShardRuntime& rt = *shard_rt_;
-  const std::uint64_t start = now_;
-  while (!next_round_.empty()) {
-    if (now_ + 1 - start > max_rounds) {
-      metrics_.dropped_deliveries += next_round_.size();
-      next_round_.clear();
-      now_ = start + max_rounds;
-      break;
-    }
-    ++now_;
-    cur_round_.swap(next_round_);
-    if (cur_round_.size() < shard_serial_cutoff_) {
-      // Small round: dispatch overhead beats the parallel win, so run the
-      // plain sequential loop. t_lane is null here, so sends land directly
-      // in next_round_ in global order -- the same order the merge below
-      // would have produced.
-      for (const Envelope& env : cur_round_) {
-        proto.on_message(*this, env.to, env.from, env.msg);
-      }
-    } else {
-      rt.launch_round(this, &proto);
-      process_shard(proto, 0);  // main thread owns shard 0
-      rt.wait_workers();
-      merge_shard_outboxes();
-    }
-    cur_round_.clear();
-  }
-  const std::uint64_t elapsed = now_ - start;
-  now_ = 0;  // virtual clock is per-operation
-  return elapsed;
-}
-
 std::uint64_t Network::drain(Protocol& proto, std::uint64_t max_rounds) {
-  if (sharded_) return drain_rounds_sharded(proto, max_rounds);
   if (fast_path_) return drain_rounds(proto, max_rounds);
   const std::uint64_t start = now_;
   while (!heap_.empty()) {
@@ -418,45 +183,14 @@ std::uint64_t Network::run(Protocol& proto,
   // can tolerate dropped messages; otherwise loss degrades to plain delay
   // (drop() is never consulted, so the loss rng stream is never advanced
   // and the schedule is bit-identical to the lossless configuration) and
-  // the downgrade is counted -- the shard_safe() pattern applied to loss.
+  // the downgrade is counted.
   const bool lossy_policy = policy_->lossy();
   loss_active_ = lossy_policy && proto.loss_safe();
   if (lossy_policy && !loss_active_) ++loss_degrades_;
-  // An active loss schedule forces the heap path: drop() draws from the
-  // policy's rng, which must advance in the single-threaded send order
-  // (no lossy policy is unit-delay today; this guards a future one).
-  fast_path_ =
-      round_batching_enabled_ && policy_->unit_delay() && !loss_active_;
-  // Sharding rides the round-batched fast path only: the heap path has no
-  // round barriers to exchange at, and protocols may opt out (shard_safe),
-  // as may the graph backend (implicit families serve rows from shared
-  // mutable buffers, see graph/implicit.h). Everything else degrades to the
-  // sequential paths, which produce the same delivery order -- so the knob
-  // can never change results.
-  sharded_ = fast_path_ && shard_spec_.shards > 1 && proto.shard_safe() &&
-             graph_->shard_parallel_safe();
-  if (sharded_) {
-    shard_map_.reset(shard_spec_,
-                     static_cast<std::uint32_t>(graph_->node_count()));
-    if (shard_rt_ == nullptr) {
-      shard_rt_ = std::make_unique<ShardRuntime>(shard_spec_.shards);
-    }
-  }
+  fast_path_ = round_batching_enabled_ && policy_->unit_delay();
   policy_->begin_op();
-  // on_start always runs sequentially (t_lane is null): bootstrap sends
-  // land directly in next_round_ in participant order.
   for (NodeId v : participants) proto.on_start(*this, v);
   const std::uint64_t elapsed = drain(proto, max_rounds);
-  if (sharded_) {
-    // Fold the lane-local counters into the canonical Metrics. Sums and
-    // high-water marks are order-independent, so the fold is bit-identical
-    // to having counted on the main thread.
-    for (ShardRuntime::Lane& lane : shard_rt_->lanes) {
-      metrics_ += lane.metrics;
-      lane.metrics.reset();
-    }
-    sharded_ = false;
-  }
   active_ = nullptr;
   loss_active_ = false;
   metrics_.rounds += elapsed;

@@ -31,22 +31,6 @@
 // set_round_batching(false) forces the general heap path for any policy
 // (the counter bit-identity tests compare both paths).
 //
-// Sharded fast path: set_shards(S) with S > 1 splits each fast-path round
-// across a worker pool. Nodes are partitioned by a deterministic ShardSpec
-// (sim/shard.h); every worker scans the shared, frozen current-round bucket
-// and delivers only the envelopes addressed to its own shard, so each
-// node's handlers still run on exactly one thread, in the same relative
-// order as the sequential drain. Sends made inside a worker go to a
-// per-shard lane (outbox + per-delivery send counts + lane-local Metrics);
-// at the round barrier the main thread replays the current round in global
-// order and splices each delivery's sends from its owner lane's outbox,
-// which reconstructs the exact sequential send sequence. Delivery order --
-// and therefore every Metrics counter -- is bit-identical at S=1/2/8 and
-// equal to the heap path (tests/shard_test.cc pins this). Rounds smaller
-// than the serial cutoff run the plain sequential loop. Sharding engages
-// only when the round-batched fast path does AND the protocol declares
-// shard_safe(); async/adversarial policies and opted-out protocols degrade
-// to the sequential paths, mirroring set_round_batching(false).
 #pragma once
 
 #include <cassert>
@@ -61,7 +45,6 @@
 #include "sim/link_state.h"
 #include "sim/message.h"
 #include "sim/metrics.h"
-#include "sim/shard.h"
 #include "util/rng.h"
 
 namespace kkt::sim {
@@ -78,14 +61,6 @@ class Protocol {
   // Called on delivery of a message to `self` from neighbor `from`.
   virtual void on_message(Network& net, NodeId self, NodeId from,
                           const Message& msg) = 0;
-  // Whether handlers honor the node-local contract strictly enough to run
-  // on shard workers: concurrent on_message calls for nodes in *different*
-  // shards must not perform conflicting accesses to shared state. The
-  // header contract (state indexed by `self` + message content) implies
-  // this; protocols that bend it -- e.g. a baseline mutating a shared
-  // per-edge table read by same-round peers -- return false and run on the
-  // sequential fast path instead (still deterministic, just unsharded).
-  virtual bool shard_safe() const { return true; }
   // Whether the protocol tolerates seeded message *loss* (DeliveryPolicy::
   // drop): every handler chain must still reach quiescence and leave the
   // node-local state safe (possibly with a degraded result) when any subset
@@ -93,9 +68,9 @@ class Protocol {
   // reply phases that deadlock-or-corrupt on a missing reply return false;
   // the Network then degrades loss to plain delay for them (drop() is
   // never consulted, the schedule is bit-identical to the lossless run)
-  // and counts the downgrade in Network::loss_degrades() -- exactly the
-  // shard_safe() degrade pattern. LinkState outages are exempt: they model
-  // topology-shaped faults and apply to every protocol.
+  // and counts the downgrade in Network::loss_degrades(). LinkState outages
+  // are exempt: they model topology-shaped faults and apply to every
+  // protocol.
   virtual bool loss_safe() const { return true; }
 };
 
@@ -103,9 +78,7 @@ class Network {
  public:
   Network(const graph::Graph& g, std::uint64_t seed,
           std::unique_ptr<DeliveryPolicy> policy);
-  // Out of line: joins the shard worker pool (and ShardRuntime is an
-  // incomplete type here).
-  virtual ~Network();
+  virtual ~Network() = default;
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -153,14 +126,16 @@ class Network {
   }
 
   // Number of runs in which a lossy policy was degraded to plain delay
-  // because the protocol declared loss_safe() == false (the loss analogue
-  // of the shard degrade; tests/fault_test.cc pins the behavior).
+  // because the protocol declared loss_safe() == false (tests/fault_test.cc
+  // pins the behavior).
   std::uint64_t loss_degrades() const noexcept { return loss_degrades_; }
 
   // Protocols report their peak per-node scratch footprint (bits) here.
-  // Out of line: on a shard worker the report lands in the worker's lane
-  // (merged into metrics() at the end of the run), never in shared state.
-  void report_node_state_bits(std::uint64_t bits) noexcept;
+  void report_node_state_bits(std::uint64_t bits) noexcept {
+    if (bits > metrics_.peak_node_state_bits) {
+      metrics_.peak_node_state_bits = bits;
+    }
+  }
 
   // Slow-path knob: disables the round-batched fast path, forcing every
   // operation through the general (timestamp, seq) event heap even under a
@@ -173,25 +148,7 @@ class Network {
   }
   bool round_batching() const noexcept { return round_batching_enabled_; }
 
-  // Selects the shard partition for subsequent runs (see header comment and
-  // sim/shard.h). S < 1 normalizes to 1; S == 1 is exactly the sequential
-  // fast path. Safe to change between operations, never during a run.
-  void set_shards(const ShardSpec& spec);
-  void set_shards(int shards) { set_shards(ShardSpec{shards, {}}); }
-  const ShardSpec& shard_spec() const noexcept { return shard_spec_; }
-
-  // Rounds with fewer deliveries than this run sequentially even when
-  // sharded (dispatch overhead would dominate). The default is tuned for
-  // real workloads; tests lower it to 0 to force every round through the
-  // worker pool (TSan coverage on small graphs). Delivery order is
-  // identical either way.
-  void set_shard_serial_cutoff(std::size_t cutoff) noexcept {
-    assert(active_ == nullptr && "set_shard_serial_cutoff during run");
-    shard_serial_cutoff_ = cutoff;
-  }
-
   static constexpr std::uint64_t kDefaultMaxRounds = 1u << 26;
-  static constexpr std::size_t kDefaultShardSerialCutoff = 96;
 
  private:
   struct Envelope {
@@ -214,20 +171,6 @@ class Network {
   std::uint64_t drain(Protocol& proto, std::uint64_t max_rounds);
   // Fast-path drain: per-round buckets instead of the heap (unit delay).
   std::uint64_t drain_rounds(Protocol& proto, std::uint64_t max_rounds);
-
-  // --- sharded fast path ----------------------------------------------------
-  // Worker pool, per-shard lanes, and the round barrier live in the pimpl
-  // (keeps <thread> out of this header and off the sequential build paths).
-  struct ShardRuntime;
-  // Round-bucket drain with shard workers per round (see header comment).
-  std::uint64_t drain_rounds_sharded(Protocol& proto, std::uint64_t max_rounds);
-  // Delivers shard `s`'s slice of cur_round_ into its lane. Runs on the
-  // worker thread owning shard s (shard 0 on the main thread).
-  void process_shard(Protocol& proto, int s);
-  // Barrier step: replays cur_round_ in global order, splicing each
-  // delivery's sends from its owner lane into next_round_ -- the exact
-  // sequence the sequential drain would have produced.
-  void merge_shard_outboxes();
 
   // --- pooled envelope queue ----------------------------------------------
   std::uint32_t pool_put(const Envelope& env);
@@ -258,12 +201,7 @@ class Network {
   std::uint64_t loss_degrades_ = 0;   // lossy runs degraded to delay
   bool round_batching_enabled_ = true;
   bool fast_path_ = false;            // this run uses the round buckets
-  bool sharded_ = false;              // this run uses the shard workers
   bool loss_active_ = false;          // this run consults policy drop()
-  ShardSpec shard_spec_{};
-  ShardMap shard_map_;                // rebuilt per run (node count may grow)
-  std::size_t shard_serial_cutoff_ = kDefaultShardSerialCutoff;
-  std::unique_ptr<ShardRuntime> shard_rt_;  // lazily built on first use
 };
 
 // Accounts elapsed time for operations that run conceptually in parallel

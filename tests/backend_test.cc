@@ -5,10 +5,7 @@
 // protocols -- BuildMST, BuildST, FindMin, deletion repair, GHS -- on the
 // same topology served by the adjacency, CSR and implicit backends and
 // require the full sim::Metrics block to be bit-identical, under every
-// transport (sync / async / adversarial) and shard count. The implicit
-// backend declares shard_parallel_safe() == false, so its shards=8 runs
-// exercise the degrade-to-sequential path; the counters still must not move
-// (that degradation being invisible is the shard determinism contract).
+// transport (sync / async / adversarial).
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -42,37 +39,31 @@ GraphSpec family_spec(GraphFamily fam) {
 }
 
 sim::Metrics run_one(GraphFamily fam, GraphBackend backend,
-                     std::uint64_t seed, NetKind kind, int shards,
-                     bool premark, const ScenarioBody& body) {
+                     std::uint64_t seed, NetKind kind, bool premark,
+                     const ScenarioBody& body) {
   Scenario sc;
   sc.graph = family_spec(fam);
   sc.graph.backend = backend;
   sc.net.kind = kind;
-  sc.net.shards = sim::ShardSpec{shards};
   sc.seed = seed;
   sc.net_seed = seed ^ test::kTestNetSeedSalt;
   sc.premark_msf = premark;
   return run_scenario(sc, body);
 }
 
-// Runs `body` on all three backends under every transport and S in {1, 8};
-// the adjacency backend is the reference block.
+// Runs `body` on all three backends under every transport; the adjacency
+// backend is the reference block.
 void expect_backends_agree(GraphFamily fam, std::uint64_t seed, bool premark,
                            const ScenarioBody& body) {
   for (const NetKind kind :
        {NetKind::kSync, NetKind::kAsync, NetKind::kAdversarial}) {
-    for (const int shards : {1, 8}) {
-      const sim::Metrics base = run_one(fam, GraphBackend::kAdjacency, seed,
-                                        kind, shards, premark, body);
-      EXPECT_GT(base.messages, 0u);
-      for (const GraphBackend b :
-           {GraphBackend::kCsr, GraphBackend::kImplicit}) {
-        EXPECT_EQ(base,
-                  run_one(fam, b, seed, kind, shards, premark, body))
-            << family_name(fam) << " backend=" << backend_name(b)
-            << " net=" << net_kind_name(kind) << " shards=" << shards
-            << " seed=" << seed;
-      }
+    const sim::Metrics base =
+        run_one(fam, GraphBackend::kAdjacency, seed, kind, premark, body);
+    EXPECT_GT(base.messages, 0u);
+    for (const GraphBackend b : {GraphBackend::kCsr, GraphBackend::kImplicit}) {
+      EXPECT_EQ(base, run_one(fam, b, seed, kind, premark, body))
+          << family_name(fam) << " backend=" << backend_name(b)
+          << " net=" << net_kind_name(kind) << " seed=" << seed;
     }
   }
 }

@@ -4,15 +4,14 @@
 // delivery schedule, plus the transport-level faults (seeded message loss,
 // burst outages, LinkState link-down overlays) on sim::Network.
 //
-// The determinism contract under test is the same one the shard suite pins:
-// the full sim::Metrics block -- now including dropped_deliveries -- must be
-// bit-identical across reruns, shard counts S in {1, 2, 8}, and the heap
-// path, for every fault model. Oracle checks run after every event, so every
-// heal is verified to reconcile the forest with the centralized MSF.
+// The determinism contract under test: the full sim::Metrics block --
+// including dropped_deliveries -- must be bit-identical across reruns and
+// between the round-batched fast path and the (timestamp, seq) heap path,
+// for every fault model. Oracle checks run after every event, so every heal
+// is verified to reconcile the forest with the centralized MSF.
 //
-// Carries the `fault` and `parallel` ctest labels: the faults CI stage runs
-// the whole suite, and the ThreadSanitizer preset picks it up so the
-// randomized soak crosses the sharded lanes under TSan (serial cutoff 0).
+// Carries the `fault` ctest label: the faults CI stage runs the whole
+// suite.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -65,11 +64,8 @@ struct ReplayOutcome {
 // Generates the model's schedule against the world's starting graph and
 // replays it through a fresh MaintenanceSession with oracle checks on.
 ReplayOutcome replay(FaultModel model, NetKind net, std::uint64_t seed,
-                     const sim::ShardSpec& shards = {},
                      bool round_batching = true) {
   World w = test::make_gnm_world(32, 96, seed, net);
-  w.net->set_shards(shards);
-  w.net->set_shard_serial_cutoff(0);
   if (!round_batching) w.net->set_round_batching(false);
   const FaultTrace trace = generate_faults(
       *w.g, spec_for(model), util::mix_seeds(seed, kFaultSeedSalt));
@@ -138,30 +134,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Shard invariance: the whole fault replay -- batch repairs, partition
-// churn, heal reconciliation -- must cost exactly the same at every shard
-// count and on the (timestamp, seq) heap path.
+// Delivery-path invariance: the whole fault replay -- batch repairs,
+// partition churn, heal reconciliation -- must cost exactly the same on the
+// round-batched fast path and on the (timestamp, seq) heap path.
 // ---------------------------------------------------------------------------
 
-class FaultShardSweep : public ::testing::TestWithParam<
-                            std::tuple<FaultModel, std::uint64_t>> {};
+class FaultPathSweep : public ::testing::TestWithParam<
+                           std::tuple<FaultModel, std::uint64_t>> {};
 
-TEST_P(FaultShardSweep, MetricsBitIdenticalAcrossShardCounts) {
+TEST_P(FaultPathSweep, MetricsBitIdenticalOnFastAndHeapPaths) {
   const auto [model, seed] = GetParam();
-  const ReplayOutcome base =
-      replay(model, NetKind::kSync, seed, sim::ShardSpec{1});
-  for (const int s : {2, 8}) {
-    const ReplayOutcome sharded =
-        replay(model, NetKind::kSync, seed, sim::ShardSpec{s});
-    EXPECT_EQ(base.metrics, sharded.metrics) << "shards=" << s;
-  }
-  const ReplayOutcome heap = replay(model, NetKind::kSync, seed,
-                                    sim::ShardSpec{}, /*round_batching=*/false);
-  EXPECT_EQ(base.metrics, heap.metrics);
+  const ReplayOutcome fast = replay(model, NetKind::kSync, seed);
+  const ReplayOutcome heap =
+      replay(model, NetKind::kSync, seed, /*round_batching=*/false);
+  EXPECT_EQ(fast.metrics, heap.metrics);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ModelsSeeds, FaultShardSweep,
+    ModelsSeeds, FaultPathSweep,
     ::testing::Combine(::testing::Values(FaultModel::kBatch,
                                          FaultModel::kRegional,
                                          FaultModel::kPartition),
@@ -213,7 +203,7 @@ TEST(Partition, DamageEventsAggregateBatchOutcome) {
 
 // ---------------------------------------------------------------------------
 // Transport loss: seeded drops, burst outages, per-edge overrides -- and
-// the loss_safe() degrade mirroring shard_test's AsyncAndAdversarialDegrade.
+// the loss_safe() degrade.
 // ---------------------------------------------------------------------------
 
 // Two nodes exchanging `hops` messages; counts what actually arrived.
@@ -426,7 +416,7 @@ TEST(Loss, MaintenanceSessionUnderLossIsReproducible) {
 
 // ---------------------------------------------------------------------------
 // LinkState: the hard link-down overlay. Down links drop on every delivery
-// path -- round-batched, sharded, heap -- for every protocol, loss-safe or
+// path -- round-batched and heap -- for every protocol, loss-safe or
 // not, and the drops land in dropped_deliveries.
 // ---------------------------------------------------------------------------
 
@@ -492,14 +482,12 @@ TEST(LinkOverlay, DropsApplyToNonLossSafeProtocolsToo) {
   EXPECT_GT(net.loss_degrades(), 0u);  // policy loss was degraded away
 }
 
-TEST(LinkOverlay, DropsBitIdenticalAcrossShardCountsAndHeapPath) {
+TEST(LinkOverlay, DropsBitIdenticalOnFastAndHeapPaths) {
   // Flooding touches every edge, so the down links are guaranteed to eat
   // deliveries on every path; flooding also tolerates the holes (the tree
   // just grows around them).
-  const auto run_with = [](const sim::ShardSpec& shards, bool batching) {
+  const auto run_with = [](bool batching) {
     World w = test::make_gnm_world(48, 160, 5, NetKind::kSync);
-    w.net->set_shards(shards);
-    w.net->set_shard_serial_cutoff(0);
     if (!batching) w.net->set_round_batching(false);
     const auto alive = w.g->alive_edge_indices();
     const graph::Edge& a = w.g->edge(alive[alive.size() / 2]);
@@ -509,19 +497,15 @@ TEST(LinkOverlay, DropsBitIdenticalAcrossShardCountsAndHeapPath) {
     baseline::flood_build_st(*w.net, *w.forest);
     return w.net->metrics();
   };
-  const sim::Metrics base = run_with(sim::ShardSpec{1}, true);
+  const sim::Metrics base = run_with(true);
   EXPECT_GT(base.dropped_deliveries, 0u);
-  for (const int s : {2, 8}) {
-    EXPECT_EQ(base, run_with(sim::ShardSpec{s}, true)) << "shards=" << s;
-  }
-  EXPECT_EQ(base, run_with(sim::ShardSpec{}, false));
+  EXPECT_EQ(base, run_with(false));
 }
 
 // ---------------------------------------------------------------------------
 // Randomized soak: every model in sequence on one long-lived session, all
-// three schedules, oracle-checked throughout. The `parallel` label routes
-// this through the TSan preset with forced worker rounds; the dev/asan
-// presets run it with full heap checking.
+// three schedules, oracle-checked throughout; the asan preset runs it with
+// full heap checking.
 // ---------------------------------------------------------------------------
 
 class FaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
@@ -531,8 +515,6 @@ TEST_P(FaultSoak, MixedModelsStayOracleCleanOnEverySchedule) {
   for (const NetKind net :
        {NetKind::kSync, NetKind::kAsync, NetKind::kAdversarial}) {
     World w = test::make_gnm_world(40, 140, seed, net);
-    w.net->set_shards(sim::ShardSpec{4});
-    w.net->set_shard_serial_cutoff(0);
     test::mark_msf(w);
     core::SessionOptions opt;
     opt.check_oracle = true;

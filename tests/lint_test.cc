@@ -231,19 +231,19 @@ TEST(HotpathAlloc, SameTextOffHotPathIsClean) {
   EXPECT_TRUE(fs.empty());
 }
 
-// --- shard-unsafe-static ---------------------------------------------------
+// --- shared-static ---------------------------------------------------------
 
-TEST(ShardUnsafeStatic, FlagsMutableStaticsAndThreadLocal) {
+TEST(SharedStatic, FlagsMutableStaticsAndThreadLocal) {
   const auto fs = scan(
       "static int counter;\n"
       "static std::vector<int> cache = {};\n"
       "thread_local int scratch = 0;\n"
       "static thread_local int lane_id;\n",  // one finding, not two
       hot_path_class());
-  EXPECT_EQ(count_rule(fs, RuleId::kShardUnsafeStatic), 4);
+  EXPECT_EQ(count_rule(fs, RuleId::kSharedStatic), 4);
 }
 
-TEST(ShardUnsafeStatic, ConstantsAndFunctionsAreClean) {
+TEST(SharedStatic, ConstantsAndFunctionsAreClean) {
   const auto fs = scan(
       "static constexpr std::uint64_t kMax = 1u << 26;\n"
       "constexpr static int kTableSize = 8;\n"
@@ -256,17 +256,17 @@ TEST(ShardUnsafeStatic, ConstantsAndFunctionsAreClean) {
   EXPECT_TRUE(fs.empty()) << findings_to_text(fs, 1, {});
 }
 
-TEST(ShardUnsafeStatic, SuppressibleWithJustification) {
+TEST(SharedStatic, SuppressibleWithJustification) {
   ScanStats stats;
   const auto fs = scan(
-      "// kkt-lint: allow(shard-unsafe-static): worker-owned lane pointer\n"
-      "static thread_local Lane* t_lane;\n",
+      "// kkt-lint: allow(shared-static): per-thread trace buffer\n"
+      "static thread_local Buffer* t_buffer;\n",
       hot_path_class(), &stats);
   EXPECT_TRUE(fs.empty()) << findings_to_text(fs, 1, {});
   EXPECT_EQ(stats.suppressions_used, 1);
 }
 
-TEST(ShardUnsafeStatic, SameTextOffHotPathIsClean) {
+TEST(SharedStatic, SameTextOffHotPathIsClean) {
   const auto fs = scan("static int counter;\nthread_local int x;\n",
                        determinism_class());
   EXPECT_TRUE(fs.empty());

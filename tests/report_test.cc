@@ -1,8 +1,8 @@
-// The report pipeline: JSON model, unified result schema (writer/parser +
-// legacy shim), power-law fits, markdown rendering and the generated-block
-// splice. The contracts under test are the ones docs/RESULT_SCHEMA.md
-// promises: strict parsing (malformed input -> nullopt, never a partial
-// file), value round-trips, and byte-deterministic output.
+// The report pipeline: JSON model, unified result schema (writer/parser),
+// power-law fits, markdown rendering and the generated-block splice. The
+// contracts under test are the ones docs/RESULT_SCHEMA.md promises: strict
+// parsing (malformed input -> nullopt, never a partial file), value
+// round-trips, and byte-deterministic output.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -200,50 +200,14 @@ TEST(Schema, RejectsMalformedDocuments) {
       // non-numeric wall column (v2)
       R"({"kkt_result_schema": 2, "tool": "t",
           "records": [{"name": "x", "counters": {}, "wall_ns": "5"}]})",
-      // legacy shape without the benchmarks array
-      R"({"context": {}})",
+      // not a unified artifact: raw Google Benchmark JSON
+      R"({"context": {}, "benchmarks": [{"name": "BM_x", "n": 64}]})",
   };
   for (const char* text : cases) {
     std::string err;
     EXPECT_FALSE(parse_results(text, &err).has_value()) << text;
     EXPECT_FALSE(err.empty()) << text;
   }
-}
-
-TEST(Schema, LegacyGoogleBenchmarkShim) {
-  const char* legacy = R"({
-    "context": {
-      "date": "2026-01-01T00:00:00+00:00",
-      "executable": "./build/release/bench/bench_build_mst",
-      "num_cpus": 1
-    },
-    "benchmarks": [
-      {
-        "name": "BM_BuildMst_Kkt_N15/64/iterations:1",
-        "family_index": 0,
-        "per_family_instance_index": 0,
-        "repetitions": 1,
-        "repetition_index": 0,
-        "threads": 1,
-        "iterations": 1,
-        "real_time": 1.37,
-        "messages": 10480,
-        "n": 64
-      }
-    ]
-  })";
-  const auto f = parse_results(legacy);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->tool, "bench_build_mst");
-  ASSERT_EQ(f->records.size(), 1u);
-  const RunRecord& r = f->records[0];
-  EXPECT_EQ(r.name, "BM_BuildMst_Kkt_N15/64/iterations:1");
-  EXPECT_EQ(r.counter_or("messages", -1), 10480.0);
-  EXPECT_EQ(r.counter_or("n", -1), 64.0);
-  EXPECT_EQ(r.counter_or("iterations", -1), 1.0);
-  // Bookkeeping indices are dropped by the shim.
-  EXPECT_EQ(r.counter_or("family_index", -1), -1.0);
-  EXPECT_EQ(r.counter_or("threads", -1), -1.0);
 }
 
 // ---------------------------------------------------------------------------

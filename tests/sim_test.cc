@@ -412,18 +412,5 @@ TEST(SyncNetwork, MaxRoundsBackstopDropCountMatchesOnHeapPath) {
   EXPECT_EQ(net.metrics().dropped_deliveries, 1u);
 }
 
-TEST(SyncNetwork, MaxRoundsBackstopDropCountMatchesOnShardedPath) {
-  auto g = path_graph(2, 22);
-  SyncNetwork net(*g, 7);
-  net.set_shards(ShardSpec{2, ShardPartition::kContiguous});
-  net.set_shard_serial_cutoff(0);
-  PingPong proto(0, 1, 100);
-  const NodeId participants[] = {0};
-  net.run(proto, participants, /*max_rounds=*/10);
-  EXPECT_EQ(proto.received(), 10);
-  EXPECT_EQ(net.metrics().messages, 11u);
-  EXPECT_EQ(net.metrics().dropped_deliveries, 1u);
-}
-
 }  // namespace
 }  // namespace kkt::sim

@@ -108,7 +108,6 @@ TEST(Store, RoundTripServesIdenticalRows) {
 
   const Graph g = Graph::from_store(store);
   EXPECT_EQ(g.backend(), Graph::Backend::kMapped);
-  EXPECT_TRUE(g.shard_parallel_safe());
   ASSERT_EQ(g.node_count(), src->node_count());
   ASSERT_EQ(g.edge_slots(), src->edge_slots());  // fresh source: all alive
   EXPECT_EQ(g.edge_count(), src->edge_count());

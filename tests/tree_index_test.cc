@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,10 @@ struct Backend {
   bool can_add = false;  // only the adjacency backend grows
   std::size_t dense_slot_limit = kForestDenseSlotLimit;
 };
+
+// gtest's default printer dumps the raw bytes, which start with the name's
+// heap address, so the listed test names changed from run to run.
+void PrintTo(const Backend& b, std::ostream* os) { *os << b.name; }
 
 Graph gnm(std::uint64_t seed) {
   util::Rng rng(seed);

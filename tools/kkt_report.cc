@@ -36,8 +36,7 @@
 //       docs/PERF.md), advisory (warn, exit 0 -- for shared CI runners
 //       whose wall clock is not trustworthy), or off.
 //
-// The artifact format is docs/RESULT_SCHEMA.md; --in also accepts the
-// legacy Google Benchmark JSON via the one-release read shim.
+// The artifact format is docs/RESULT_SCHEMA.md.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -135,8 +134,7 @@ kkt::scenario::HeadToHeadConfig config_from(const Args& a) {
     }
     cfg.net = *kind;
   }
-  // --seed is accepted as an alias so the flag vocabulary matches
-  // `kkt_lab report`.
+  // --seed is accepted as an alias, matching the kkt_lab flag vocabulary.
   cfg.first_seed = a.num("first-seed", a.num("seed", cfg.first_seed));
   cfg.seeds = static_cast<int>(a.num("seeds", cfg.seeds));
   cfg.ops = static_cast<int>(a.num("ops", cfg.ops));
