@@ -3,6 +3,8 @@
 // KKT Build MST messages should grow ~ n log^2 n / log log n, independent of
 // m; the GHS baseline grows with m (on its worst case). E11 (memory) and
 // E13 (phase decay) piggyback as counters here.
+#include <algorithm>
+
 #include "baseline/ghs.h"
 #include "bench_util.h"
 #include "core/build_mst.h"

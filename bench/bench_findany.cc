@@ -3,6 +3,8 @@
 //  * per-attempt isolation success >= 1/16 across cut sizes from 1 to ~m;
 //  * expected O(1) broadcast-and-echoes per call, independent of n;
 //  * the log n / log log n saving over FindMin.
+#include <algorithm>
+
 #include "bench_util.h"
 #include "core/find_any.h"
 #include "core/find_min.h"

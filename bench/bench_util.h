@@ -14,14 +14,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -97,29 +95,16 @@ inline void report(benchmark::State& state, const sim::Metrics& m,
 // ---------------------------------------------------------------------------
 //
 // Every bench binary runs through KKT_BENCH_MAIN() below: the console
-// output is unchanged, but each finished run's name and counters are also
-// captured, and when the KKT_BENCH_OUT environment variable names a file
-// the whole session is written there in the unified result schema --
-// deterministic counters only, no wall-clock noise, so BENCH_*.json
-// artifacts share one version header and diff cleanly across commits.
-// (Google Benchmark's own --benchmark_out still works; artifacts written
-// that way are readable via the schema parser's one-release legacy shim.)
-//
-// Wall-clock capture is opt-in: KKT_BENCH_WALL=k (k >= 1; any other value
-// means k = 5) runs the whole suite k+1 times -- one discarded warm-up
-// pass, then k timed passes -- and stamps each record with the median
-// per-iteration wall time (schema v2 wall_ns/iters). Counters are
-// deterministic, so the extra passes change nothing else; the median over
-// warm passes is what makes wall_ns usable as a gate input on a noisy box.
+// output is Google Benchmark's, but each finished run's name and counters
+// are also captured, and when the KKT_BENCH_OUT environment variable names
+// a file the whole session is written there in the unified result schema --
+// deterministic counters only, so BENCH_*.json artifacts are byte-identical
+// across reruns and diff cleanly across commits. The bench_gate ctest cases
+// compare two of them exactly against bench/baselines/ (docs/PERF.md).
+// Wall time is not recorded here; the repo benchmark (perfbench/) owns it.
 
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
-  explicit RecordingReporter(bool quiet = false) : quiet_(quiet) {}
-
-  bool ReportContext(const Context& context) override {
-    return quiet_ ? true : ConsoleReporter::ReportContext(context);
-  }
-
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       report::RunRecord rec;
@@ -127,15 +112,9 @@ class RecordingReporter : public benchmark::ConsoleReporter {
       for (const auto& [key, counter] : run.counters) {
         rec.counters[key] = counter.value;
       }
-      if (run.iterations > 0) {
-        rec.iters = static_cast<std::uint64_t>(run.iterations);
-        rec.wall_ns = static_cast<std::uint64_t>(
-            run.real_accumulated_time * 1e9 /
-            static_cast<double>(run.iterations));
-      }
       records_.push_back(std::move(rec));
     }
-    if (!quiet_) ConsoleReporter::ReportRuns(runs);
+    ConsoleReporter::ReportRuns(runs);
   }
 
   std::vector<report::RunRecord> take_records() {
@@ -144,30 +123,7 @@ class RecordingReporter : public benchmark::ConsoleReporter {
 
  private:
   std::vector<report::RunRecord> records_;
-  bool quiet_ = false;
 };
-
-// Lower median of the wall_ns column across timed passes, folded into the
-// final pass's records (counters are identical across passes by the
-// determinism contract, so only the wall column varies).
-inline std::vector<report::RunRecord> fold_median_wall(
-    std::vector<std::vector<report::RunRecord>> passes) {
-  std::vector<report::RunRecord> out = std::move(passes.back());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    std::vector<std::uint64_t> samples;
-    samples.reserve(passes.size());
-    for (const auto& pass : passes) {
-      if (i < pass.size() && pass[i].name == out[i].name) {
-        samples.push_back(pass[i].wall_ns);
-      }
-    }
-    if (!samples.empty()) {
-      std::sort(samples.begin(), samples.end());
-      out[i].wall_ns = samples[(samples.size() - 1) / 2];
-    }
-  }
-  return out;
-}
 
 inline int bench_main(int argc, char** argv) {
   std::string tool = argc > 0 && argv[0] ? argv[0] : "bench";
@@ -175,63 +131,15 @@ inline int bench_main(int argc, char** argv) {
       slash != std::string::npos) {
     tool = tool.substr(slash + 1);
   }
-  // --benchmark_format selects the *display* reporter; our recording
-  // reporter is console-flavored, so a non-console request (the legacy
-  // JSON-on-stdout recipe) falls back to stock BENCHMARK_MAIN behavior --
-  // honoring the flag but recording nothing.
-  bool custom_display = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i] ? argv[i] : "";
-    if (arg.rfind("--benchmark_format", 0) == 0 &&
-        arg != "--benchmark_format=console") {
-      custom_display = false;
-    }
-  }
-  int wall_passes = 0;
-  if (const char* wall = std::getenv("KKT_BENCH_WALL");
-      custom_display && wall && *wall) {
-    wall_passes = std::atoi(wall);
-    if (wall_passes < 1) wall_passes = 5;
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  std::vector<report::RunRecord> records;
-  if (custom_display && wall_passes > 0) {
-    {
-      RecordingReporter warmup(/*quiet=*/true);  // discarded warm-up pass
-      benchmark::RunSpecifiedBenchmarks(&warmup);
-    }
-    std::vector<std::vector<report::RunRecord>> passes;
-    passes.reserve(wall_passes);
-    for (int i = 0; i < wall_passes; ++i) {
-      RecordingReporter pass(/*quiet=*/i + 1 < wall_passes);
-      benchmark::RunSpecifiedBenchmarks(&pass);
-      passes.push_back(pass.take_records());
-    }
-    records = fold_median_wall(std::move(passes));
-  } else if (custom_display) {
-    RecordingReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    records = reporter.take_records();
-    // Default mode keeps artifacts byte-deterministic: no wall column.
-    for (report::RunRecord& r : records) {
-      r.wall_ns = 0;
-      r.iters = 0;
-    }
-  } else {
-    if (std::getenv("KKT_BENCH_OUT") != nullptr) {
-      std::fprintf(stderr,
-                   "warning: KKT_BENCH_OUT is ignored when "
-                   "--benchmark_format is not console\n");
-    }
-    benchmark::RunSpecifiedBenchmarks();
-  }
+  RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (const char* out = std::getenv("KKT_BENCH_OUT");
-      custom_display && out && *out) {
+  if (const char* out = std::getenv("KKT_BENCH_OUT"); out && *out) {
     report::ResultFile file;
     file.tool = tool;
-    file.records = std::move(records);
+    file.records = reporter.take_records();
     if (!report::write_results_file(out, file)) {
       std::fprintf(stderr, "error: cannot write %s\n", out);
       return 1;

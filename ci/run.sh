@@ -35,12 +35,10 @@
 #                       # preset, then the full fault matrix through kkt_lab
 #                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
-#   ci/run.sh perf      # release build + wall-clock bench passes
-#                       # (KKT_BENCH_WALL median-of-k); gates on
-#                       # bench/baselines/ via `kkt_report perf` -- counter
-#                       # drift always fails, wall regressions fail locally
-#                       # and warn on shared runners (KKT_WALL_GATE=advisory);
-#                       # archives BENCH_mst_perf.json/BENCH_testout_perf.json
+#
+# The exact counter gate against bench/baselines/ is part of the ctest suite
+# the dev and asan stages run (bench_gate.*, docs/PERF.md); wall time is the
+# repo benchmark's job (perfbench/, BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,32 +96,6 @@ run_report() {
   ./build/release/tools/kkt_report check --in BENCH_headtohead.json \
     --docs docs/experiments --experiments EXPERIMENTS.md
   echo "==> archived BENCH_headtohead.json"
-}
-
-# Perf stage: wall-clock medians with the counters pinned. Each bench runs
-# KKT_BENCH_WALL=5 (one discarded warm-up pass + 5 timed passes, median
-# wall_ns per record, schema v2), then `kkt_report perf` compares against
-# the committed bench/baselines/ snapshots: counter drift is a hard failure
-# everywhere (model costs are deterministic); wall regressions beyond the
-# tolerance fail under the default hard gate and only warn when
-# KKT_WALL_GATE=advisory (shared/virtualized runners -- see docs/PERF.md,
-# including how to re-baseline after an intentional change).
-run_perf() {
-  build_release
-  local gate="${KKT_WALL_GATE:-hard}"
-  echo "==> perf benches (median-of-5 wall passes)"
-  KKT_BENCH_WALL=5 KKT_BENCH_OUT=BENCH_mst_perf.json \
-    ./build/release/bench/bench_build_mst --benchmark_min_time=0.01
-  KKT_BENCH_WALL=5 KKT_BENCH_OUT=BENCH_testout_perf.json \
-    ./build/release/bench/bench_testout --benchmark_min_time=0.01
-  echo "==> perf gate vs bench/baselines (wall-gate: $gate)"
-  ./build/release/tools/kkt_report perf \
-    --baseline bench/baselines/BENCH_mst_perf.json \
-    --current BENCH_mst_perf.json --wall-gate "$gate"
-  ./build/release/tools/kkt_report perf \
-    --baseline bench/baselines/BENCH_testout_perf.json \
-    --current BENCH_testout_perf.json --wall-gate "$gate"
-  echo "==> archived BENCH_mst_perf.json BENCH_testout_perf.json"
 }
 
 # Lint stage: the `lint` preset builds with KKT_CLANG_TIDY=ON (a warning,
@@ -203,11 +175,10 @@ case "$stage" in
   bench)   run_bench_baseline ;;
   report)  run_report ;;
   lint)    run_lint ;;
-  perf)    run_perf ;;
   bigraph) run_bigraph ;;
   faults)  run_faults ;;
   all)     run_preset dev; run_preset asan; run_preset tsan; run_lint ;;
-  *)       echo "usage: $0 [dev|asan|tsan|bench|report|lint|perf|bigraph|faults|all]" >&2; exit 2 ;;
+  *)       echo "usage: $0 [dev|asan|tsan|bench|report|lint|bigraph|faults|all]" >&2; exit 2 ;;
 esac
 
 echo "==> OK [$stage]"

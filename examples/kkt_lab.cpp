@@ -8,10 +8,7 @@
 //                 (--in FILE | --store FILE.kkg | --family ... as above)
 //                 [--backend auto|adjacency|csr|implicit] [--seed S]
 //                 [--net sync|async|adversarial]
-//                 [--repeat N] [--rss-budget-mb MB] [--csv]
-//   kkt_lab repair --kind mst|st --ops K
-//                 (--in FILE | --family ...) [--seed S]
-//                 [--net sync|async|adversarial] [--csv]
+//                 [--rss-budget-mb MB] [--csv]
 //   kkt_lab churn --workload uniform|hotspot|bridges|growth --ops K
 //                 [--family ... as above] [--kind mst|st] [--seed S]
 //                 [--net sync|async|adversarial]
@@ -27,15 +24,14 @@
 // code. `build` constructs the requested tree, verifies it (distributed
 // verify_spanning plus the centralized oracle for MSTs) and prints the
 // communication bill with a per-message-tag breakdown (messages and bits).
-// `repair` applies a random update stream with impromptu repair and prints
-// per-op costs. `churn` drives the trace-based engine (src/workload): a
-// seeded workload generator or a replayed `--trace` file runs through a
-// MaintenanceSession with per-op oracle checks and percentile cost stats;
-// `--record` writes the generated trace as a reproducible artifact and
-// `--sweep N --threads T` churns N worlds on a thread pool (aggregates are
-// bit-identical for every T). `--csv` emits machine-readable rows.
-// `build --repeat N` times N runs after one warm-up; with `--csv` the
-// timing row is `wall,<repeat>,<min>,<med>` (milliseconds).
+// `churn` drives the trace-based engine (src/workload): a seeded workload
+// generator or a replayed `--trace` file runs through a MaintenanceSession
+// with per-op oracle checks and percentile cost stats; `--record` writes
+// the generated trace as a reproducible artifact and `--sweep N --threads
+// T` churns N worlds on a thread pool (aggregates are bit-identical for
+// every T). `--csv` emits machine-readable rows.
+// Malformed numbers and family sizes below a generator's minimum are usage
+// errors (exit 2).
 // `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): auto
 // resolves to implicit for the icomplete/igridlong/igeo families, so
 // `build --family igridlong --n 1048576` runs at web scale with O(n)
@@ -56,25 +52,23 @@
 // The KKT-vs-baseline head-to-head grid lives in `kkt_report run`
 // (tools/kkt_report.cc).
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "baseline/flood_st.h"
 #include "baseline/ghs.h"
 #include "core/build_mst.h"
 #include "core/build_st.h"
-#include "core/repair.h"
 #include "core/verify.h"
 #include "graph/io.h"
 #include "graph/mst_oracle.h"
 #include "graph/store.h"
 #include "report/schema.h"
 #include "scenario/scenario.h"
+#include "util/cli.h"
 #include "util/rusage.h"
 #include "workload/churn.h"
 #include "workload/faults.h"
@@ -82,33 +76,7 @@
 
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> kv;
-  std::string get(const std::string& key, const std::string& dflt) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? dflt : it->second;
-  }
-  std::uint64_t num(const std::string& key, std::uint64_t dflt) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  bool has(const std::string& key) const { return kv.count(key) != 0; }
-};
-
-Args parse(int argc, char** argv, int from) {
-  Args a;
-  for (int i = from; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 2) != "--") continue;
-    const std::string key(arg.substr(2));
-    if (i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
-      a.kv.insert_or_assign(key, std::string(argv[++i]));
-    } else {
-      a.kv.insert_or_assign(key, std::string("1"));
-    }
-  }
-  return a;
-}
+using Args = kkt::util::CliArgs;
 
 kkt::scenario::GraphSpec make_graph_spec(const Args& a) {
   const std::string family = a.get("family", "gnm");
@@ -144,6 +112,9 @@ kkt::scenario::GraphSpec make_graph_spec(const Args& a) {
     std::exit(2);
   }
   spec.backend = *b;
+  if (const auto err = kkt::scenario::graph_spec_error(spec)) {
+    kkt::util::usage_error(*err);
+  }
   return spec;
 }
 
@@ -190,8 +161,8 @@ kkt::scenario::NetSpec make_net_spec(const Args& a,
       std::fprintf(stderr, "error: --loss requires --net adversarial\n");
       std::exit(2);
     }
-    const double p = std::strtod(a.get("loss", "0").c_str(), nullptr);
-    if (!(p >= 0.0) || p > 1.0) {
+    const double p = a.real("loss", 0.0);
+    if (p < 0.0 || p > 1.0) {
       std::fprintf(stderr, "error: --loss wants a probability in [0, 1]\n");
       std::exit(2);
     }
@@ -249,57 +220,35 @@ int cmd_build(const Args& a) {
   const kkt::graph::Graph g = make_graph(a, rng);
   const std::string algo = a.get("algo", "kkt-mst");
   const bool csv = a.has("csv");
-  // --repeat N: rerun the whole build N times (plus one discarded warm-up)
-  // and report min/median wall time. Counters are seed-deterministic, so
-  // every repetition produces the identical bill -- only the clock varies.
-  const int repeat = std::max(1, static_cast<int>(a.num("repeat", 1)));
   if (algo != "kkt-mst" && algo != "kkt-st" && algo != "ghs" &&
       algo != "flood") {
     std::fprintf(stderr, "error: unknown algo '%s'\n", algo.c_str());
     return 2;
   }
 
+  kkt::graph::MarkedForest forest(g);
+  const auto net_ptr = kkt::scenario::make_network(
+      g, make_net_spec(a, kkt::scenario::NetKind::kSync),
+      a.num("seed", 1) ^ 0xbeef);
+  kkt::sim::Network& net = *net_ptr;
   bool ok = false;
-  bool audit_ok = false;
-  kkt::sim::Metrics before_verify;
-  std::uint64_t audit_msgs = 0;
-
-  const auto run_once = [&]() {
-    kkt::graph::MarkedForest forest(g);
-    const auto net_ptr = kkt::scenario::make_network(
-        g, make_net_spec(a, kkt::scenario::NetKind::kSync),
-        a.num("seed", 1) ^ 0xbeef);
-    kkt::sim::Network& net = *net_ptr;
-    if (algo == "kkt-mst") {
-      ok = kkt::core::build_mst(net, forest).spanning &&
-           kkt::graph::same_edge_set(forest.marked_edges(),
-                                     kkt::graph::kruskal_msf(g));
-    } else if (algo == "kkt-st") {
-      ok = kkt::core::build_st(net, forest).spanning;
-    } else if (algo == "ghs") {
-      ok = kkt::baseline::ghs_build_mst(net, forest).spanning &&
-           kkt::graph::same_edge_set(forest.marked_edges(),
-                                     kkt::graph::kruskal_msf(g));
-    } else {
-      ok = kkt::baseline::flood_build_st(net, forest).spanning;
-    }
-    before_verify = net.metrics();
-    const auto audit = kkt::core::verify_spanning(net, forest);
-    audit_ok = audit.spanning_forest();
-    audit_msgs = net.metrics().messages - before_verify.messages;
-  };
-
-  std::vector<std::uint64_t> wall_ns;
-  wall_ns.reserve(repeat);
-  if (repeat > 1) run_once();  // warm-up, not timed
-  for (int i = 0; i < repeat; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run_once();
-    const auto t1 = std::chrono::steady_clock::now();
-    wall_ns.push_back(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
+  if (algo == "kkt-mst") {
+    ok = kkt::core::build_mst(net, forest).spanning &&
+         kkt::graph::same_edge_set(forest.marked_edges(),
+                                   kkt::graph::kruskal_msf(g));
+  } else if (algo == "kkt-st") {
+    ok = kkt::core::build_st(net, forest).spanning;
+  } else if (algo == "ghs") {
+    ok = kkt::baseline::ghs_build_mst(net, forest).spanning &&
+         kkt::graph::same_edge_set(forest.marked_edges(),
+                                   kkt::graph::kruskal_msf(g));
+  } else {
+    ok = kkt::baseline::flood_build_st(net, forest).spanning;
   }
+  const kkt::sim::Metrics before_verify = net.metrics();
+  const bool audit_ok = kkt::core::verify_spanning(net, forest).spanning_forest();
+  const std::uint64_t audit_msgs =
+      net.metrics().messages - before_verify.messages;
 
   if (!csv) {
     std::printf("%s on n=%zu m=%zu: %s; distributed audit: %s (%" PRIu64
@@ -310,18 +259,6 @@ int cmd_build(const Args& a) {
   }
   print_metrics(before_verify, g.node_count(), g.edge_count(), csv,
                 algo.c_str());
-  if (repeat > 1) {
-    std::sort(wall_ns.begin(), wall_ns.end());
-    const double min_ms = double(wall_ns.front()) / 1e6;
-    const double med_ms = double(wall_ns[(wall_ns.size() - 1) / 2]) / 1e6;
-    if (csv) {
-      std::printf("wall,%d,%.3f,%.3f\n", repeat, min_ms, med_ms);
-    } else {
-      std::printf("wall: min=%.3f ms median=%.3f ms over %d reps "
-                  "(1 warm-up discarded)\n",
-                  min_ms, med_ms, repeat);
-    }
-  }
   // Memory gate: always report peak RSS when a budget is set (the CI
   // bigraph stage greps this line); exceed it and the exit code trips.
   const std::uint64_t budget_mb = a.num("rss-budget-mb", 0);
@@ -339,63 +276,6 @@ int cmd_build(const Args& a) {
     if (over) return 1;
   }
   return ok && audit_ok ? 0 : 1;
-}
-
-int cmd_repair(const Args& a) {
-  const std::uint64_t seed = a.num("seed", 1);
-  if (a.has("store")) {
-    // The mapped backend is read-only (no remove_edge); repair mutates.
-    std::fprintf(stderr,
-                 "error: repair mutates the graph; --store maps a read-only "
-                 ".kkg (use --in or --family)\n");
-    return 2;
-  }
-  kkt::util::Rng rng(seed);
-  kkt::graph::Graph g = make_graph(a, rng);
-  const bool mst = a.get("kind", "mst") == "mst";
-  const bool csv = a.has("csv");
-  const int ops = static_cast<int>(a.num("ops", 16));
-
-  kkt::graph::MarkedForest forest(g);
-  for (auto e : kkt::graph::kruskal_msf(g)) forest.mark_edge(e);
-  const auto net_ptr = kkt::scenario::make_network(
-      g, make_net_spec(a, kkt::scenario::NetKind::kAsync), seed ^ 0xd1ce);
-  kkt::sim::Network& net = *net_ptr;
-  kkt::core::DynamicForest dyn(
-      g, forest, net,
-      mst ? kkt::core::ForestKind::kMst : kkt::core::ForestKind::kSt);
-
-  kkt::util::Rng pick(seed * 31);
-  int bad = 0;
-  for (int i = 0; i < ops; ++i) {
-    kkt::core::RepairOutcome out;
-    if (pick.coin() && g.edge_count() > g.node_count() / 2) {
-      const auto alive = g.alive_edge_indices();
-      out = dyn.delete_edge(alive[pick.below(alive.size())]);
-    } else {
-      kkt::graph::NodeId u = 0, v = 0;
-      do {
-        u = static_cast<kkt::graph::NodeId>(pick.below(g.node_count()));
-        v = static_cast<kkt::graph::NodeId>(pick.below(g.node_count()));
-      } while (u == v || g.find_edge(u, v).has_value());
-      out = dyn.insert_edge(u, v, 1 + pick.below(1u << 20));
-    }
-    const bool exact =
-        !mst || kkt::graph::same_edge_set(forest.marked_edges(),
-                                          kkt::graph::kruskal_msf(g));
-    if (!exact) ++bad;
-    if (csv) {
-      std::printf("op%d,%" PRIu64 ",%" PRIu64 ",%d\n", i, out.messages,
-                  out.rounds, exact ? 1 : 0);
-    }
-  }
-  if (!csv) {
-    std::printf("%d updates on n=%zu: %s\n", ops, g.node_count(),
-                bad == 0 ? "forest exact throughout" : "MISMATCHES");
-    print_metrics(net.metrics(), g.node_count(), g.edge_count(), false,
-                  "repair");
-  }
-  return bad == 0 ? 0 : 1;
 }
 
 // churn --faults MODEL: replace the workload generator with the fault
@@ -714,15 +594,14 @@ int cmd_churn(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: kkt_lab gen|build|repair|churn [--flags]\n"
+                 "usage: kkt_lab gen|build|churn [--flags]\n"
                  "see the header comment of examples/kkt_lab.cpp\n");
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args a = parse(argc, argv, 2);
+  const Args a(argc, argv, 2);
   if (cmd == "gen") return cmd_gen(a);
   if (cmd == "build") return cmd_build(a);
-  if (cmd == "repair") return cmd_repair(a);
   if (cmd == "churn") return cmd_churn(a);
   std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
   return 2;

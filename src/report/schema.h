@@ -16,19 +16,19 @@
 //   }
 //
 // Schema v2 adds optional wall-clock observables to a record -- "wall_ns"
-// (median wall time of one iteration, nanoseconds) and "iters" (timed
-// iterations behind that median) -- serialized only when nonzero. They are
-// deliberately NOT counters: counters stay deterministic model costs, wall
-// time is machine noise, and the `kkt_report perf` gate treats the two
-// accordingly (exact equality vs. tolerance). v1 artifacts parse
-// unchanged; a v1 record simply carries no wall data.
+// (wall time of one run, nanoseconds) and "iters" (timed runs behind it)
+// -- serialized only when nonzero. They are deliberately NOT counters:
+// counters stay deterministic model costs and are compared exactly
+// (`kkt_report perf`), while wall time is machine noise and is never
+// compared against anything. v1 artifacts parse unchanged; a v1 record
+// simply carries no wall data.
 //
 // Determinism: write_results() is byte-deterministic -- counters serialize
 // in sorted key order, integral values print without a fraction -- so two
 // runs at the same seed produce byte-identical artifacts (held by
 // tests/report_test.cc) and artifacts diff line-by-line across commits.
-// Wall fields appear only when a producer opts in (KKT_BENCH_WALL), so the
-// default artifacts keep that property.
+// Wall fields appear only when a producer opts in (`kkt_report run
+// --measure`), so the default artifacts keep that property.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,8 @@ struct RunRecord {
   // Observables. std::map: serialization order is sorted and therefore
   // deterministic regardless of how the producer filled the map.
   std::map<std::string, double> counters;
-  // Wall-clock observables (v2, optional): median per-iteration wall time
-  // and the iteration count behind it. Zero means "not measured" and is not
+  // Wall-clock observables (v2, optional): per-run wall time and the run
+  // count behind it. Zero means "not measured" and is not
   // serialized, keeping counter-only artifacts byte-stable across versions.
   std::uint64_t wall_ns = 0;
   std::uint64_t iters = 0;

@@ -169,6 +169,68 @@ graph::Graph build_classic(const GraphSpec& spec, util::Rng& rng) {
 
 }  // namespace
 
+std::optional<std::string> graph_spec_error(const GraphSpec& spec) {
+  const std::string family = family_name(spec.family);
+  const auto below = [&family](const char* what, std::size_t got,
+                               std::size_t min) -> std::optional<std::string> {
+    if (got >= min) return std::nullopt;
+    return family + " needs " + what + " >= " + std::to_string(min) +
+           " (got " + std::to_string(got) + ")";
+  };
+  if (spec.backend == GraphBackend::kImplicit &&
+      !family_is_implicit(spec.family)) {
+    return family + " has no implicit backend";
+  }
+  if (spec.weights.max_weight < 1) return "max weight must be >= 1";
+  switch (spec.family) {
+    case GraphFamily::kGnm: {
+      if (auto e = below("n", spec.n, 1)) return e;
+      const std::size_t max_m = spec.n * (spec.n - 1) / 2;
+      if (!spec.clamp_m && (spec.m + 1 < spec.n || spec.m > max_m)) {
+        return family + " needs n-1 <= m <= " + std::to_string(max_m) +
+               " (got m=" + std::to_string(spec.m) + ")";
+      }
+      return std::nullopt;
+    }
+    case GraphFamily::kGnp:
+      if (!(spec.param >= 0.0 && spec.param <= 1.0)) {
+        return family + " needs an edge probability in [0, 1] (got " +
+               std::to_string(spec.param) + ")";
+      }
+      return below("n", spec.n, 1);
+    case GraphFamily::kRing:
+      return below("n", spec.n, 3);
+    case GraphFamily::kGrid:
+      if (auto e = below("n (rows)", spec.n, 1)) return e;
+      return below("cols", spec.aux, 1);
+    case GraphFamily::kBarbell:
+      if (auto e = below("n (clique size)", spec.n, 2)) return e;
+      return below("path length", spec.aux, 1);
+    case GraphFamily::kPreferential:
+      if (auto e = below("k (attachments)", spec.aux, 1)) return e;
+      return below("n", spec.n, spec.aux + 1);
+    case GraphFamily::kHierarchical:
+      if (spec.aux > 12) {
+        return family + " needs levels <= 12 (got " +
+               std::to_string(spec.aux) + ")";
+      }
+      return below("levels", spec.aux, 1);
+    case GraphFamily::kComplete:
+    case GraphFamily::kGeometric:
+    case GraphFamily::kRandomTree:
+      return below("n", spec.n, 1);
+    case GraphFamily::kIComplete:
+    case GraphFamily::kIGridLong:
+    case GraphFamily::kIGeometric:
+      if (spec.weights.max_weight > (graph::Weight{1} << 31)) {
+        return family + " needs max weight <= 2^31";
+      }
+      return below("n", spec.n,
+                   spec.family == GraphFamily::kIGridLong ? 4 : 2);
+  }
+  return family + " is not a known family";
+}
+
 graph::Graph build_graph(const GraphSpec& spec, std::uint64_t seed) {
   if (family_is_implicit(spec.family)) return build_implicit(spec, seed);
   assert(spec.backend != GraphBackend::kImplicit &&

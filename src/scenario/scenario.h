@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -160,8 +161,15 @@ struct GraphSpec {
   }
 };
 
+// Why build_graph cannot generate `spec` -- a size or parameter outside the
+// family's range, which the generators only assert (compiled out in
+// Release) -- or nullopt when it can. CLIs check this before building and
+// report it as a usage error.
+std::optional<std::string> graph_spec_error(const GraphSpec& spec);
+
 // Generates the described topology from `seed` (one Rng, one pass -- the
-// same bytes the legacy helpers produced for kGnm).
+// same bytes the legacy helpers produced for kGnm). `spec` must pass
+// graph_spec_error.
 graph::Graph build_graph(const GraphSpec& spec, std::uint64_t seed);
 
 // ---------------------------------------------------------------------------

@@ -64,6 +64,32 @@ TEST(BuildGraph, FamiliesProduceExpectedShapes) {
   }
 }
 
+TEST(GraphSpecError, RejectsSizesTheGeneratorsOnlyAssert) {
+  GraphSpec ring;
+  ring.family = GraphFamily::kRing;
+  ring.n = 2;
+  EXPECT_TRUE(graph_spec_error(ring).has_value());
+  ring.n = 3;
+  EXPECT_FALSE(graph_spec_error(ring).has_value());
+
+  EXPECT_TRUE(graph_spec_error(GraphSpec::gnm(8, 6)).has_value());   // m < n-1
+  EXPECT_TRUE(graph_spec_error(GraphSpec::gnm(8, 29)).has_value());  // > K_8
+  EXPECT_FALSE(graph_spec_error(GraphSpec::gnm(8, 28)).has_value());
+  GraphSpec clamped = GraphSpec::gnm(8, 1000);
+  clamped.clamp_m = true;
+  EXPECT_FALSE(graph_spec_error(clamped).has_value());
+
+  EXPECT_TRUE(graph_spec_error(GraphSpec::hierarchical(13)).has_value());
+  EXPECT_TRUE(graph_spec_error(GraphSpec::hierarchical(0)).has_value());
+  EXPECT_TRUE(graph_spec_error(GraphSpec::igridlong(3)).has_value());
+  EXPECT_FALSE(graph_spec_error(GraphSpec::igridlong(4)).has_value());
+  EXPECT_TRUE(graph_spec_error(GraphSpec::icomplete(1)).has_value());
+
+  GraphSpec implicit_ring = ring;
+  implicit_ring.backend = GraphBackend::kImplicit;
+  EXPECT_TRUE(graph_spec_error(implicit_ring).has_value());
+}
+
 TEST(BuildGraph, DeterministicGivenSeed) {
   const graph::Graph a = build_graph(GraphSpec::gnm(24, 60), 9);
   const graph::Graph b = build_graph(GraphSpec::gnm(24, 60), 9);

@@ -19,8 +19,14 @@
 namespace kkt::graph {
 namespace {
 
+// Keyed by the running test too: ctest -j runs every case in its own
+// process, and cases that share a tag (the StoreCorruption fixture's base
+// pack) would otherwise race on one file.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "kkt_store_" + name + ".kkg";
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "kkt_store_" +
+         (test != nullptr ? std::string(test->name()) + "_" : "") + name +
+         ".kkg";
 }
 
 std::vector<unsigned char> read_file(const std::string& path) {

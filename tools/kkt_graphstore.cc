@@ -11,7 +11,8 @@
 //       Print the header fields, then run the full loader validation and
 //       report OK or the diagnostic. Exit 0 only for a valid store.
 //
-// Exit codes: 0 ok, 1 validation/pack failure, 2 usage error.
+// Exit codes: 0 ok, 1 validation/pack failure, 2 usage error (including a
+// malformed number or a size the family cannot take).
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -22,6 +23,7 @@
 #include "graph/io.h"
 #include "graph/store.h"
 #include "scenario/scenario.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace {
@@ -90,63 +92,57 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-struct PackArgs {
-  std::string family;
-  std::string text;
-  std::string out;
-  std::size_t n = 0;
-  std::size_t m = 0;
-  std::size_t aux = 0;
-  double param = 0.0;
-  std::uint64_t seed = 1;
-  kkt::graph::Weight maxw = 1u << 20;
-};
-
-std::optional<kkt::graph::Graph> build_from_args(const PackArgs& a,
+// Generates the --family graph, or reads the --text one. A bad family or a
+// size the family cannot take is a usage error (exit 2).
+std::optional<kkt::graph::Graph> build_from_args(const kkt::util::CliArgs& a,
                                                  std::string* error) {
-  if (!a.text.empty()) {
-    kkt::util::Rng rng(a.seed);
-    return kkt::graph::read_graph_file(a.text, rng, error);
+  const std::uint64_t seed = a.num("seed", 1);
+  if (a.has("text")) {
+    kkt::util::Rng rng(seed);
+    return kkt::graph::read_graph_file(a.get("text", ""), rng, error);
   }
-  const auto fam = kkt::scenario::family_from_name(a.family);
-  if (!fam) {
-    *error = "unknown family '" + a.family + "'";
-    return std::nullopt;
-  }
+  const std::string family = a.get("family", "");
+  const auto fam = kkt::scenario::family_from_name(family);
+  if (!fam) kkt::util::usage_error("unknown family '" + family + "'");
   kkt::scenario::GraphSpec spec;
   spec.family = *fam;
-  spec.n = a.n;
-  spec.m = a.m;
-  spec.aux = a.aux;
-  spec.param = a.param;
-  spec.weights = {a.maxw};
+  spec.n = a.num("n", 0);
+  spec.m = a.num("m", 0);
+  spec.aux = a.num("aux", 0);
+  spec.param = a.real("param", 0.0);
+  spec.weights = {a.num("maxw", 1u << 20)};
   spec.clamp_m = true;
   // Materialised rows pack directly; the implicit backend would work too
   // (identical bytes), but the pack enumerates all edges anyway.
   if (kkt::scenario::family_is_implicit(*fam)) {
     spec.backend = kkt::scenario::GraphBackend::kAdjacency;
   }
-  if (spec.n < 1) {
-    *error = "--n is required for --family";
-    return std::nullopt;
+  if (const auto err = kkt::scenario::graph_spec_error(spec)) {
+    kkt::util::usage_error(*err);
   }
-  return kkt::scenario::build_graph(spec, a.seed);
+  return kkt::scenario::build_graph(spec, seed);
 }
 
-int cmd_pack(const PackArgs& a) {
-  if (a.out.empty() || (a.family.empty() == a.text.empty())) return usage();
+int cmd_pack(const kkt::util::CliArgs& a) {
+  const std::string out = a.get("out", "");
+  if (!a.positional().empty() || out.empty() ||
+      a.has("family") == a.has("text") ||
+      a.unknown_key({"family", "text", "out", "n", "m", "aux", "param",
+                     "seed", "maxw"})) {
+    return usage();
+  }
   std::string error;
   std::optional<kkt::graph::Graph> g = build_from_args(a, &error);
   if (!g) {
     std::cerr << "kkt_graphstore: " << error << "\n";
     return 1;
   }
-  if (!kkt::graph::pack_store(a.out, *g, &error)) {
+  if (!kkt::graph::pack_store(out, *g, &error)) {
     std::cerr << "kkt_graphstore: " << error << "\n";
     return 1;
   }
   std::cout << "packed " << g->node_count() << " nodes, " << g->edge_count()
-            << " edges -> " << a.out << "\n";
+            << " edges -> " << out << "\n";
   return 0;
 }
 
@@ -160,35 +156,5 @@ int main(int argc, char** argv) {
     return cmd_info(argv[2]);
   }
   if (cmd != "pack") return usage();
-
-  PackArgs a;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--family" && (v = value())) {
-      a.family = v;
-    } else if (arg == "--text" && (v = value())) {
-      a.text = v;
-    } else if (arg == "--out" && (v = value())) {
-      a.out = v;
-    } else if (arg == "--n" && (v = value())) {
-      a.n = std::stoull(v);
-    } else if (arg == "--m" && (v = value())) {
-      a.m = std::stoull(v);
-    } else if (arg == "--aux" && (v = value())) {
-      a.aux = std::stoull(v);
-    } else if (arg == "--param" && (v = value())) {
-      a.param = std::stod(v);
-    } else if (arg == "--seed" && (v = value())) {
-      a.seed = std::stoull(v);
-    } else if (arg == "--maxw" && (v = value())) {
-      a.maxw = std::stoull(v);
-    } else {
-      return usage();
-    }
-  }
-  return cmd_pack(a);
+  return cmd_pack(kkt::util::CliArgs(argc, argv, 2));
 }

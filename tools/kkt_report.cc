@@ -27,18 +27,13 @@
 //       "docs match the artifact" gate.
 //
 //   kkt_report perf  --baseline FILE --current FILE
-//                    [--tolerance PCT] [--wall-gate hard|advisory|off]
-//       The perf trend gate (docs/PERF.md). Counters must match the
-//       baseline EXACTLY -- any drift is a model-cost change and fails
-//       regardless of flags. Wall times (schema v2 wall_ns) may regress by
-//       up to PCT percent (default 25) before the gate trips; --wall-gate
-//       picks what a trip means: hard (exit 1, the local default per
-//       docs/PERF.md), advisory (warn, exit 0 -- for shared CI runners
-//       whose wall clock is not trustworthy), or off.
+//       The bench counter gate (docs/PERF.md; run by the bench_gate ctest
+//       cases). Every record must appear on both sides with EXACTLY equal
+//       counters -- model costs are deterministic, so any drift is a
+//       behaviour change and exits 1.
 //
 // The artifact format is docs/RESULT_SCHEMA.md.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -51,49 +46,24 @@
 #include "report/render.h"
 #include "report/schema.h"
 #include "scenario/headtohead.h"
+#include "util/cli.h"
 #include "util/rusage.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 
-struct Args {
-  std::map<std::string, std::string> kv;
-  std::string get(const std::string& key, const std::string& dflt) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? dflt : it->second;
-  }
-  std::uint64_t num(const std::string& key, std::uint64_t dflt) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? dflt
-                          : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  bool has(const std::string& key) const { return kv.count(key) != 0; }
-};
-
-Args parse_args(int argc, char** argv, int from) {
-  Args a;
-  for (int i = from; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 2) != "--") continue;
-    const std::string key(arg.substr(2));
-    if (i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
-      a.kv.insert_or_assign(key, std::string(argv[++i]));
-    } else {
-      a.kv.insert_or_assign(key, std::string("1"));
-    }
-  }
-  return a;
-}
+using Args = kkt::util::CliArgs;
 
 std::vector<std::size_t> parse_sizes(const std::string& csv) {
   std::vector<std::size_t> sizes;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      sizes.push_back(std::strtoull(item.c_str(), nullptr, 10));
-    }
+    if (item.empty()) continue;
+    const auto n = kkt::util::parse_u64(item);
+    if (!n) kkt::util::usage_error("bad size '" + item + "' in '" + csv + "'");
+    sizes.push_back(*n);
   }
   return sizes;
 }
@@ -274,7 +244,7 @@ int cmd_check(const Args& a) {
 }
 
 // ---------------------------------------------------------------------------
-// perf: the wall-clock trend gate (docs/PERF.md)
+// perf: the bench counter gate (docs/PERF.md)
 // ---------------------------------------------------------------------------
 
 std::optional<kkt::report::ResultFile> load_named(const Args& a,
@@ -293,21 +263,16 @@ std::optional<kkt::report::ResultFile> load_named(const Args& a,
 }
 
 int cmd_perf(const Args& a) {
+  if (const auto key = a.unknown_key({"baseline", "current"})) {
+    kkt::util::usage_error("perf takes only --baseline and --current (got --" +
+                           *key + ")");
+  }
   const auto baseline = load_named(a, "baseline");
   const auto current = load_named(a, "current");
   if (!baseline || !current) return 2;
-  const double tolerance =
-      static_cast<double>(a.num("tolerance", 25));
-  const std::string wall_gate = a.get("wall-gate", "hard");
-  if (wall_gate != "hard" && wall_gate != "advisory" && wall_gate != "off") {
-    std::fprintf(stderr,
-                 "error: --wall-gate must be hard, advisory or off\n");
-    return 2;
-  }
 
-  // Counter gate: the model costs are deterministic, so the record sets
-  // must agree bit-for-bit. Any difference is a correctness signal, never
-  // noise, and fails unconditionally.
+  // The model costs are deterministic, so the record sets must agree
+  // bit-for-bit. Any difference is a correctness signal, never noise.
   int counter_drift = 0;
   for (const kkt::report::RunRecord& base : baseline->records) {
     const kkt::report::RunRecord* cur = current->find(base.name);
@@ -353,33 +318,8 @@ int cmd_perf(const Args& a) {
     return 1;
   }
 
-  // Wall gate: compare medians where both sides measured one.
-  int regressions = 0;
-  int compared = 0;
-  for (const kkt::report::RunRecord& base : baseline->records) {
-    const kkt::report::RunRecord* cur = current->find(base.name);
-    if (!cur || base.wall_ns == 0 || cur->wall_ns == 0) continue;
-    ++compared;
-    const double ratio = static_cast<double>(cur->wall_ns) /
-                         static_cast<double>(base.wall_ns);
-    const double delta_pct = (ratio - 1.0) * 100.0;
-    const bool slow = delta_pct > tolerance;
-    std::printf("  %-44s %12.3f ms -> %12.3f ms  %+7.1f%%%s\n",
-                base.name.c_str(),
-                static_cast<double>(base.wall_ns) / 1e6,
-                static_cast<double>(cur->wall_ns) / 1e6, delta_pct,
-                slow ? "  REGRESSION" : "");
-    if (slow) ++regressions;
-  }
-  std::printf("perf: counters exact across %zu record(s); "
-              "%d of %d wall time(s) regressed beyond %.0f%%\n",
-              baseline->records.size(), regressions, compared, tolerance);
-  if (regressions != 0 && wall_gate == "hard") return 1;
-  if (regressions != 0 && wall_gate == "advisory") {
-    std::fprintf(stderr,
-                 "advisory: wall regression(s) detected but the gate is "
-                 "advisory on this runner (see docs/PERF.md)\n");
-  }
+  std::printf("perf: counters exact across %zu record(s)\n",
+              baseline->records.size());
   return 0;
 }
 
@@ -393,7 +333,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args a = parse_args(argc, argv, 2);
+  const Args a(argc, argv, 2);
   if (cmd == "run") return cmd_run(a);
   if (cmd == "gen") return cmd_gen(a);
   if (cmd == "check") return cmd_check(a);
