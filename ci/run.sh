@@ -20,13 +20,14 @@
 #                       # docs/LINT_RULES.md) + clang-tidy build when the
 #                       # binary is available; archives LINT_findings.json
 #   ci/run.sh bigraph   # web-scale backend gate (docs/GRAPH_STORE.md):
-#                       # backend-labelled tests (equivalence + implicit
-#                       # oracles + store corruption matrix), pack/validate
-#                       # a .kkg store artifact, BuildMST from the mmap'd
-#                       # store, then the build_mst_xl grid up to
-#                       # n = 1048576 on the implicit backend -- fails when
-#                       # peak RSS exceeds the documented 2 GiB budget;
-#                       # archives BENCH_bigraph.json + the .kkg store
+#                       # backend-labelled tests (implicit/mmap equivalence
+#                       # + implicit oracles + store corruption matrix),
+#                       # pack/validate a .kkg store artifact, BuildMST
+#                       # from the mmap'd store, then the build_mst_xl
+#                       # grid up to n = 1048576 on the implicit backend --
+#                       # fails when peak RSS exceeds the documented 2 GiB
+#                       # budget; archives BENCH_bigraph.json + the .kkg
+#                       # store
 #   ci/run.sh faults    # fault-injection gate (docs/FAULTS.md): the
 #                       # fault-labelled suite (loss, link outages, batch
 #                       # deletions, regional outages, partition-and-heal;
@@ -132,8 +133,9 @@ run_faults() {
 }
 
 # Bigraph stage: the web-scale backend gate (docs/GRAPH_STORE.md). The
-# backend-labelled suite pins cross-backend metric bit-identity, the
-# implicit family oracles and the store corruption matrix; the CLI chain
+# backend-labelled suite pins metric bit-identity across the adjacency,
+# implicit and mapped backends, the implicit family oracles and the store
+# corruption matrix; the CLI chain
 # proves a packed .kkg round-trips through the mmap backend end to end;
 # and the build_mst_xl grid completes a BuildMST point at n = 1048576 on
 # the implicit backend. The RSS gate is hard: the documented budget

@@ -6,11 +6,12 @@
 //                 [--maxw W] [--seed S] [--out FILE]
 //   kkt_lab build --algo kkt-mst|kkt-st|ghs|flood
 //                 (--in FILE | --store FILE.kkg | --family ... as above)
-//                 [--backend auto|adjacency|csr|implicit] [--seed S]
+//                 [--backend auto|adjacency|implicit] [--seed S]
 //                 [--net sync|async|adversarial]
 //                 [--rss-budget-mb MB] [--csv]
 //   kkt_lab churn --workload uniform|hotspot|bridges|growth --ops K
-//                 [--family ... as above] [--kind mst|st] [--seed S]
+//                 [--family ... as above] [--backend auto|adjacency]
+//                 [--kind mst|st] [--seed S]
 //                 [--net sync|async|adversarial]
 //                 [--sweep N] [--threads T]
 //                 [--trace FILE] [--record FILE] [--csv]
@@ -32,13 +33,16 @@
 // every T). `--csv` emits machine-readable rows.
 // Malformed numbers and family sizes below a generator's minimum are usage
 // errors (exit 2).
-// `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): auto
-// resolves to implicit for the icomplete/igridlong/igeo families, so
-// `build --family igridlong --n 1048576` runs at web scale with O(n)
-// resident state. `build --store FILE.kkg` maps a packed store
-// (kkt_graphstore pack) instead of generating; `--rss-budget-mb MB` prints
-// the process peak RSS after the run and fails the exit code when it
-// exceeds the budget -- the CI bigraph stage's memory gate.
+// `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): for
+// `build`, auto resolves to implicit for the icomplete/igridlong/igeo
+// families, so `build --family igridlong --n 1048576` runs at web scale
+// with O(n) resident state. The implicit backend is read-only, so `churn`
+// (with or without --faults) resolves auto to adjacency and rejects an
+// explicit `--backend implicit` as a usage error. `build --store FILE.kkg`
+// maps a packed store (kkt_graphstore pack) instead of generating;
+// `--rss-budget-mb MB` prints the process peak RSS after the run and fails
+// the exit code when it exceeds the budget -- the CI bigraph stage's
+// memory gate.
 // `--loss P` (adversarial networks only) drops each delivery independently
 // with probability P -- seeded, reproducible, and counted in the
 // dropped_deliveries metric; protocols that declare loss_safe()==false get
@@ -463,6 +467,9 @@ int cmd_churn(const Args& a) {
 
   kkt::scenario::Scenario sc;
   sc.graph = make_graph_spec(a);
+  if (const auto err = kkt::scenario::use_mutable_backend(sc.graph)) {
+    kkt::util::usage_error(*err);
+  }
   sc.net = make_net_spec(a, kkt::scenario::NetKind::kAsync);
   sc.seed = seed;
 

@@ -72,50 +72,9 @@ Graph::Graph(std::unique_ptr<ImplicitCore> core)
   n_ = implicit_->node_count();
   ext_ids_ = implicit_->ext_ids();
   id_bits_ = implicit_->id_bits();
-  alive_edges_ = implicit_->alive_count();
+  alive_edges_ = implicit_->edge_slots();
   edge_slots_ = implicit_->edge_slots();
   row_version_.assign(n_, 0);
-}
-
-Graph Graph::freeze_csr(const Graph& src) {
-  assert(src.backend_ != Backend::kImplicit &&
-         "materialize_implicit first, then freeze");
-  Graph g{Raw{}};
-  g.backend_ = Backend::kCsr;
-  g.n_ = src.node_count();
-  g.ext_ids_ = src.ext_ids_;
-  g.id_bits_ = src.id_bits_;
-  g.alive_edges_ = src.edge_count();
-
-  const std::size_t slots = src.edge_slots();
-  g.edges_.reserve(slots);
-  for (EdgeIdx e = 0; e < slots; ++e) {
-    g.edges_.push_back(src.edge(e));  // carries the alive flag of dead slots
-  }
-
-  g.csr_offsets_own_.reserve(g.n_ + 1);
-  g.csr_row_len_.reserve(g.n_);
-  std::uint64_t running = 0;
-  g.csr_offsets_own_.push_back(0);
-  for (NodeId v = 0; v < g.n_; ++v) {
-    const std::size_t len = src.incident(v).size();
-    running += len;
-    g.csr_offsets_own_.push_back(running);
-    g.csr_row_len_.push_back(static_cast<std::uint32_t>(len));
-  }
-  g.csr_arena_own_.reserve(running);
-  for (NodeId v = 0; v < g.n_; ++v) {
-    for (const Incidence& inc : src.incident(v)) {
-      g.csr_arena_own_.push_back(inc);
-    }
-  }
-  // Spans point into the heap buffers, which survive moves of the vectors.
-  g.csr_offsets_ = g.csr_offsets_own_;
-  g.csr_arena_ = g.csr_arena_own_;
-  g.sorted_adj_.resize(g.n_);
-  g.sorted_stale_.assign(g.n_, 1);
-  g.row_version_.assign(g.n_, 0);
-  return g;
 }
 
 Graph Graph::from_store(std::shared_ptr<const MappedStore> store) {
@@ -127,14 +86,9 @@ Graph Graph::from_store(std::shared_ptr<const MappedStore> store) {
   g.alive_edges_ = store->edge_count();
   g.edge_slots_ = store->edge_count();
   g.ext_ids_.assign(store->ext_ids().begin(), store->ext_ids().end());
-  g.csr_offsets_ = store->offsets();
-  g.csr_arena_ = store->arena();
+  g.mapped_offsets_ = store->offsets();
+  g.mapped_arena_ = store->arena();
   g.mapped_edges_ = store->edges();
-  g.csr_row_len_.reserve(g.n_);
-  for (NodeId v = 0; v < g.n_; ++v) {
-    g.csr_row_len_.push_back(static_cast<std::uint32_t>(
-        store->offsets()[v + 1] - store->offsets()[v]));
-  }
   g.sorted_adj_.resize(g.n_);
   g.sorted_stale_.assign(g.n_, 1);
   g.row_version_.assign(g.n_, 0);
@@ -143,31 +97,17 @@ Graph Graph::from_store(std::shared_ptr<const MappedStore> store) {
 }
 
 Graph Graph::clone() const {
-  assert(backend_ != Backend::kImplicit && "implicit graphs are not clonable");
+  assert(backend_ == Backend::kAdjacency && "only adjacency graphs clone");
   Graph g{Raw{}};
-  g.backend_ = backend_;
   g.n_ = n_;
   g.edges_ = edges_;
   g.adjacency_ = adjacency_;
-  g.csr_offsets_own_ = csr_offsets_own_;
-  g.csr_arena_own_ = csr_arena_own_;
-  g.csr_row_len_ = csr_row_len_;
-  g.store_ = store_;
-  g.mapped_edges_ = mapped_edges_;
-  if (backend_ == Backend::kCsr) {
-    g.csr_offsets_ = g.csr_offsets_own_;
-    g.csr_arena_ = g.csr_arena_own_;
-  } else {
-    g.csr_offsets_ = csr_offsets_;  // mapped: spans into the shared mapping
-    g.csr_arena_ = csr_arena_;
-  }
   g.ext_ids_ = ext_ids_;
   g.sorted_adj_.resize(n_);
   g.sorted_stale_.assign(n_, 1);
   g.row_version_.assign(n_, 0);
   g.id_bits_ = id_bits_;
   g.alive_edges_ = alive_edges_;
-  g.edge_slots_ = edge_slots_;
   return g;
 }
 
@@ -178,8 +118,7 @@ Graph& Graph::operator=(Graph&&) noexcept = default;
 Graph::~Graph() = default;
 
 EdgeIdx Graph::add_edge(NodeId u, NodeId v, Weight w) {
-  assert(backend_ == Backend::kAdjacency &&
-         "only the adjacency backend grows");
+  assert(backend_ == Backend::kAdjacency && "only adjacency graphs mutate");
   assert(u < node_count() && v < node_count() && u != v);
   assert(!find_edge(u, v).has_value() && "parallel edges are not allowed");
   const auto e = static_cast<EdgeIdx>(edges_.size());
@@ -193,41 +132,19 @@ EdgeIdx Graph::add_edge(NodeId u, NodeId v, Weight w) {
 }
 
 void Graph::remove_edge(EdgeIdx e) {
-  assert(e < edge_slots() && alive(e));
-  switch (backend_) {
-    case Backend::kAdjacency: {
-      Edge& ed = edges_[e];
-      ed.alive = false;
-      unlink_from_adjacency(ed.u, e);
-      unlink_from_adjacency(ed.v, e);
-      touch_sorted(ed.u, ed.v);
-      touch_rows(ed.u, ed.v);
-      break;
-    }
-    case Backend::kCsr: {
-      Edge& ed = edges_[e];
-      ed.alive = false;
-      csr_unlink(ed.u, e);
-      csr_unlink(ed.v, e);
-      touch_sorted(ed.u, ed.v);
-      touch_rows(ed.u, ed.v);
-      break;
-    }
-    case Backend::kImplicit: {
-      const Edge ed = implicit_->edge(e);
-      implicit_->remove_edge(e);  // overlays (and reorders) both rows
-      touch_rows(ed.u, ed.v);
-      break;
-    }
-    case Backend::kMapped:
-      assert(false && "mapped stores are read-only");
-      return;
-  }
+  assert(backend_ == Backend::kAdjacency && "only adjacency graphs mutate");
+  assert(e < edges_.size() && edges_[e].alive);
+  Edge& ed = edges_[e];
+  ed.alive = false;
+  unlink_from_adjacency(ed.u, e);
+  unlink_from_adjacency(ed.v, e);
+  touch_sorted(ed.u, ed.v);
+  touch_rows(ed.u, ed.v);
   --alive_edges_;
 }
 
 void Graph::set_weight(EdgeIdx e, Weight w) {
-  assert(backend_ == Backend::kAdjacency || backend_ == Backend::kCsr);
+  assert(backend_ == Backend::kAdjacency && "only adjacency graphs mutate");
   assert(e < edges_.size() && edges_[e].alive);
   edges_[e].weight = w;
   touch_sorted(edges_[e].u, edges_[e].v);
@@ -240,8 +157,6 @@ Edge Graph::edge_slow(EdgeIdx e) const {
   }
   return implicit_->edge(e);
 }
-
-bool Graph::implicit_alive(EdgeIdx e) const { return implicit_->alive(e); }
 
 std::span<const Incidence> Graph::implicit_incident(NodeId v) const {
   return implicit_->incident(v);
@@ -262,8 +177,8 @@ std::span<const SortedIncidence> Graph::implicit_sorted_range(
 
 std::optional<EdgeIdx> Graph::find_edge_slow(NodeId u, NodeId v) const {
   if (backend_ == Backend::kImplicit) return implicit_->find_edge(u, v);
-  // CSR / mapped: scan the shorter row, same as the adjacency fast path.
-  const bool u_smaller = csr_row_len_[u] <= csr_row_len_[v];
+  // Mapped: scan the shorter row, same as the adjacency fast path.
+  const bool u_smaller = mapped_degree(u) <= mapped_degree(v);
   const std::span<const Incidence> row = incident(u_smaller ? u : v);
   const NodeId target = u_smaller ? v : u;
   for (const Incidence& inc : row) {
@@ -297,22 +212,6 @@ void Graph::unlink_from_adjacency(NodeId v, EdgeIdx e) {
   adj.pop_back();
 }
 
-// Same swap-with-last removal as the adjacency backend, applied in-row: the
-// row shrinks by one slot (the arena keeps its footprint), and the surviving
-// order matches what unlink_from_adjacency would have produced.
-void Graph::csr_unlink(NodeId v, EdgeIdx e) {
-  Incidence* row = csr_arena_own_.data() + csr_offsets_[v];
-  std::uint32_t& len = csr_row_len_[v];
-  for (std::uint32_t i = 0; i < len; ++i) {
-    if (row[i].edge == e) {
-      row[i] = row[len - 1];
-      --len;
-      return;
-    }
-  }
-  assert(false && "edge not found in CSR row");
-}
-
 std::optional<NodeId> Graph::node_of_ext(ExtId id) const {
   for (NodeId v = 0; v < node_count(); ++v) {
     if (ext_ids_[v] == id) return v;
@@ -341,7 +240,6 @@ EdgeNum Graph::max_edge_num() const {
 }
 
 std::vector<EdgeIdx> Graph::alive_edge_indices() const {
-  if (backend_ == Backend::kImplicit) return implicit_->alive_edge_indices();
   std::vector<EdgeIdx> out;
   out.reserve(alive_edges_);
   const std::size_t slots = edge_slots();

@@ -1,23 +1,21 @@
 // The communications network: an undirected weighted graph with unique
 // external node IDs and (augmented-)unique edge weights.
 //
-// One read API, four storage backends (see docs/ARCHITECTURE.md):
+// One read API, three storage backends (see docs/ARCHITECTURE.md):
 //
-//  * kAdjacency -- per-node vectors + growable edge table. The only backend
-//    that supports add_edge; used by generators and repair workloads.
-//  * kCsr       -- frozen topology compacted into one offsets/arena pair
-//    (~16 bytes per directed slot). Built by freeze_csr from any
-//    materialised graph; rows copied verbatim, so protocols observe the
-//    same incidence order. remove_edge/set_weight still work.
+//  * kAdjacency -- per-node vectors + growable edge table. Used by the
+//    generators, the text loader and every workload that changes topology.
 //  * kImplicit  -- incidence computed on demand from (n, seed) by
 //    ImplicitCore (graph/implicit.h); O(n) resident state even for K_n at
-//    n = 10^6. Read-mostly: remove_edge materialises per-node overlays;
-//    add_edge/set_weight unsupported.
-//  * kMapped    -- read-only CSR payload mmap'd from a .kkg file
-//    (graph/store.h); no mutation at all.
+//    n = 10^6.
+//  * kMapped    -- CSR payload mmap'd from a .kkg file (graph/store.h).
 //
-// Removed edge slots stay allocated but are marked dead, so EdgeIdx values
-// held by callers remain stable; node count is fixed on every backend.
+// Mutation is adjacency-only: add_edge, remove_edge, set_weight and clone
+// accept only kAdjacency; kImplicit and kMapped are read-only, so every one
+// of their edges is alive. A workload that mutates an implicit family runs
+// on its materialised twin (materialize_implicit). Removed adjacency slots
+// stay allocated but are marked dead, so EdgeIdx values held by callers
+// remain stable; node count is fixed on every backend.
 #pragma once
 
 #include <algorithm>
@@ -38,7 +36,7 @@ class ImplicitCore;
 
 class Graph {
  public:
-  enum class Backend { kAdjacency, kCsr, kImplicit, kMapped };
+  enum class Backend { kAdjacency, kImplicit, kMapped };
 
   // Creates a graph on n isolated nodes with distinct random external IDs
   // drawn from [1, 2^id_bits). id_bits == 0 selects the polynomial default
@@ -55,11 +53,6 @@ class Graph {
   // Wraps an implicit edge family (usually via make_implicit_graph).
   explicit Graph(std::unique_ptr<ImplicitCore> core);
 
-  // Compacts a materialised graph (kAdjacency, kCsr or kMapped source) into
-  // a fresh CSR backend. Rows and edge indices are preserved verbatim, so
-  // protocols run bit-identically on the frozen copy.
-  static Graph freeze_csr(const Graph& src);
-
   // Adopts an open, validated .kkg mapping as a read-only graph.
   static Graph from_store(std::shared_ptr<const MappedStore> store);
 
@@ -69,19 +62,17 @@ class Graph {
   Graph& operator=(const Graph&) = delete;
   ~Graph();
 
-  // Deep copy (kAdjacency / kCsr) or mapping share (kMapped). Implicit
-  // graphs are not clonable -- rebuild from the spec instead.
+  // Deep copy (kAdjacency only).
   Graph clone() const;
 
   Backend backend() const noexcept { return backend_; }
 
   // --- topology mutation -------------------------------------------------
   // Inserts edge {u, v} with the given weight. Returns its index.
-  // Precondition: u != v, no alive {u, v} edge exists, backend kAdjacency.
+  // Precondition: u != v, no alive {u, v} edge exists.
   EdgeIdx add_edge(NodeId u, NodeId v, Weight w);
 
-  // Deletes an edge. Its slot stays allocated but dead. Supported on every
-  // backend except kMapped.
+  // Deletes an edge. Its slot stays allocated but dead.
   void remove_edge(EdgeIdx e);
 
   // Capacity hint for bulk construction (generators): avoids repeated
@@ -89,39 +80,25 @@ class Graph {
   void reserve_edges(std::size_t m) { edges_.reserve(m); }
 
   // Changes the weight of an alive edge (augmented weight changes with it).
-  // kAdjacency / kCsr only.
   void set_weight(EdgeIdx e, Weight w);
 
   // --- accessors ----------------------------------------------------------
   std::size_t node_count() const noexcept { return n_; }
   std::size_t edge_count() const noexcept { return alive_edges_; }
   std::size_t edge_slots() const noexcept {
-    return (backend_ == Backend::kImplicit || backend_ == Backend::kMapped)
-               ? edge_slots_
-               : edges_.size();
+    return backend_ == Backend::kAdjacency ? edges_.size() : edge_slots_;
   }
 
   // By value: the mapped and implicit backends synthesise the record (there
   // is no resident Edge array to reference into).
   Edge edge(EdgeIdx e) const {
     assert(e < edge_slots());
-    if (backend_ == Backend::kAdjacency || backend_ == Backend::kCsr) {
-      return edges_[e];
-    }
+    if (backend_ == Backend::kAdjacency) return edges_[e];
     return edge_slow(e);
   }
   bool alive(EdgeIdx e) const {
     assert(e < edge_slots());
-    switch (backend_) {
-      case Backend::kAdjacency:
-      case Backend::kCsr:
-        return edges_[e].alive;
-      case Backend::kMapped:
-        return true;  // immutable store: every packed edge is alive
-      case Backend::kImplicit:
-        break;
-    }
-    return implicit_alive(e);
+    return backend_ != Backend::kAdjacency || edges_[e].alive;
   }
 
   // Alive incident edges of v. The node's entire "local knowledge".
@@ -133,9 +110,8 @@ class Graph {
     switch (backend_) {
       case Backend::kAdjacency:
         return adjacency_[v];
-      case Backend::kCsr:
       case Backend::kMapped:
-        return csr_arena_.subspan(csr_offsets_[v], csr_row_len_[v]);
+        return mapped_arena_.subspan(mapped_offsets_[v], mapped_degree(v));
       case Backend::kImplicit:
         break;
     }
@@ -146,19 +122,18 @@ class Graph {
     switch (backend_) {
       case Backend::kAdjacency:
         return adjacency_[v].size();
-      case Backend::kCsr:
       case Backend::kMapped:
-        return csr_row_len_[v];
+        return mapped_degree(v);
       case Backend::kImplicit:
         break;
     }
     return implicit_degree(v);
   }
 
-  // Bumped whenever v's incidence row changes: add_edge and remove_edge on
-  // every backend (the swap-with-last reorder of a removal included). Lets
-  // per-node caches over a row -- MarkedForest's tree index -- invalidate
-  // node by node instead of graph-wide. Weight changes keep the row.
+  // Bumped whenever v's incidence row changes: add_edge and remove_edge
+  // (the swap-with-last reorder of a removal included). Lets per-node
+  // caches over a row -- MarkedForest's tree index -- invalidate node by
+  // node instead of graph-wide. Weight changes keep the row.
   std::uint32_t row_version(NodeId v) const noexcept {
     return row_version_[v];
   }
@@ -251,7 +226,9 @@ class Graph {
   explicit Graph(Raw);  // out-of-line: members need complete types
 
   void unlink_from_adjacency(NodeId v, EdgeIdx e);
-  void csr_unlink(NodeId v, EdgeIdx e);
+  std::size_t mapped_degree(NodeId v) const {
+    return mapped_offsets_[v + 1] - mapped_offsets_[v];
+  }
   void rebuild_sorted(NodeId v) const;  // slow path of sorted_incident
   void touch_sorted(NodeId u, NodeId v) {
     sorted_stale_[u] = 1;
@@ -266,7 +243,6 @@ class Graph {
   // Out-of-line backend paths (graph.cc); keeps ImplicitCore an incomplete
   // type here.
   Edge edge_slow(EdgeIdx e) const;
-  bool implicit_alive(EdgeIdx e) const;
   std::span<const Incidence> implicit_incident(NodeId v) const;
   std::size_t implicit_degree(NodeId v) const;
   std::span<const SortedIncidence> implicit_sorted(NodeId v) const;
@@ -278,21 +254,16 @@ class Graph {
   Backend backend_ = Backend::kAdjacency;
   std::size_t n_ = 0;
 
-  // kAdjacency + kCsr: resident edge table (dead slots keep indices stable).
+  // kAdjacency: resident edge table (dead slots keep indices stable) and
+  // per-node rows.
   std::vector<Edge> edges_;
-  // kAdjacency only.
   std::vector<std::vector<Incidence>> adjacency_;
 
-  // kCsr owns its arena; kMapped borrows the mmap'd one. Both read through
-  // the spans. Row lengths shrink on kCsr removal (swap-with-last in-row).
-  std::vector<std::uint64_t> csr_offsets_own_;
-  std::vector<Incidence> csr_arena_own_;
-  std::span<const std::uint64_t> csr_offsets_;
-  std::span<const Incidence> csr_arena_;
-  std::vector<std::uint32_t> csr_row_len_;
-
-  // kMapped: keeps the mapping alive; edge records served from the file.
+  // kMapped: keeps the mapping alive; rows and edge records are served
+  // from the file.
   std::shared_ptr<const MappedStore> store_;
+  std::span<const std::uint64_t> mapped_offsets_;
+  std::span<const Incidence> mapped_arena_;
   std::span<const StoreEdge> mapped_edges_;
 
   // kImplicit.

@@ -364,34 +364,11 @@ Edge ImplicitCore::edge(EdgeIdx e) const {
     min_side(u, scratch2_);
     v = scratch2_[e - prefix_[u]];
   }
-  Edge ed;
-  ed.u = u;
-  ed.v = v;
-  ed.weight = pair_weight(u, v);
-  ed.alive = !std::binary_search(removed_.begin(), removed_.end(), e);
-  return ed;
-}
-
-bool ImplicitCore::alive(EdgeIdx e) const {
-  return e < m_ && !std::binary_search(removed_.begin(), removed_.end(), e);
+  return Edge{u, v, pair_weight(u, v), /*alive=*/true};
 }
 
 std::optional<EdgeIdx> ImplicitCore::find_edge(NodeId u, NodeId v) const {
   assert(u < n_ && v < n_);
-  if (u == v) return std::nullopt;
-  // A removed edge overlays both endpoints, so if either end is overlaid we
-  // scan its (exact) row; otherwise the analytic family answer is current.
-  const OverlayRow* o = overlay_of(u);
-  if (o == nullptr) {
-    o = overlay_of(v);
-    std::swap(u, v);
-  }
-  if (o != nullptr) {
-    for (const Incidence& inc : o->row) {
-      if (inc.peer == v) return inc.edge;
-    }
-    return std::nullopt;
-  }
   if (!is_family_edge(u, v)) return std::nullopt;
   return rank_of(u, v);
 }
@@ -482,30 +459,7 @@ void ImplicitCore::complete_window(NodeId v, AugWeight lo, AugWeight hi,
   }
 }
 
-// --- caches / overlays -------------------------------------------------------
-
-const ImplicitCore::OverlayRow* ImplicitCore::overlay_of(NodeId v) const {
-  if (overlay_.empty()) return nullptr;
-  const auto it = overlay_.find(v);
-  return it == overlay_.end() ? nullptr : &it->second;
-}
-
-ImplicitCore::OverlayRow& ImplicitCore::ensure_overlay(NodeId v) {
-  const auto it = overlay_.find(v);
-  if (it != overlay_.end()) return it->second;
-  OverlayRow row;
-  gen_row(v, row.row);  // snapshot before the pending mutation
-  return overlay_.emplace(v, std::move(row)).first->second;
-}
-
-void ImplicitCore::drop_cached(NodeId v) const {
-  for (IncSlot& s : inc_slots_) {
-    if (s.node == v) s.node = kNoNode;
-  }
-  for (SortSlot& s : sort_slots_) {
-    if (s.node == v) s.node = kNoNode;
-  }
-}
+// --- row cache -------------------------------------------------------------
 
 std::span<const Incidence> ImplicitCore::cached_row(NodeId v) const {
   for (const IncSlot& s : inc_slots_) {
@@ -532,43 +486,24 @@ std::span<const SortedIncidence> ImplicitCore::cached_sorted(NodeId v) const {
 // --- public queries ----------------------------------------------------------
 
 std::size_t ImplicitCore::degree(NodeId v) const {
-  if (const OverlayRow* o = overlay_of(v)) return o->row.size();
   if (spec_.family == ImplicitFamily::kComplete) return n_ - 1;
   return deg_[v];
 }
 
 std::span<const Incidence> ImplicitCore::incident(NodeId v) const {
   assert(v < n_);
-  if (const OverlayRow* o = overlay_of(v)) return o->row;
   return cached_row(v);
 }
 
 std::span<const SortedIncidence> ImplicitCore::sorted_incident(
     NodeId v) const {
   assert(v < n_);
-  if (const OverlayRow* o = overlay_of(v)) {
-    if (o->sorted_stale) {
-      auto& mut = const_cast<OverlayRow&>(*o);
-      mut.sorted.clear();
-      mut.sorted.reserve(o->row.size());
-      for (const Incidence& inc : o->row) {
-        mut.sorted.push_back(SortedIncidence{
-            aug_of(v, inc.peer, weight_of(v, inc.peer)), inc.edge, inc.peer});
-      }
-      std::sort(mut.sorted.begin(), mut.sorted.end(),
-                [](const SortedIncidence& a, const SortedIncidence& b) {
-                  return a.aug < b.aug;
-                });
-      mut.sorted_stale = false;
-    }
-    return o->sorted;
-  }
   return cached_sorted(v);
 }
 
 std::span<const SortedIncidence> ImplicitCore::sorted_incident_range(
     NodeId v, AugWeight lo, AugWeight hi) const {
-  if (spec_.family == ImplicitFamily::kComplete && overlay_of(v) == nullptr) {
+  if (spec_.family == ImplicitFamily::kComplete) {
     std::vector<SortedIncidence>& buf = win_bufs_[win_rr_];
     win_rr_ = (win_rr_ + 1) % kWinBufs;
     complete_window(v, lo, hi, buf);
@@ -584,33 +519,10 @@ std::span<const SortedIncidence> ImplicitCore::sorted_incident_range(
   return {first, last};
 }
 
-void ImplicitCore::remove_edge(EdgeIdx e) {
-  assert(alive(e));
-  const Edge ed = edge(e);
-  OverlayRow& ou = ensure_overlay(ed.u);
-  OverlayRow& ov = ensure_overlay(ed.v);
-  removed_.insert(
-      std::lower_bound(removed_.begin(), removed_.end(), e), e);
-  const auto unlink = [e](OverlayRow& o) {
-    const auto it = std::find_if(o.row.begin(), o.row.end(),
-                                 [e](const Incidence& i) { return i.edge == e; });
-    assert(it != o.row.end());
-    *it = o.row.back();  // identical swap-remove to the adjacency backend
-    o.row.pop_back();
-    o.sorted_stale = true;
-  };
-  unlink(ou);
-  unlink(ov);
-  drop_cached(ed.u);
-  drop_cached(ed.v);
-}
-
 Weight ImplicitCore::max_weight() const {
   if (spec_.family == ImplicitFamily::kComplete) {
     // max over pairs of (key_u + key_v) mod maxw: either the largest pair
-    // sum below maxw, or the overall largest sum minus maxw. Exact for the
-    // family; removals (which are rare and overlay-tracked) are ignored
-    // here, making this an upper bound after deletions.
+    // sum below maxw, or the overall largest sum minus maxw.
     std::vector<std::uint64_t> k = keys_;
     std::sort(k.begin(), k.end());
     std::uint64_t best = 0;
@@ -630,10 +542,8 @@ Weight ImplicitCore::max_weight() const {
   Weight best = 0;
   for (std::size_t u = 0; u < n_; ++u) {
     min_side(static_cast<NodeId>(u), scratch2_);
-    for (std::size_t i = 0; i < scratch2_.size(); ++i) {
-      if (!alive(prefix_[u] + i)) continue;
-      best = std::max(best,
-                      pair_weight(static_cast<NodeId>(u), scratch2_[i]));
+    for (const NodeId x : scratch2_) {
+      best = std::max(best, pair_weight(static_cast<NodeId>(u), x));
     }
   }
   return best;
@@ -641,8 +551,7 @@ Weight ImplicitCore::max_weight() const {
 
 EdgeNum ImplicitCore::max_edge_num() const {
   if (spec_.family == ImplicitFamily::kComplete) {
-    // Every pair is an edge, so the two largest ext IDs realize the max
-    // (upper bound if that one edge was removed).
+    // Every pair is an edge, so the two largest ext IDs realize the max.
     ExtId a = 0, b = 0;
     for (const ExtId id : ext_ids_) {
       if (id > a) {
@@ -657,30 +566,11 @@ EdgeNum ImplicitCore::max_edge_num() const {
   EdgeNum best = 0;
   for (std::size_t u = 0; u < n_; ++u) {
     min_side(static_cast<NodeId>(u), scratch2_);
-    for (std::size_t i = 0; i < scratch2_.size(); ++i) {
-      if (!alive(prefix_[u] + i)) continue;
-      best = std::max(best, make_edge_num(ext_ids_[u], ext_ids_[scratch2_[i]],
-                                          id_bits_));
+    for (const NodeId x : scratch2_) {
+      best = std::max(best, make_edge_num(ext_ids_[u], ext_ids_[x], id_bits_));
     }
   }
   return best;
-}
-
-std::vector<EdgeIdx> ImplicitCore::alive_edge_indices() const {
-  // Enumerates the full rank space; callers only use this on graphs small
-  // enough to materialise (oracles, tests, churn drivers).
-  assert(m_ <= (EdgeIdx{1} << 28) && "implicit graph too large to enumerate");
-  std::vector<EdgeIdx> out;
-  out.reserve(m_ - removed_.size());
-  auto skip = removed_.begin();
-  for (EdgeIdx e = 0; e < m_; ++e) {
-    if (skip != removed_.end() && *skip == e) {
-      ++skip;
-      continue;
-    }
-    out.push_back(e);
-  }
-  return out;
 }
 
 // --- Graph integration -------------------------------------------------------

@@ -24,12 +24,10 @@
 // prefix array P[u] of min-side counts, so rank and decode are
 // O(log n + deg). Indices are dense in [0, m) and identical to the order
 // `materialize_implicit` inserts edges, which is what makes the adjacency /
-// CSR / implicit backends bit-equivalent (tests/backend_test.cc).
+// implicit / mapped backends bit-equivalent (tests/backend_test.cc).
 //
-// Mutation: remove_edge materialises copy-on-write overlay rows for both
-// endpoints (snapshot of the implicit row, then the same swap-with-last
-// removal the adjacency backend performs), so repair workloads behave
-// identically. add_edge / set_weight are not supported on implicit graphs.
+// Read-only: every family edge is alive. Workloads that mutate topology run
+// on the materialised twin instead.
 //
 // Query state: a small ring of reusable row buffers (incidence slots,
 // sorted-row slots, window buffers). Buffers are recycled, so steady-state
@@ -42,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -73,7 +70,6 @@ class ImplicitCore {
   const ImplicitSpec& spec() const noexcept { return spec_; }
   std::size_t node_count() const noexcept { return n_; }
   std::size_t edge_slots() const noexcept { return m_; }
-  std::size_t alive_count() const noexcept { return m_ - removed_.size(); }
   const std::vector<ExtId>& ext_ids() const noexcept { return ext_ids_; }
   int id_bits() const noexcept { return id_bits_; }
 
@@ -85,16 +81,13 @@ class ImplicitCore {
                                                          AugWeight hi) const;
 
   Edge edge(EdgeIdx e) const;
-  bool alive(EdgeIdx e) const;
   std::optional<EdgeIdx> find_edge(NodeId u, NodeId v) const;
-  void remove_edge(EdgeIdx e);
 
   Weight max_weight() const;
   EdgeNum max_edge_num() const;
-  std::vector<EdgeIdx> alive_edge_indices() const;
 
-  // Raw weight of the (alive or dead) pair {u, v}; the pair must be a
-  // family edge. Used by the materialiser and the decode path.
+  // Raw weight of the pair {u, v}; the pair must be a family edge. Used by
+  // the materialiser and the decode path.
   Weight weight_of(NodeId u, NodeId v) const;
 
   // Lexicographic rank of the family edge {u, v} (must exist).
@@ -109,17 +102,11 @@ class ImplicitCore {
     NodeId node = kNoNode;
     std::vector<SortedIncidence> row;
   };
-  struct OverlayRow {
-    std::vector<Incidence> row;
-    std::vector<SortedIncidence> sorted;
-    bool sorted_stale = true;
-  };
 
   // --- family math ---------------------------------------------------------
   Weight pair_weight(NodeId mn, NodeId mx) const;      // any family
-  bool is_family_edge(NodeId u, NodeId v) const;       // ignores removals
-  // Sorted (ascending) peers of v over the *family* edge set (no overlay /
-  // removal filtering); writes into `out` and returns its size.
+  bool is_family_edge(NodeId u, NodeId v) const;
+  // Sorted (ascending) peers of v; writes into `out`.
   void family_neighbors(NodeId v, std::vector<NodeId>& out) const;
   // Sorted (ascending) min-side peers x > u; sparse families only.
   void min_side(NodeId u, std::vector<NodeId>& out) const;
@@ -141,10 +128,7 @@ class ImplicitCore {
 
   AugWeight aug_of(NodeId u, NodeId v, Weight w) const;
 
-  // --- overlay / cache plumbing -------------------------------------------
-  const OverlayRow* overlay_of(NodeId v) const;
-  OverlayRow& ensure_overlay(NodeId v);
-  void drop_cached(NodeId v) const;
+  // --- row cache ---------------------------------------------------------
   std::span<const Incidence> cached_row(NodeId v) const;
   std::span<const SortedIncidence> cached_sorted(NodeId v) const;
 
@@ -181,10 +165,6 @@ class ImplicitCore {
   // and full degrees.
   std::vector<EdgeIdx> prefix_;
   std::vector<std::uint32_t> deg_;
-
-  // Mutation overlays (ordered containers only; see docs/LINT_RULES.md).
-  mutable std::map<NodeId, OverlayRow> overlay_;
-  std::vector<EdgeIdx> removed_;  // sorted ascending
 
   // Reusable query buffers (see header comment for the lifetime contract).
   static constexpr std::size_t kIncSlots = 8;

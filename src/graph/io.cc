@@ -3,6 +3,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 namespace kkt::graph {
@@ -39,6 +40,7 @@ std::optional<Graph> read_graph(std::istream& is, util::Rng& rng,
   std::size_t n = 0, m = 0;
   bool have_header = false;
   std::vector<ExtId> ids;
+  std::unordered_map<ExtId, NodeId> id_owner;  // distinctness check
   struct PendingEdge {
     NodeId u, v;
     Weight w;
@@ -52,12 +54,16 @@ std::optional<Graph> read_graph(std::istream& is, util::Rng& rng,
     std::istringstream ls(line);
     std::string kind;
     if (!(ls >> kind) || kind[0] == '#') continue;
-    const auto bad = [&](const char* what) {
+    const auto bad = [&](const std::string& what) {
       return fail(error, "line " + std::to_string(lineno) + ": " + what);
     };
     if (kind == "p") {
       if (have_header) return bad("duplicate header");
       if (!(ls >> n >> m) || n == 0) return bad("malformed header");
+      // The bound random_ext_ids draws default IDs under.
+      if (n > kMaxExtId / 2) {
+        return bad("node count exceeds " + std::to_string(kMaxExtId / 2));
+      }
       have_header = true;
       ids.assign(n, 0);
     } else if (kind == "i") {
@@ -66,6 +72,10 @@ std::optional<Graph> read_graph(std::istream& is, util::Rng& rng,
       ExtId id = 0;
       if (!(ls >> v >> id) || v >= n || id == 0 || id > kMaxExtId) {
         return bad("malformed id record");
+      }
+      if (ids[v] != 0) id_owner.erase(ids[v]);
+      if (!id_owner.emplace(id, v).second) {
+        return bad("duplicate external ID " + std::to_string(id));
       }
       ids[v] = id;
     } else if (kind == "e") {

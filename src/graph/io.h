@@ -1,9 +1,11 @@
 // Plain-text graph (de)serialization, DIMACS-flavored.
 //
 // Format (one record per line, '#' comments allowed):
-//   p <n> <m>            -- header: node count, edge count
-//   i <node> <ext_id>    -- optional: external ID assignment (default: the
-//                           usual random polynomial IDs)
+//   p <n> <m>            -- header: node count (1 <= n <= 2^30 - 1), edge
+//                           count
+//   i <node> <ext_id>    -- optional: external ID assignment, distinct and
+//                           in [1, 2^31) (default: the usual random
+//                           polynomial IDs)
 //   e <u> <v> <w>        -- edge with raw weight w (u, v are 0-based)
 // Used by the CLI lab tool and handy for pinning down regression cases.
 #pragma once

@@ -76,7 +76,7 @@ constexpr EdgeNum aug_weight_edge_num(
 
 // --- shared storage-entry PODs ---------------------------------------------
 // These live here (not graph.h) so every backend -- per-node adjacency
-// vectors, the CSR arena, the mmap'd store, and the implicit families --
+// vectors, the mmap'd store's CSR arena, and the implicit families --
 // shares one entry layout and Graph can hand out spans over any of them.
 
 struct Edge {
@@ -91,7 +91,7 @@ struct Edge {
   }
 };
 
-// Entry of a node's adjacency list (or of one CSR arena row).
+// Entry of a node's adjacency list (or of one mapped CSR arena row).
 struct Incidence {
   NodeId peer;
   EdgeIdx edge;

@@ -176,15 +176,75 @@ void render_task(const TaskTable& t, std::string& out) {
   out += "\n";
 }
 
-const RunRecord* find_fit(const std::vector<TaskTable>& tasks,
+const Series* find_series(const std::vector<TaskTable>& tasks,
                           std::string_view task, std::string_view algo) {
   for (const TaskTable& t : tasks) {
     if (t.task != task) continue;
     for (const Series& s : t.series) {
-      if (s.algo == algo) return s.fit;
+      if (s.algo == algo) return &s;
     }
   }
   return nullptr;
+}
+
+const RunRecord* find_fit(const std::vector<TaskTable>& tasks,
+                          std::string_view task, std::string_view algo) {
+  const Series* s = find_series(tasks, task, algo);
+  return s ? s->fit : nullptr;
+}
+
+// A fitted crossover is printed only when both power laws explain their
+// series at least this well.
+constexpr double kCrossoverMinR2 = 0.9;
+
+// E18: batch repair vs rebuild-from-scratch over the batch size k (the
+// repair_batch task's n column). The fitted power laws C_r·k^e_r and
+// C_b·k^e_b cross at k* = (C_rebuild / C_repair)^(1 / (e_repair -
+// e_rebuild)); k* is printed only when it lies inside the measured k range
+// and both fits are good. Otherwise the measured costs at the largest k
+// are printed instead of an extrapolation.
+void render_crossover(const Series& rep, const Series& reb, std::string& out) {
+  const double e_rep = rep.fit->counter_or("exponent", 0);
+  const double e_reb = reb.fit->counter_or("exponent", 0);
+  const double c_rep = rep.fit->counter_or("coeff", 0);
+  const double c_reb = reb.fit->counter_or("coeff", 0);
+  const double r2_rep = rep.fit->counter_or("r2", 0);
+  const double r2_reb = reb.fit->counter_or("r2", 0);
+  out += "\nCrossover (E18): batch repair costs ~" + fmt3(c_rep) + "·k^" +
+         fmt3(e_rep) + " messages (r² " + fmt3(r2_rep) +
+         "), recompute-from-scratch ~" + fmt3(c_reb) + "·k^" + fmt3(e_reb) +
+         " (r² " + fmt3(r2_reb) + ");";
+  double k_lo = 0, k_hi = 0;
+  for (const RunRecord* c : rep.cells) {
+    const double k = c->counter_or("n", 0);
+    if (k_hi == 0 || k < k_lo) k_lo = k;
+    k_hi = std::max(k_hi, k);
+  }
+  if (c_rep > 0 && e_rep > e_reb && r2_rep >= kCrossoverMinR2 &&
+      r2_reb >= kCrossoverMinR2) {
+    const double kstar = std::pow(c_reb / c_rep, 1.0 / (e_rep - e_reb));
+    if (kstar >= k_lo && kstar <= k_hi) {
+      out += " the curves cross at k* ≈ " + fmt3(kstar) +
+             " concurrent deletions — below that, impromptu repair "
+             "(Theorem 1.2) beats rebuilding.\n";
+      return;
+    }
+  }
+  const RunRecord* at_rep = rep.cell_at(k_hi);
+  const RunRecord* at_reb = reb.cell_at(k_hi);
+  if (!at_rep || !at_reb) {
+    out += " no measured comparison.\n";
+    return;
+  }
+  const double m_rep = std::round(at_rep->counter_or("messages", 0));
+  const double m_reb = std::round(at_reb->counter_or("messages", 0));
+  const std::string k = fmt_count(k_hi);
+  out += m_rep < m_reb ? " no crossover observed for k ≤ " + k
+                       : " rebuild is cheaper at k = " + k +
+                             ", but the fits place no crossover inside the "
+                             "measured grid";
+  out += " (at k = " + k + ": repair " + fmt_count(m_rep) +
+         " messages, rebuild " + fmt_count(m_reb) + ").\n";
 }
 
 }  // namespace
@@ -237,31 +297,9 @@ std::string render_experiments_block(const ResultFile& f) {
            " on the same graphs — the o(m) gap, asserted by "
            "`tests/headtohead_test.cc` and the CI report stage.\n";
   }
-  // E18: where the fitted batch-repair and rebuild-from-scratch curves
-  // cross. Both are power laws in the batch size k (the repair_batch
-  // task's n column), so C_r·k^e_r = C_b·k^e_b solves to
-  // k* = (C_rebuild / C_repair)^(1 / (e_repair - e_rebuild)).
-  const RunRecord* rep = find_fit(tasks, "repair_batch", "kkt");
-  const RunRecord* reb = find_fit(tasks, "repair_batch", "rebuild");
-  if (rep && reb) {
-    const double e_rep = rep->counter_or("exponent", 0);
-    const double e_reb = reb->counter_or("exponent", 0);
-    const double c_rep = rep->counter_or("coeff", 0);
-    const double c_reb = reb->counter_or("coeff", 0);
-    out += "\nCrossover (E18): batch repair costs ~" + fmt3(c_rep) +
-           "·k^" + fmt3(e_rep) + " messages, recompute-from-scratch ~" +
-           fmt3(c_reb) + "·k^" + fmt3(e_reb) + ";";
-    if (c_rep > 0 && e_rep > e_reb) {
-      const double kstar =
-          std::pow(c_reb / c_rep, 1.0 / (e_rep - e_reb));
-      out += " the curves cross at k* ≈ " + fmt3(kstar) +
-             " concurrent deletions — below that, impromptu repair "
-             "(Theorem 1.2) beats rebuilding.\n";
-    } else {
-      out += " repair stays below recompute over the whole measured "
-             "k grid (no crossover in range).\n";
-    }
-  }
+  const Series* rep = find_series(tasks, "repair_batch", "kkt");
+  const Series* reb = find_series(tasks, "repair_batch", "rebuild");
+  if (rep && reb && rep->fit && reb->fit) render_crossover(*rep, *reb, out);
   return out;
 }
 

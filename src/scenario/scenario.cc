@@ -52,16 +52,14 @@ const char* backend_name(GraphBackend b) noexcept {
   switch (b) {
     case GraphBackend::kAuto: return "auto";
     case GraphBackend::kAdjacency: return "adjacency";
-    case GraphBackend::kCsr: return "csr";
     case GraphBackend::kImplicit: return "implicit";
   }
   return "?";
 }
 
 std::optional<GraphBackend> backend_from_name(std::string_view name) noexcept {
-  for (const GraphBackend b :
-       {GraphBackend::kAuto, GraphBackend::kAdjacency, GraphBackend::kCsr,
-        GraphBackend::kImplicit}) {
+  for (const GraphBackend b : {GraphBackend::kAuto, GraphBackend::kAdjacency,
+                               GraphBackend::kImplicit}) {
     if (name == backend_name(b)) return b;
   }
   return std::nullopt;
@@ -112,20 +110,9 @@ graph::ImplicitSpec implicit_spec_of(const GraphSpec& spec,
 
 graph::Graph build_implicit(const GraphSpec& spec, std::uint64_t seed) {
   const graph::ImplicitSpec is = implicit_spec_of(spec, seed);
-  const GraphBackend b = spec.backend == GraphBackend::kAuto
-                             ? GraphBackend::kImplicit
-                             : spec.backend;
-  switch (b) {
-    case GraphBackend::kImplicit:
-      return graph::make_implicit_graph(is);
-    case GraphBackend::kAdjacency:
-      return graph::materialize_implicit(is);
-    case GraphBackend::kCsr:
-      return graph::Graph::freeze_csr(graph::materialize_implicit(is));
-    case GraphBackend::kAuto:
-      break;
+  if (spec.backend == GraphBackend::kAdjacency) {
+    return graph::materialize_implicit(is);
   }
-  assert(false && "unknown backend");
   return graph::make_implicit_graph(is);
 }
 
@@ -231,16 +218,21 @@ std::optional<std::string> graph_spec_error(const GraphSpec& spec) {
   return family + " is not a known family";
 }
 
+std::optional<std::string> use_mutable_backend(GraphSpec& spec) {
+  if (spec.backend == GraphBackend::kImplicit) {
+    return "the implicit backend is read-only, but churn and fault runs "
+           "mutate the graph; use the adjacency backend";
+  }
+  spec.backend = GraphBackend::kAdjacency;
+  return std::nullopt;
+}
+
 graph::Graph build_graph(const GraphSpec& spec, std::uint64_t seed) {
   if (family_is_implicit(spec.family)) return build_implicit(spec, seed);
   assert(spec.backend != GraphBackend::kImplicit &&
          "only the implicit families support the implicit backend");
   util::Rng rng(seed);
-  graph::Graph g = build_classic(spec, rng);
-  if (spec.backend == GraphBackend::kCsr) {
-    return graph::Graph::freeze_csr(g);
-  }
-  return g;
+  return build_classic(spec, rng);
 }
 
 std::unique_ptr<sim::Network> make_network(const graph::Graph& g,

@@ -72,7 +72,8 @@ enum class GraphFamily {
   // Implicit families (graph/implicit.h): hash-defined topologies whose
   // incidence is computable from (n, seed), so the implicit backend runs
   // them at web scale with O(n) resident state. The same spec materialises
-  // exactly (backend adjacency/csr) for equivalence testing.
+  // exactly (backend adjacency) for equivalence testing and for workloads
+  // that mutate the graph.
   kIComplete,     // implicit K_n, latin-square weights (n)
   kIGridLong,     // implicit grid + long links         (n ~ side^2, aux = links)
   kIGeometric,    // implicit random geometric          (n, param = mean degree)
@@ -87,12 +88,12 @@ std::optional<GraphFamily> family_from_name(std::string_view name) noexcept;
 bool family_is_implicit(GraphFamily f) noexcept;
 
 // Storage backend requested of build_graph. kAuto picks kImplicit for the
-// implicit families and kAdjacency otherwise. kCsr freezes the materialised
-// topology (graph::Graph::freeze_csr); kImplicit is only valid for implicit
-// families. The mmap'd store backend is not a GraphSpec concern -- load a
-// .kkg with graph::MappedStore + Graph::from_store and hand it to
-// make_world's custom-topology overload.
-enum class GraphBackend { kAuto, kAdjacency, kCsr, kImplicit };
+// implicit families and kAdjacency otherwise; kImplicit is only valid for
+// implicit families, and it is read-only (see use_mutable_backend). The
+// mmap'd store backend is not a GraphSpec concern -- load a .kkg with
+// graph::MappedStore + Graph::from_store and hand it to make_world's
+// custom-topology overload.
+enum class GraphBackend { kAuto, kAdjacency, kImplicit };
 
 const char* backend_name(GraphBackend b) noexcept;
 std::optional<GraphBackend> backend_from_name(std::string_view name) noexcept;
@@ -166,6 +167,11 @@ struct GraphSpec {
 // Release) -- or nullopt when it can. CLIs check this before building and
 // report it as a usage error.
 std::optional<std::string> graph_spec_error(const GraphSpec& spec);
+
+// Resolves the backend of a graph a workload will mutate (churn, fault
+// injection): kAuto becomes kAdjacency, the only mutable backend. Returns
+// why it cannot -- an explicit read-only backend -- or nullopt.
+std::optional<std::string> use_mutable_backend(GraphSpec& spec);
 
 // Generates the described topology from `seed` (one Rng, one pass -- the
 // same bytes the legacy helpers produced for kGnm). `spec` must pass

@@ -14,14 +14,15 @@
 // ChurnSweepResult is bit-identical regardless of thread count.
 //
 // Preconditions: sc.graph must describe a connected topology (the session
-// starts from the premarked oracle MSF); a non-null `replay` trace must
-// have been generated for a world of the same node count -- ops that no
-// longer resolve are tolerated (applied == false, zero cost), per-op
-// records always line up 1:1 with the trace. Thread-safety: both entry
-// points are safe to call concurrently; each run owns its world. The
-// per-op distributions use nearest-rank percentiles over the seed-ordered
-// sample sequence (workload/stats.h), so they inherit the bit-identical
-// guarantee.
+// starts from the premarked oracle MSF) on a mutable backend -- kAuto
+// resolves to adjacency (scenario::use_mutable_backend); a non-null
+// `replay` trace must have been generated for a world of the same node
+// count -- ops that no longer resolve are tolerated (applied == false, zero
+// cost), per-op records always line up 1:1 with the trace. Thread-safety:
+// both entry points are safe to call concurrently; each run owns its
+// world. The per-op distributions use nearest-rank percentiles over the
+// seed-ordered sample sequence (workload/stats.h), so they inherit the
+// bit-identical guarantee.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,17 @@
 // Backend-equivalence pins: the storage backend behind the Graph read API
 // must be invisible to every protocol. The implicit families materialise
 // exactly (materialize_implicit inserts edges in lexicographic rank order,
-// so edge indices coincide across backends), which lets us run whole
-// protocols -- BuildMST, BuildST, FindMin, deletion repair, GHS -- on the
-// same topology served by the adjacency, CSR and implicit backends and
+// so edge indices coincide across backends), and packing that adjacency
+// twin into a .kkg store keeps rows and indices verbatim. That lets us run
+// whole protocols -- BuildMST, BuildST, FindMin, GHS -- on the same
+// topology served by the adjacency, implicit and mapped backends and
 // require the full sim::Metrics block to be bit-identical, under every
 // transport (sync / async / adversarial).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -15,8 +19,8 @@
 #include "core/build_mst.h"
 #include "core/build_st.h"
 #include "core/find_min.h"
-#include "core/repair.h"
 #include "graph/mst_oracle.h"
+#include "graph/store.h"
 #include "test_util.h"
 
 namespace kkt::scenario {
@@ -38,9 +42,8 @@ GraphSpec family_spec(GraphFamily fam) {
   }
 }
 
-sim::Metrics run_one(GraphFamily fam, GraphBackend backend,
-                     std::uint64_t seed, NetKind kind, bool premark,
-                     const ScenarioBody& body) {
+Scenario scenario_of(GraphFamily fam, GraphBackend backend,
+                     std::uint64_t seed, NetKind kind, bool premark) {
   Scenario sc;
   sc.graph = family_spec(fam);
   sc.graph.backend = backend;
@@ -48,23 +51,57 @@ sim::Metrics run_one(GraphFamily fam, GraphBackend backend,
   sc.seed = seed;
   sc.net_seed = seed ^ test::kTestNetSeedSalt;
   sc.premark_msf = premark;
-  return run_scenario(sc, body);
+  return sc;
+}
+
+// Packs `sc`'s graph into a per-test .kkg and maps it back read-only.
+std::shared_ptr<const graph::MappedStore> pack_and_map(const Scenario& sc) {
+  const std::string path = test::temp_store_path("mapped");
+  std::string error;
+  EXPECT_TRUE(graph::pack_store(path, build_graph(sc.graph, sc.seed), &error))
+      << error;
+  auto store = graph::MappedStore::open(path, &error);
+  EXPECT_NE(store, nullptr) << error;
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+  return store;
+}
+
+// run_scenario(sc, body) with the graph served by `store`: the same world
+// make_world(sc) builds, on the mapped backend.
+sim::Metrics run_mapped(const Scenario& sc,
+                        std::shared_ptr<const graph::MappedStore> store,
+                        const ScenarioBody& body) {
+  auto g = std::make_unique<graph::Graph>(
+      graph::Graph::from_store(std::move(store)));
+  World w = make_world(std::move(g), sc.net,
+                       sc.net_seed.value_or(sc.seed ^ kNetSeedSalt));
+  EXPECT_EQ(w.g->backend(), graph::Graph::Backend::kMapped);
+  if (sc.premark_msf) w.mark_msf();
+  body(w);
+  return w.net->metrics();
 }
 
 // Runs `body` on all three backends under every transport; the adjacency
-// backend is the reference block.
+// backend is the reference block, and the mapped one serves its pack.
 void expect_backends_agree(GraphFamily fam, std::uint64_t seed, bool premark,
                            const ScenarioBody& body) {
+  const auto store = pack_and_map(scenario_of(fam, GraphBackend::kAdjacency,
+                                              seed, NetKind::kSync, premark));
+  ASSERT_NE(store, nullptr);
   for (const NetKind kind :
        {NetKind::kSync, NetKind::kAsync, NetKind::kAdversarial}) {
-    const sim::Metrics base =
-        run_one(fam, GraphBackend::kAdjacency, seed, kind, premark, body);
+    const Scenario adj =
+        scenario_of(fam, GraphBackend::kAdjacency, seed, kind, premark);
+    const sim::Metrics base = run_scenario(adj, body);
     EXPECT_GT(base.messages, 0u);
-    for (const GraphBackend b : {GraphBackend::kCsr, GraphBackend::kImplicit}) {
-      EXPECT_EQ(base, run_one(fam, b, seed, kind, premark, body))
-          << family_name(fam) << " backend=" << backend_name(b)
-          << " net=" << net_kind_name(kind) << " seed=" << seed;
-    }
+    const std::string where = std::string(family_name(fam)) +
+                              " net=" + net_kind_name(kind) +
+                              " seed=" + std::to_string(seed);
+    EXPECT_EQ(base, run_scenario(scenario_of(fam, GraphBackend::kImplicit,
+                                             seed, kind, premark),
+                                 body))
+        << where << " backend=implicit";
+    EXPECT_EQ(base, run_mapped(adj, store, body)) << where << " backend=mapped";
   }
 }
 
@@ -116,27 +153,6 @@ TEST_P(BackendSweep, FindMinBitIdentical) {
   });
 }
 
-TEST_P(BackendSweep, RepairBitIdentical) {
-  const auto [fam, seed] = GetParam();
-  // Deletion repair mutates the graph: the CSR backend unlinks in-row, the
-  // implicit backend materialises copy-on-write overlays. Same deletions,
-  // same replacement searches, same counters.
-  expect_backends_agree(fam, seed, /*premark=*/true, [seed](World& w) {
-    core::DynamicForest dyn(*w.g, *w.forest, *w.net, core::ForestKind::kMst);
-    util::Rng pick(seed * 31 + 7);
-    for (int i = 0; i < 3; ++i) {
-      const auto tree = w.forest->marked_edges();
-      ASSERT_FALSE(tree.empty());
-      dyn.delete_edge(tree[pick.below(tree.size())]);
-      const auto alive = w.g->alive_edge_indices();
-      ASSERT_FALSE(alive.empty());
-      dyn.delete_edge(alive[pick.below(alive.size())]);
-    }
-    EXPECT_TRUE(graph::same_edge_set(w.forest->marked_edges(),
-                                     graph::kruskal_msf(*w.g)));
-  });
-}
-
 TEST_P(BackendSweep, GhsBitIdentical) {
   const auto [fam, seed] = GetParam();
   expect_backends_agree(fam, seed, /*premark=*/false, [](World& w) {
@@ -157,17 +173,19 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// CSR must also pin classic (non-implicit) families against adjacency: the
-// freeze copies rows verbatim, so a whole protocol sees identical order.
-TEST(BackendClassic, CsrMatchesAdjacencyOnGnm) {
+// The mapped store must also pin classic (non-implicit) families against
+// adjacency: the pack copies rows verbatim, so a whole protocol sees
+// identical order.
+TEST(BackendClassic, MappedMatchesAdjacencyOnGnm) {
   for (const std::uint64_t seed : {1u, 7u, 1234u}) {
-    Scenario sc = test::gnm_scenario(48, 160, seed);
+    const Scenario sc = test::gnm_scenario(48, 160, seed);
     const ScenarioBody body = [](World& w) {
       EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
     };
-    const sim::Metrics base = run_scenario(sc, body);
-    sc.graph.backend = GraphBackend::kCsr;
-    EXPECT_EQ(base, run_scenario(sc, body)) << "seed=" << seed;
+    const auto store = pack_and_map(sc);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(run_scenario(sc, body), run_mapped(sc, store, body))
+        << "seed=" << seed;
   }
 }
 
@@ -182,15 +200,23 @@ TEST(BackendClassic, AutoResolvesToImplicit) {
   sc.graph.backend = GraphBackend::kAdjacency;
   World b = make_world(sc);
   EXPECT_EQ(b.g->backend(), graph::Graph::Backend::kAdjacency);
-  sc.graph.backend = GraphBackend::kCsr;
-  World c = make_world(sc);
-  EXPECT_EQ(c.g->backend(), graph::Graph::Backend::kCsr);
   ASSERT_EQ(a.g->edge_slots(), b.g->edge_slots());
-  ASSERT_EQ(b.g->edge_slots(), c.g->edge_slots());
   for (graph::EdgeIdx e = 0; e < a.g->edge_slots(); ++e) {
     EXPECT_EQ(a.g->aug_weight(e), b.g->aug_weight(e)) << "e=" << e;
-    EXPECT_EQ(b.g->aug_weight(e), c.g->aug_weight(e)) << "e=" << e;
   }
+}
+
+// Workloads that mutate the graph (churn, fault injection) resolve auto to
+// the adjacency backend, the only mutable one, and reject a read-only one.
+TEST(BackendClassic, MutableWorkloadsResolveToAdjacency) {
+  GraphSpec spec = GraphSpec::igridlong(64);
+  EXPECT_FALSE(use_mutable_backend(spec).has_value());
+  EXPECT_EQ(spec.backend, GraphBackend::kAdjacency);
+  EXPECT_EQ(build_graph(spec, 1).backend(),
+            graph::Graph::Backend::kAdjacency);
+  spec.backend = GraphBackend::kImplicit;
+  EXPECT_TRUE(use_mutable_backend(spec).has_value());
+  EXPECT_EQ(spec.backend, GraphBackend::kImplicit);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Implicit-family neighbor oracles: every answer an ImplicitCore computes
 // (degrees, incidence rows, aug-sorted rows, range windows, edge decodes,
-// find_edge, removals) must match the same family materialised into the
+// find_edge, max weight) must match the same family materialised into the
 // adjacency backend edge by edge. materialize_implicit inserts edges in
 // lexicographic (min, max) order, so edge indices coincide with implicit
 // ranks and the comparison is exact, not just up to relabeling.
@@ -117,7 +117,8 @@ TEST_P(FamilyOracle, EdgeDecodeAndFindEdgeMatch) {
   }
   EXPECT_EQ(core.max_weight(), mat.max_weight());
   EXPECT_EQ(core.max_edge_num(), mat.max_edge_num());
-  EXPECT_EQ(core.alive_edge_indices(), mat.alive_edge_indices());
+  EXPECT_EQ(make_implicit_graph(spec).alive_edge_indices(),
+            mat.alive_edge_indices());
 }
 
 TEST_P(FamilyOracle, RangeWindowsMatchMaterialized) {
@@ -160,48 +161,6 @@ TEST_P(FamilyOracle, RangeWindowsMatchMaterialized) {
         EXPECT_EQ(got[i].peer, want[i].peer) << "v=" << v << " i=" << i;
       }
     }
-  }
-}
-
-TEST_P(FamilyOracle, RemovalsTrackTheMaterializedBackend) {
-  const auto [fam, seed] = GetParam();
-  const ImplicitSpec spec = small_spec(fam, seed);
-  Graph imp = make_implicit_graph(spec);
-  Graph mat = materialize_implicit(spec);
-  util::Rng rng(seed * 977 + 5);
-  for (int round = 0; round < 6; ++round) {
-    const auto alive = mat.alive_edge_indices();
-    ASSERT_FALSE(alive.empty());
-    const EdgeIdx e = alive[rng.below(alive.size())];
-    imp.remove_edge(e);
-    mat.remove_edge(e);
-    EXPECT_FALSE(imp.alive(e));
-    EXPECT_EQ(imp.edge_count(), mat.edge_count());
-    const auto n = static_cast<NodeId>(mat.node_count());
-    for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(imp.degree(v), mat.degree(v)) << "v=" << v;
-      const std::span<const Incidence> row = imp.incident(v);
-      const std::span<const Incidence> mrow = mat.incident(v);
-      ASSERT_EQ(row.size(), mrow.size()) << "v=" << v;
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        EXPECT_EQ(row[i].peer, mrow[i].peer) << "v=" << v << " i=" << i;
-        EXPECT_EQ(row[i].edge, mrow[i].edge) << "v=" << v << " i=" << i;
-      }
-      const std::span<const SortedIncidence> s = imp.sorted_incident(v);
-      const std::span<const SortedIncidence> ms = mat.sorted_incident(v);
-      ASSERT_EQ(s.size(), ms.size()) << "v=" << v;
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        EXPECT_EQ(s[i].aug, ms[i].aug) << "v=" << v << " i=" << i;
-        EXPECT_EQ(s[i].edge, ms[i].edge) << "v=" << v << " i=" << i;
-      }
-    }
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = 0; v < n; ++v) {
-        EXPECT_EQ(imp.find_edge(u, v), mat.find_edge(u, v))
-            << "u=" << u << " v=" << v;
-      }
-    }
-    EXPECT_EQ(imp.alive_edge_indices(), mat.alive_edge_indices());
   }
 }
 

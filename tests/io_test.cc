@@ -95,7 +95,27 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"p 0 0\n", "zero nodes"},
         BadCase{"p 2 1\np 2 1\ne 0 1 1\n", "duplicate header"},
         BadCase{"p 2 1\nq 1 2 3\n", "unknown record"},
-        BadCase{"p 2 1\ni 0 0\ne 0 1 1\n", "zero ext id"}));
+        BadCase{"p 2 1\ni 0 0\ne 0 1 1\n", "zero ext id"},
+        BadCase{"p 2 1\ni 0 5\ni 1 5\ne 0 1 3\n", "duplicate ext id"},
+        BadCase{"p 5000000000 0\n", "node count beyond the ID space"}));
+
+// The ID checks name the offending line; a node may still restate its own
+// ID, and the largest accepted header stops at the random_ext_ids bound.
+TEST(GraphIo, IdChecksNameTheLine) {
+  util::Rng rng(6);
+  std::string err;
+  std::stringstream dup("p 3 0\ni 0 5\ni 1 6\n# comment\ni 2 5\n");
+  EXPECT_FALSE(read_graph(dup, rng, &err).has_value());
+  EXPECT_EQ(err, "line 5: duplicate external ID 5");
+  std::stringstream big("p 1073741824 0\n");
+  EXPECT_FALSE(read_graph(big, rng, &err).has_value());
+  EXPECT_EQ(err, "line 1: node count exceeds 1073741823");
+  std::stringstream restated("p 2 1\ni 0 5\ni 0 7\ni 1 5\ne 0 1 3\n");
+  const auto g = read_graph(restated, rng, &err);
+  ASSERT_TRUE(g.has_value()) << err;
+  EXPECT_EQ(g->ext_id(0), 7u);
+  EXPECT_EQ(g->ext_id(1), 5u);
+}
 
 }  // namespace
 }  // namespace kkt::graph

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -272,6 +273,67 @@ TEST(Render, ByteStableAcrossCallsAndRoundTrips) {
   EXPECT_EQ(render_headtohead_markdown(*back, "a.json"), once);
   EXPECT_EQ(render_experiments_block(*back), render_experiments_block(f));
 }
+
+// E18's crossover line: a fitted k* only inside the measured k grid and
+// only from fits with r² >= 0.9; otherwise the measured costs at the
+// largest k. Each row pins one branch.
+struct CrossoverCase {
+  const char* name;
+  double e_rep, c_rep, r2_rep;    // batch-repair fit
+  double e_reb, c_reb, r2_reb;    // rebuild fit
+  double rep_at_max, reb_at_max;  // messages at the largest k (128)
+  const char* expect;
+};
+
+void PrintTo(const CrossoverCase& c, std::ostream* os) { *os << c.name; }
+
+class RenderCrossover : public ::testing::TestWithParam<CrossoverCase> {};
+
+TEST_P(RenderCrossover, PrintsOnlyWhatTheGridSupports) {
+  const CrossoverCase& c = GetParam();
+  ResultFile f;
+  f.tool = "unit_test";
+  for (const char* algo : {"kkt", "rebuild"}) {
+    const bool rep = std::string(algo) == "kkt";
+    for (double k = 1; k <= 128; k *= 2) {
+      f.records.push_back(
+          {"headtohead/repair_batch/" + std::string(algo) +
+               "/n=" + std::to_string(static_cast<int>(k)),
+           {{"n", k},
+            {"messages", k < 128 ? 1000.0 : rep ? c.rep_at_max
+                                                 : c.reb_at_max}}});
+    }
+    f.records.push_back(
+        {"headtohead-fit/repair_batch/" + std::string(algo),
+         {{"exponent", rep ? c.e_rep : c.e_reb},
+          {"coeff", rep ? c.c_rep : c.c_reb},
+          {"r2", rep ? c.r2_rep : c.r2_reb},
+          {"points", 8.0}}});
+  }
+  const std::string block = render_experiments_block(f);
+  EXPECT_NE(block.find(c.expect), std::string::npos) << block;
+  EXPECT_EQ(block.find("k* ≈") != std::string::npos,
+            std::string(c.expect).find("k* ≈") != std::string::npos)
+      << block;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Branches, RenderCrossover,
+    ::testing::Values(
+        CrossoverCase{"inside_grid", 1.0, 100.0, 0.99, 0.0, 1600.0, 0.95,
+                      12800.0, 1600.0, "the curves cross at k* ≈ 16.000"},
+        // The committed grid: weak fits whose k* (~288) lies past k = 128.
+        CrossoverCase{"weak_fits", 0.178, 27556.579, 0.839, -0.043,
+                      96246.904, 0.623, 71313.667, 76233.667,
+                      "no crossover observed for k ≤ 128 (at k = 128: "
+                      "repair 71314 messages, rebuild 76234)"},
+        CrossoverCase{"rebuild_cheaper", 1.0, 100.0, 0.5, 0.0, 1600.0, 0.5,
+                      12800.0, 1600.0,
+                      "rebuild is cheaper at k = 128, but the fits place no "
+                      "crossover inside the measured grid"}),
+    [](const ::testing::TestParamInfo<CrossoverCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Render, SpliceReplacesOnlyTheGeneratedRegion) {
   std::string doc = "intro\n";

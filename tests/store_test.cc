@@ -19,16 +19,6 @@
 namespace kkt::graph {
 namespace {
 
-// Keyed by the running test too: ctest -j runs every case in its own
-// process, and cases that share a tag (the StoreCorruption fixture's base
-// pack) would otherwise race on one file.
-std::string temp_path(const std::string& name) {
-  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "kkt_store_" +
-         (test != nullptr ? std::string(test->name()) + "_" : "") + name +
-         ".kkg";
-}
-
 std::vector<unsigned char> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr) << path;
@@ -74,7 +64,7 @@ std::uint64_t peek_u64(const std::vector<unsigned char>& b, std::size_t off) {
 // them with a diagnostic containing `needle`.
 void expect_reject(const std::vector<unsigned char>& bytes,
                    const std::string& name, const std::string& needle) {
-  const std::string path = temp_path("bad_" + name);
+  const std::string path = test::temp_store_path("bad_" + name);
   write_file(path, bytes);
   std::string error;
   const auto store = MappedStore::open(path, &error);
@@ -92,7 +82,7 @@ std::unique_ptr<Graph> make_source(std::uint64_t seed = 5) {
 
 // Packs `g` and returns the file bytes (the file itself is removed).
 std::vector<unsigned char> pack_bytes(const Graph& g, const std::string& tag) {
-  const std::string path = temp_path(tag);
+  const std::string path = test::temp_store_path(tag);
   std::string error;
   EXPECT_TRUE(pack_store(path, g, &error)) << error;
   std::vector<unsigned char> bytes = read_file(path);
@@ -101,7 +91,7 @@ std::vector<unsigned char> pack_bytes(const Graph& g, const std::string& tag) {
 }
 
 TEST(Store, RoundTripServesIdenticalRows) {
-  const std::string path = temp_path("roundtrip");
+  const std::string path = test::temp_store_path("roundtrip");
   const std::unique_ptr<Graph> src = make_source();
   std::string error;
   ASSERT_TRUE(pack_store(path, *src, &error)) << error;
@@ -151,7 +141,7 @@ TEST(Store, RoundTripServesIdenticalRows) {
 }
 
 TEST(Store, MappedGraphRunsProtocolsBitIdentically) {
-  const std::string path = temp_path("protocol");
+  const std::string path = test::temp_store_path("protocol");
   {
     const std::unique_ptr<Graph> src = make_source();
     std::string error;
@@ -176,7 +166,7 @@ TEST(Store, RemovedEdgesPackDenselyReindexed) {
   const auto alive_before = src->alive_edge_indices();
   src->remove_edge(alive_before[3]);
   src->remove_edge(alive_before[40]);
-  const std::string path = temp_path("reindex");
+  const std::string path = test::temp_store_path("reindex");
   std::string error;
   ASSERT_TRUE(pack_store(path, *src, &error)) << error;
   const auto store = MappedStore::open(path, &error);
@@ -205,9 +195,9 @@ TEST(Store, RemovedEdgesPackDenselyReindexed) {
   std::remove(path.c_str());
 }
 
-// Backend invisibility extends to the pack: the CSR freeze and the implicit
-// family serve rows in the same order as the materialised adjacency graph,
-// so all three produce byte-identical .kkg files.
+// Backend invisibility extends to the pack: the implicit family serves rows
+// in the same order as the materialised adjacency graph, so both produce
+// byte-identical .kkg files.
 TEST(Store, PackIsByteIdenticalAcrossBackends) {
   ImplicitSpec spec;
   spec.family = ImplicitFamily::kGridLong;
@@ -215,11 +205,8 @@ TEST(Store, PackIsByteIdenticalAcrossBackends) {
   spec.seed = 11;
   spec.long_links = 2;
   const Graph adj = materialize_implicit(spec);
-  const Graph csr = Graph::freeze_csr(adj);
   const Graph imp = make_implicit_graph(spec);
-  const auto adj_bytes = pack_bytes(adj, "pk_adj");
-  EXPECT_EQ(adj_bytes, pack_bytes(csr, "pk_csr"));
-  EXPECT_EQ(adj_bytes, pack_bytes(imp, "pk_imp"));
+  EXPECT_EQ(pack_bytes(adj, "pk_adj"), pack_bytes(imp, "pk_imp"));
 }
 
 // --- corruption policy -------------------------------------------------------
@@ -243,7 +230,8 @@ class StoreCorruption : public ::testing::Test {
 
 TEST_F(StoreCorruption, MissingFile) {
   std::string error;
-  EXPECT_EQ(MappedStore::open(temp_path("never_written"), &error), nullptr);
+  EXPECT_EQ(MappedStore::open(test::temp_store_path("never_written"), &error),
+            nullptr);
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 

@@ -6,9 +6,12 @@
 // survive the scenario rebase.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "graph/forest.h"
@@ -52,6 +55,17 @@ inline World make_gnm_world(std::size_t n, std::size_t m, std::uint64_t seed,
                             NetKind kind = NetKind::kSync,
                             graph::Weight max_weight = 1u << 20) {
   return scenario::make_world(gnm_scenario(n, m, seed, kind, max_weight));
+}
+
+// A temporary .kkg path for `name`, keyed by the running test too: ctest
+// -j runs every case in its own process, and cases that share a name would
+// otherwise race on one file. The '/' of parameterised test names becomes
+// '_' so the path stays in the temp directory.
+inline std::string temp_store_path(const std::string& name) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string key = test != nullptr ? std::string(test->name()) + "_" : "";
+  std::replace(key.begin(), key.end(), '/', '_');
+  return ::testing::TempDir() + "kkt_store_" + key + name + ".kkg";
 }
 
 // Marks the minimum spanning forest (by Kruskal) into the world's forest.

@@ -2,13 +2,15 @@
 // over every incident edge. It must stay observationally identical to that
 // filter: TreeView::neighbors(v) yields exactly the incidence-row-ordered
 // edges that is_marked_at() accepts, for every node and every epoch limit,
-// after any sequence of marking and topology mutations, on every backend
-// and in sparse mode. The reference below is the deleted full-row filter.
+// after any sequence of marking (and, on the mutable adjacency backend,
+// topology) mutations, on every backend and in sparse mode. The reference
+// below is the deleted full-row filter.
 // Each random step also runs the verify_state() audit, before the reads
 // (a missed invalidation shows up as a fresh slab with the wrong entries)
 // and after them (rebuilds must leave a consistent pool).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -20,6 +22,8 @@
 #include "graph/graph.h"
 #include "graph/implicit.h"
 #include "graph/mst_oracle.h"
+#include "graph/store.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace kkt::graph {
@@ -55,7 +59,7 @@ void expect_node_matches(const MarkedForest& f, NodeId v) {
 struct Backend {
   std::string name;
   std::function<Graph()> make;
-  bool can_add = false;  // only the adjacency backend grows
+  bool can_mutate = false;  // only the adjacency backend changes topology
   std::size_t dense_slot_limit = kForestDenseSlotLimit;
 };
 
@@ -71,7 +75,17 @@ Graph gnm(std::uint64_t seed) {
 std::vector<Backend> backends() {
   return {
       {"adjacency", [] { return gnm(3); }, true},
-      {"csr", [] { return Graph::freeze_csr(gnm(4)); }, false},
+      {"mapped",
+       [] {
+         const std::string path = test::temp_store_path("tree_index");
+         std::string error;
+         EXPECT_TRUE(pack_store(path, gnm(4), &error)) << error;
+         auto store = MappedStore::open(path, &error);
+         EXPECT_NE(store, nullptr) << error;
+         std::remove(path.c_str());  // the mapping outlives the entry
+         return Graph::from_store(std::move(store));
+       },
+       false},
       {"implicit_grid",
        [] {
          ImplicitSpec spec;
@@ -127,14 +141,14 @@ TEST_P(TreeIndexEquivalence, RandomMutationsMatchFullScan) {
       f.clear_edge(e);
     } else if (op < 75) {
       f.clear_all();
+    } else if (!b.can_mutate) {
+      // Read-only backends: marks only.
     } else if (op < 87) {
-      if (b.can_add) {
-        const NodeId u = random_node();
-        const NodeId v = random_node();
-        if (u != v && !g.find_edge(u, v).has_value()) {
-          const EdgeIdx added = g.add_edge(u, v, 1 + rng.below(1u << 12));
-          if (rng.coin()) f.mark_edge(added, epoch);
-        }
+      const NodeId u = random_node();
+      const NodeId v = random_node();
+      if (u != v && !g.find_edge(u, v).has_value()) {
+        const EdgeIdx added = g.add_edge(u, v, 1 + rng.below(1u << 12));
+        if (rng.coin()) f.mark_edge(added, epoch);
       }
     } else if (g.edge_count() > g.node_count()) {
       // Remove a marked edge half the time: the row reorder (swap with
@@ -206,24 +220,17 @@ TEST(TreeIndex, ClearAllInvalidatesEveryNode) {
 }
 
 // The per-node row version moves exactly for the endpoints of a topology
-// change, on every mutable backend; weight changes keep rows intact.
+// change; weight changes keep rows intact.
 TEST(TreeIndex, RowVersionBumpsOnlyEndpoints) {
   Graph adj = gnm(13);
-  Graph csr = Graph::freeze_csr(gnm(13));
-  ImplicitSpec spec;
-  spec.family = ImplicitFamily::kGridLong;
-  spec.n = 64;
-  Graph imp = make_implicit_graph(spec);
-  for (Graph* g : {&adj, &csr, &imp}) {
-    std::vector<std::uint32_t> before(g->node_count());
-    for (NodeId v = 0; v < g->node_count(); ++v) before[v] = g->row_version(v);
-    const EdgeIdx e = g->alive_edge_indices().front();
-    const Edge ed = g->edge(e);
-    g->remove_edge(e);
-    for (NodeId v = 0; v < g->node_count(); ++v) {
-      EXPECT_EQ(g->row_version(v) != before[v], v == ed.u || v == ed.v)
-          << "node " << v;
-    }
+  std::vector<std::uint32_t> before(adj.node_count());
+  for (NodeId v = 0; v < adj.node_count(); ++v) before[v] = adj.row_version(v);
+  const EdgeIdx e = adj.alive_edge_indices().front();
+  const Edge ed = adj.edge(e);
+  adj.remove_edge(e);
+  for (NodeId v = 0; v < adj.node_count(); ++v) {
+    EXPECT_EQ(adj.row_version(v) != before[v], v == ed.u || v == ed.v)
+        << "node " << v;
   }
   const EdgeIdx kept = adj.alive_edge_indices().front();
   const Edge ked = adj.edge(kept);

@@ -12,12 +12,13 @@
 //       report OK or the diagnostic. Exit 0 only for a valid store.
 //
 // Exit codes: 0 ok, 1 validation/pack failure, 2 usage error (including a
-// malformed number or a size the family cannot take).
+// malformed number, a size the family cannot take, or a --text file the
+// loader rejects).
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
+#include <utility>
 
 #include "graph/graph.h"
 #include "graph/io.h"
@@ -92,14 +93,17 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-// Generates the --family graph, or reads the --text one. A bad family or a
-// size the family cannot take is a usage error (exit 2).
-std::optional<kkt::graph::Graph> build_from_args(const kkt::util::CliArgs& a,
-                                                 std::string* error) {
+// Generates the --family graph, or reads the --text one. A bad family, a
+// size the family cannot take or a malformed text file is a usage error
+// (exit 2).
+kkt::graph::Graph build_from_args(const kkt::util::CliArgs& a) {
   const std::uint64_t seed = a.num("seed", 1);
   if (a.has("text")) {
     kkt::util::Rng rng(seed);
-    return kkt::graph::read_graph_file(a.get("text", ""), rng, error);
+    std::string error;
+    auto g = kkt::graph::read_graph_file(a.get("text", ""), rng, &error);
+    if (!g) kkt::util::usage_error(error);
+    return *std::move(g);
   }
   const std::string family = a.get("family", "");
   const auto fam = kkt::scenario::family_from_name(family);
@@ -131,17 +135,13 @@ int cmd_pack(const kkt::util::CliArgs& a) {
                      "seed", "maxw"})) {
     return usage();
   }
+  const kkt::graph::Graph g = build_from_args(a);
   std::string error;
-  std::optional<kkt::graph::Graph> g = build_from_args(a, &error);
-  if (!g) {
+  if (!kkt::graph::pack_store(out, g, &error)) {
     std::cerr << "kkt_graphstore: " << error << "\n";
     return 1;
   }
-  if (!kkt::graph::pack_store(out, *g, &error)) {
-    std::cerr << "kkt_graphstore: " << error << "\n";
-    return 1;
-  }
-  std::cout << "packed " << g->node_count() << " nodes, " << g->edge_count()
+  std::cout << "packed " << g.node_count() << " nodes, " << g.edge_count()
             << " edges -> " << out << "\n";
   return 0;
 }
