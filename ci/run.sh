@@ -139,8 +139,9 @@ run_faults() {
 # proves a packed .kkg round-trips through the mmap backend end to end;
 # and the build_mst_xl grid completes a BuildMST point at n = 1048576 on
 # the implicit backend. The RSS gate is hard: the documented budget
-# (2 GiB, docs/GRAPH_STORE.md) is ~4x the measured footprint, so tripping
-# it means the O(n) resident-state property regressed, not runner noise.
+# (2 GiB, docs/GRAPH_STORE.md) is ~4x the measured 510 MiB footprint, so
+# tripping it means the O(n + m) stored-row footprint regressed, not
+# runner noise.
 # Wall/RSS telemetry lands in BENCH_bigraph.json via --measure, which is
 # why this artifact is advisory-only and never drift-checked against docs.
 run_bigraph() {

@@ -36,10 +36,11 @@
 // `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): for
 // `build`, auto resolves to implicit for the icomplete/igridlong/igeo
 // families, so `build --family igridlong --n 1048576` runs at web scale
-// with O(n) resident state. The implicit backend is read-only, so `churn`
-// (with or without --faults) resolves auto to adjacency and rejects an
-// explicit `--backend implicit` as a usage error. `build --store FILE.kkg`
-// maps a packed store (kkt_graphstore pack) instead of generating;
+// in O(n + m) stored rows (K_n: O(n) state). The implicit backend is
+// read-only, so `churn` (with or without --faults) resolves auto to
+// adjacency and rejects an explicit `--backend implicit` as a usage error.
+// `build --store FILE.kkg` maps a packed store (kkt_graphstore pack)
+// instead of generating;
 // `--rss-budget-mb MB` prints the process peak RSS after the run and fails
 // the exit code when it exceeds the budget -- the CI bigraph stage's
 // memory gate.

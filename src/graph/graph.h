@@ -5,9 +5,10 @@
 //
 //  * kAdjacency -- per-node vectors + growable edge table. Used by the
 //    generators, the text loader and every workload that changes topology.
-//  * kImplicit  -- incidence computed on demand from (n, seed) by
-//    ImplicitCore (graph/implicit.h); O(n) resident state even for K_n at
-//    n = 10^6.
+//  * kImplicit  -- families generated from (n, seed) by ImplicitCore
+//    (graph/implicit.h): K_n computed on demand in O(n) resident state
+//    even at n = 10^6; igridlong / igeo rows written once into O(n + m)
+//    stored rows.
 //  * kMapped    -- CSR payload mmap'd from a .kkg file (graph/store.h).
 //
 // Mutation is adjacency-only: add_edge, remove_edge, set_weight and clone
@@ -102,9 +103,10 @@ class Graph {
   }
 
   // Alive incident edges of v. The node's entire "local knowledge".
-  // Implicit rows are served from a small reusable buffer ring: the span
-  // stays valid across a handful of interleaved queries but not
-  // indefinitely (see graph/implicit.h for the lifetime contract).
+  // Implicit K_n rows are served from a small reusable buffer ring: the
+  // span stays valid across a handful of interleaved queries but not
+  // indefinitely. Implicit sparse rows are stored and stay valid for the
+  // graph's lifetime (see graph/implicit.h for the lifetime contract).
   std::span<const Incidence> incident(NodeId v) const {
     assert(v < n_);
     switch (backend_) {
@@ -180,10 +182,11 @@ class Graph {
   }
 
   // Alive incident edges of v sorted by augmented weight, lazily rebuilt
-  // per node after a mutation touching v (implicit backend: computed, same
-  // buffer-ring lifetime as incident). The range-filtered walks of
-  // TestOut / HP-TestOut / FindAny and the GHS probe setup read this index
-  // instead of scanning (and re-deriving weights from) the adjacency list.
+  // per node after a mutation touching v (implicit backend: computed into
+  // a buffer ring, so a span lasts a handful of queries). The
+  // range-filtered walks of TestOut / HP-TestOut / FindAny and the GHS
+  // probe setup read this index instead of scanning (and re-deriving
+  // weights from) the adjacency list.
   std::span<const SortedIncidence> sorted_incident(NodeId v) const {
     assert(v < node_count());
     if (backend_ == Backend::kImplicit) return implicit_sorted(v);

@@ -61,12 +61,146 @@ constexpr EdgeIdx complete_base(std::uint64_t u, std::uint64_t n) noexcept {
   return u * (2 * n - u - 1) / 2;
 }
 
-void sort_unique(std::vector<NodeId>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
+constexpr double kPi = 3.14159265358979323846;
+
+// A sparse family's edges in rank order: append(u, peers) pushes u's
+// min-side peers (> u), unordered and possibly repeated; each node's list
+// is sorted and deduplicated in place. Returns the concatenated lists;
+// `off` gets their offsets, i.e. each node's rank base.
+template <class Append>
+std::vector<NodeId> lex_edges(std::size_t n, std::size_t reserve,
+                              std::vector<EdgeIdx>& off, Append&& append) {
+  std::vector<NodeId> peers;
+  peers.reserve(reserve);
+  off.assign(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    append(static_cast<NodeId>(u), peers);
+    const auto first = peers.begin() + static_cast<std::ptrdiff_t>(off[u]);
+    std::sort(first, peers.end());
+    peers.erase(std::unique(first, peers.end()), peers.end());
+    off[u + 1] = peers.size();
+  }
+  return peers;
 }
 
-constexpr double kPi = 3.14159265358979323846;
+// igridlong: a side x side grid plus `links` long-link draws per node, each
+// a uniform target that is not v, not a grid neighbour and not an earlier
+// draw of v (256 attempts, else the draw is skipped). Links are undirected,
+// so mutual draws v -> t, t -> v make one edge.
+std::vector<NodeId> grid_long_edges(std::size_t side, std::size_t links,
+                                    std::uint64_t lseed,
+                                    std::vector<EdgeIdx>& off) {
+  const std::size_t n = side * side;
+  // Vertical neighbours differ by side; horizontal ones by 1 within a row.
+  const auto grid_adjacent = [side](std::size_t u, std::size_t v) {
+    const std::size_t lo = std::min(u, v), hi = std::max(u, v);
+    return hi - lo == side || (hi - lo == 1 && hi % side != 0);
+  };
+  std::vector<NodeId> out(n * links, kNoNode);
+  std::vector<std::uint64_t> in_off(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t j = 0; j < links; ++j) {
+      const std::uint64_t key = (static_cast<std::uint64_t>(v) << 8) | j;
+      for (std::uint64_t attempt = 0; attempt < 256; ++attempt) {
+        const NodeId t = static_cast<NodeId>(
+            util::mix_seeds(lseed, util::mix_seeds(key, attempt)) % n);
+        if (t == v || grid_adjacent(v, t)) continue;
+        if (std::find(&out[v * links], &out[v * links + j], t) !=
+            &out[v * links + j]) {
+          continue;
+        }
+        out[v * links + j] = t;
+        ++in_off[t];
+        break;
+      }
+    }
+  }
+  // in_off[t] counts t's in-links; as a running sum it is the end of t's
+  // source list, and the descending fill walks it back to the start, so
+  // each list ascends.
+  std::partial_sum(in_off.begin(), in_off.end() - 1, in_off.begin());
+  in_off[n] = in_off[n - 1];
+  std::vector<NodeId> in_src(in_off[n]);
+  for (std::size_t v = n; v-- > 0;) {
+    for (std::size_t j = 0; j < links; ++j) {
+      const NodeId t = out[v * links + j];
+      if (t != kNoNode) in_src[--in_off[t]] = static_cast<NodeId>(v);
+    }
+  }
+  return lex_edges(n, n * (2 + links), off,
+                   [&](NodeId v, std::vector<NodeId>& peers) {
+    if ((v + 1) % side != 0) peers.push_back(v + 1);
+    if (v + side < n) peers.push_back(v + static_cast<NodeId>(side));
+    for (std::size_t j = 0; j < links; ++j) {
+      const NodeId t = out[std::size_t{v} * links + j];
+      if (t != kNoNode && t > v) peers.push_back(t);
+    }
+    const NodeId* first = in_src.data() + in_off[v];
+    const NodeId* last = in_src.data() + in_off[v + 1];
+    peers.insert(peers.end(), std::upper_bound(first, last, v), last);
+  });
+}
+
+// igeo: n random points with 20-bit fixed-point coordinates; two points are
+// adjacent when their squared distance is <= radius2. Points are bucketed
+// into cells at least a radius wide, so a node's peers lie in its 3x3 cell
+// window.
+std::vector<NodeId> geometric_edges(std::size_t n, double target_degree,
+                                    std::uint64_t lseed,
+                                    std::vector<EdgeIdx>& off) {
+  constexpr std::uint32_t kSide = 1u << 20;
+  std::vector<std::uint32_t> xs(n), ys(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    xs[v] = static_cast<std::uint32_t>(util::mix_seeds(lseed, 2 * v)) &
+            (kSide - 1);
+    ys[v] = static_cast<std::uint32_t>(util::mix_seeds(lseed, 2 * v + 1)) &
+            (kSide - 1);
+  }
+  const double side = static_cast<double>(kSide);
+  const double r2_unit =
+      std::max(0.0, target_degree) / (kPi * static_cast<double>(n));
+  const std::uint64_t radius2 = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::llround(std::min(2.0, r2_unit) * side * side)));
+  const std::uint64_t r = isqrt64(radius2) + 1;  // cell width >= radius
+  const auto cap = static_cast<std::uint32_t>(
+      isqrt64(4 * static_cast<std::uint64_t>(n)) + 1);
+  const std::uint32_t cells = std::max<std::uint32_t>(
+      1, std::min(static_cast<std::uint32_t>((kSide + r - 1) / r), cap));
+  const std::uint32_t cell_w = (kSide + cells - 1) / cells;
+  const auto cell_of = [&](std::size_t v) {
+    return std::size_t{ys[v] / cell_w} * cells + xs[v] / cell_w;
+  };
+  // Cell lists, filled like grid_long_edges' in-link lists.
+  const std::size_t ncells = std::size_t{cells} * cells;
+  std::vector<std::uint32_t> cell_off(ncells + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) ++cell_off[cell_of(v)];
+  std::partial_sum(cell_off.begin(), cell_off.end() - 1, cell_off.begin());
+  cell_off[ncells] = cell_off[ncells - 1];
+  std::vector<NodeId> cell_nodes(n);
+  for (std::size_t v = n; v-- > 0;) {
+    cell_nodes[--cell_off[cell_of(v)]] = static_cast<NodeId>(v);
+  }
+  return lex_edges(n, 0, off, [&](NodeId v, std::vector<NodeId>& peers) {
+    const std::uint32_t cx = xs[v] / cell_w, cy = ys[v] / cell_w;
+    for (std::uint32_t gy = cy > 0 ? cy - 1 : 0;
+         gy <= std::min(cy + 1, cells - 1); ++gy) {
+      for (std::uint32_t gx = cx > 0 ? cx - 1 : 0;
+           gx <= std::min(cx + 1, cells - 1); ++gx) {
+        const std::size_t c = std::size_t{gy} * cells + gx;
+        for (std::uint32_t i = cell_off[c]; i < cell_off[c + 1]; ++i) {
+          const NodeId u = cell_nodes[i];
+          const std::int64_t dx = std::int64_t{xs[u]} - xs[v];
+          const std::int64_t dy = std::int64_t{ys[u]} - ys[v];
+          if (u > v && static_cast<std::uint64_t>(dx * dx + dy * dy) <=
+                           radius2) {
+            peers.push_back(u);
+          }
+        }
+      }
+    }
+  });
+}
 
 }  // namespace
 
@@ -87,7 +221,7 @@ ImplicitCore::ImplicitCore(const ImplicitSpec& spec) : spec_(spec) {
   assert(maxw_ <= (Weight{1} << 31));
   maxw_ = std::min<Weight>(maxw_, Weight{1} << 31);
   wseed_ = util::mix_seeds(spec_.seed, 0x77eb5a11u);
-  lseed_ = util::mix_seeds(spec_.seed, 0x10b07091u);
+  const std::uint64_t lseed = util::mix_seeds(spec_.seed, 0x10b07091u);
 
   switch (spec_.family) {
     case ImplicitFamily::kComplete: {
@@ -106,134 +240,50 @@ ImplicitCore::ImplicitCore(const ImplicitSpec& spec) : spec_(spec) {
       break;
     }
     case ImplicitFamily::kGridLong: {
-      side_ = isqrt64(n_);
-      assert(side_ >= 2 && "kGridLong needs n >= 4");
-      n_ = side_ * side_;  // clamp to the largest square
+      const std::size_t side = isqrt64(n_);
+      assert(side >= 2 && "kGridLong needs n >= 4");
+      assert(spec_.long_links <= 64 && "graph_spec_error rejects aux > 64");
+      n_ = side * side;  // clamp to the largest square
       spec_.n = n_;
       ext_ids_ = implicit_ext_ids(n_, spec_.seed);
-      links_ = std::min<std::size_t>(spec_.long_links, 64);
-      out_.assign(n_ * links_, kNoNode);
-      std::vector<std::uint64_t> indeg(n_ + 1, 0);
-      for (std::size_t v = 0; v < n_; ++v) {
-        for (std::size_t j = 0; j < links_; ++j) {
-          const std::uint64_t key = (static_cast<std::uint64_t>(v) << 8) | j;
-          for (std::uint64_t attempt = 0; attempt < 256; ++attempt) {
-            const NodeId t = static_cast<NodeId>(
-                util::mix_seeds(lseed_, util::mix_seeds(key, attempt)) % n_);
-            if (t == static_cast<NodeId>(v)) continue;
-            if (grid_adjacent(static_cast<NodeId>(v), t)) continue;
-            bool dup = false;
-            for (std::size_t k = 0; k < j; ++k) {
-              if (out_[v * links_ + k] == t) dup = true;
-            }
-            if (dup) continue;
-            out_[v * links_ + j] = t;
-            ++indeg[t];
-            break;
-          }
-        }
-      }
-      in_off_.assign(n_ + 1, 0);
-      for (std::size_t v = 0; v < n_; ++v) in_off_[v + 1] = in_off_[v] + indeg[v];
-      in_src_.resize(in_off_[n_]);
-      std::vector<std::uint64_t> fill(in_off_.begin(), in_off_.end() - 1);
-      for (std::size_t v = 0; v < n_; ++v) {
-        for (std::size_t j = 0; j < links_; ++j) {
-          const NodeId t = out_[v * links_ + j];
-          if (t != kNoNode) in_src_[fill[t]++] = static_cast<NodeId>(v);
-        }
-      }
+      store_rows(grid_long_edges(side, spec_.long_links, lseed, prefix_));
       break;
     }
-    case ImplicitFamily::kGeometric: {
+    case ImplicitFamily::kGeometric:
       ext_ids_ = implicit_ext_ids(n_, spec_.seed);
-      coord_side_ = 1u << 20;
-      xs_.resize(n_);
-      ys_.resize(n_);
-      for (std::size_t v = 0; v < n_; ++v) {
-        xs_[v] = static_cast<std::uint32_t>(util::mix_seeds(lseed_, 2 * v)) &
-                 (coord_side_ - 1);
-        ys_[v] =
-            static_cast<std::uint32_t>(util::mix_seeds(lseed_, 2 * v + 1)) &
-            (coord_side_ - 1);
-      }
-      const double side = static_cast<double>(coord_side_);
-      const double r2_unit =
-          std::max(0.0, spec_.target_degree) / (kPi * static_cast<double>(n_));
-      radius2_ = static_cast<std::uint64_t>(
-          std::llround(std::min(2.0, r2_unit) * side * side));
-      radius2_ = std::max<std::uint64_t>(1, radius2_);
-      const std::uint64_t r = isqrt64(radius2_) + 1;  // cell width >= radius
-      std::uint32_t cells = static_cast<std::uint32_t>(
-          (coord_side_ + r - 1) / r);
-      const auto cap =
-          static_cast<std::uint32_t>(isqrt64(4 * static_cast<std::uint64_t>(n_)) + 1);
-      cells_ = std::max<std::uint32_t>(1, std::min(cells, cap));
-      cell_w_ = (coord_side_ + cells_ - 1) / cells_;
-      const std::size_t ncells = std::size_t{cells_} * cells_;
-      cell_off_.assign(ncells + 1, 0);
-      for (std::size_t v = 0; v < n_; ++v) {
-        const std::size_t c =
-            std::size_t{geo_cell_y(static_cast<NodeId>(v))} * cells_ +
-            geo_cell_x(static_cast<NodeId>(v));
-        ++cell_off_[c + 1];
-      }
-      for (std::size_t c = 0; c < ncells; ++c) cell_off_[c + 1] += cell_off_[c];
-      cell_nodes_.resize(n_);
-      std::vector<std::uint32_t> fill(cell_off_.begin(), cell_off_.end() - 1);
-      for (std::size_t v = 0; v < n_; ++v) {  // ascending v => sorted in-cell
-        const std::size_t c =
-            std::size_t{geo_cell_y(static_cast<NodeId>(v))} * cells_ +
-            geo_cell_x(static_cast<NodeId>(v));
-        cell_nodes_[fill[c]++] = static_cast<NodeId>(v);
-      }
+      store_rows(geometric_edges(n_, spec_.target_degree, lseed, prefix_));
       break;
-    }
   }
   id_bits_ = infer_bits(ext_ids_);
+}
 
-  if (spec_.family != ImplicitFamily::kComplete) {
-    // Min-side rank prefix and full degrees; this loop also grows the
-    // scratch buffers to their high-water sizes so queries never allocate.
-    prefix_.assign(n_ + 1, 0);
-    deg_.assign(n_, 0);
-    for (std::size_t u = 0; u < n_; ++u) {
-      family_neighbors(static_cast<NodeId>(u), scratch_);
-      deg_[u] = static_cast<std::uint32_t>(scratch_.size());
-      const auto over = std::upper_bound(scratch_.begin(), scratch_.end(),
-                                         static_cast<NodeId>(u));
-      prefix_[u + 1] =
-          prefix_[u] + static_cast<EdgeIdx>(scratch_.end() - over);
+// Row v is v's peers below v, then its min-side peers, each ascending --
+// exactly the order materialize_implicit inserts edges. row_off_[v] serves
+// as the fill cursor of v's below-v part: it starts at the part's end and
+// the descending-rank scatter walks it back to the row start.
+void ImplicitCore::store_rows(const std::vector<NodeId>& lex) {
+  m_ = prefix_[n_];
+  row_off_.assign(n_ + 1, 0);
+  for (std::size_t u = 0; u < n_; ++u) {
+    row_off_[u + 1] += prefix_[u + 1] - prefix_[u];
+    for (EdgeIdx e = prefix_[u]; e < prefix_[u + 1]; ++e) {
+      ++row_off_[lex[e] + 1];
     }
-    m_ = prefix_[n_];
-    scratch2_.reserve(scratch_.capacity());
+  }
+  std::partial_sum(row_off_.begin(), row_off_.end(), row_off_.begin());
+  for (std::size_t v = 0; v < n_; ++v) {
+    row_off_[v] = row_off_[v + 1] - (prefix_[v + 1] - prefix_[v]);
+  }
+  rows_ = std::make_unique_for_overwrite<Incidence[]>(2 * m_);
+  for (std::size_t u = n_; u-- > 0;) {
+    for (EdgeIdx e = prefix_[u]; e < prefix_[u + 1]; ++e) {
+      rows_[row_off_[u] + (e - prefix_[u])] = Incidence{lex[e], e};
+      rows_[--row_off_[lex[e]]] = Incidence{static_cast<NodeId>(u), e};
+    }
   }
 }
 
 // --- family math -----------------------------------------------------------
-
-bool ImplicitCore::grid_adjacent(NodeId u, NodeId v) const {
-  const std::size_t ru = u / side_, cu = u % side_;
-  const std::size_t rv = v / side_, cv = v % side_;
-  if (ru == rv) return cu + 1 == cv || cv + 1 == cu;
-  if (cu == cv) return ru + 1 == rv || rv + 1 == ru;
-  return false;
-}
-
-std::span<const NodeId> ImplicitCore::out_links(NodeId v) const {
-  return {out_.data() + std::size_t{v} * links_, links_};
-}
-
-std::span<const NodeId> ImplicitCore::in_links(NodeId v) const {
-  return {in_src_.data() + in_off_[v], in_off_[v + 1] - in_off_[v]};
-}
-
-std::uint32_t ImplicitCore::geo_cell_x(NodeId v) const {
-  return xs_[v] / cell_w_;
-}
-std::uint32_t ImplicitCore::geo_cell_y(NodeId v) const {
-  return ys_[v] / cell_w_;
-}
 
 Weight ImplicitCore::pair_weight(NodeId mn, NodeId mx) const {
   assert(mn < mx);
@@ -253,81 +303,16 @@ AugWeight ImplicitCore::aug_of(NodeId u, NodeId v, Weight w) const {
                          2 * id_bits_);
 }
 
-bool ImplicitCore::is_family_edge(NodeId u, NodeId v) const {
-  if (u == v) return false;
-  switch (spec_.family) {
-    case ImplicitFamily::kComplete:
-      return true;
-    case ImplicitFamily::kGridLong: {
-      if (grid_adjacent(u, v)) return true;
-      for (const NodeId t : out_links(u)) {
-        if (t == v) return true;
-      }
-      for (const NodeId t : out_links(v)) {
-        if (t == u) return true;
-      }
-      return false;
-    }
-    case ImplicitFamily::kGeometric: {
-      const std::int64_t dx =
-          static_cast<std::int64_t>(xs_[u]) - static_cast<std::int64_t>(xs_[v]);
-      const std::int64_t dy =
-          static_cast<std::int64_t>(ys_[u]) - static_cast<std::int64_t>(ys_[v]);
-      return static_cast<std::uint64_t>(dx * dx) +
-                 static_cast<std::uint64_t>(dy * dy) <=
-             radius2_;
-    }
-  }
-  return false;
+std::span<const Incidence> ImplicitCore::stored_row(NodeId v) const {
+  return {rows_.get() + row_off_[v], row_off_[v + 1] - row_off_[v]};
 }
 
-void ImplicitCore::family_neighbors(NodeId v, std::vector<NodeId>& out) const {
-  out.clear();
-  switch (spec_.family) {
-    case ImplicitFamily::kComplete: {
-      out.reserve(n_ - 1);
-      for (std::size_t u = 0; u < n_; ++u) {
-        if (u != v) out.push_back(static_cast<NodeId>(u));
-      }
-      return;
-    }
-    case ImplicitFamily::kGridLong: {
-      const std::size_t r = v / side_, c = v % side_;
-      if (r > 0) out.push_back(v - static_cast<NodeId>(side_));
-      if (c > 0) out.push_back(v - 1);
-      if (c + 1 < side_) out.push_back(v + 1);
-      if (r + 1 < side_) out.push_back(v + static_cast<NodeId>(side_));
-      for (const NodeId t : out_links(v)) {
-        if (t != kNoNode) out.push_back(t);
-      }
-      for (const NodeId s : in_links(v)) out.push_back(s);
-      sort_unique(out);
-      return;
-    }
-    case ImplicitFamily::kGeometric: {
-      const std::uint32_t cx = geo_cell_x(v), cy = geo_cell_y(v);
-      const std::uint32_t x0 = cx > 0 ? cx - 1 : 0;
-      const std::uint32_t x1 = std::min(cx + 1, cells_ - 1);
-      const std::uint32_t y0 = cy > 0 ? cy - 1 : 0;
-      const std::uint32_t y1 = std::min(cy + 1, cells_ - 1);
-      for (std::uint32_t gy = y0; gy <= y1; ++gy) {
-        for (std::uint32_t gx = x0; gx <= x1; ++gx) {
-          const std::size_t c = std::size_t{gy} * cells_ + gx;
-          for (std::uint32_t i = cell_off_[c]; i < cell_off_[c + 1]; ++i) {
-            const NodeId u = cell_nodes_[i];
-            if (u != v && is_family_edge(u, v)) out.push_back(u);
-          }
-        }
-      }
-      std::sort(out.begin(), out.end());
-      return;
-    }
-  }
-}
-
-void ImplicitCore::min_side(NodeId u, std::vector<NodeId>& out) const {
-  family_neighbors(u, out);
-  out.erase(out.begin(), std::upper_bound(out.begin(), out.end(), u));
+const Incidence* ImplicitCore::row_entry(NodeId u, NodeId v) const {
+  const std::span<const Incidence> row = stored_row(u);
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), v,
+      [](const Incidence& inc, NodeId x) { return inc.peer < x; });
+  return it != row.end() && it->peer == v ? &*it : nullptr;
 }
 
 EdgeIdx ImplicitCore::rank_of(NodeId u, NodeId v) const {
@@ -336,10 +321,9 @@ EdgeIdx ImplicitCore::rank_of(NodeId u, NodeId v) const {
   if (spec_.family == ImplicitFamily::kComplete) {
     return complete_base(mn, n_) + (mx - mn - 1);
   }
-  min_side(mn, scratch2_);
-  const auto it = std::lower_bound(scratch2_.begin(), scratch2_.end(), mx);
-  assert(it != scratch2_.end() && *it == mx && "not a family edge");
-  return prefix_[mn] + static_cast<EdgeIdx>(it - scratch2_.begin());
+  const Incidence* inc = row_entry(mn, mx);
+  assert(inc != nullptr && "not a family edge");
+  return inc->edge;
 }
 
 Edge ImplicitCore::edge(EdgeIdx e) const {
@@ -359,37 +343,32 @@ Edge ImplicitCore::edge(EdgeIdx e) const {
     u = static_cast<NodeId>(lo);
     v = static_cast<NodeId>(lo + 1 + (e - complete_base(lo, n_)));
   } else {
+    // u's min-side peers end its row, in rank order.
     const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), e);
     u = static_cast<NodeId>(it - prefix_.begin() - 1);
-    min_side(u, scratch2_);
-    v = scratch2_[e - prefix_[u]];
+    v = rows_[row_off_[u + 1] - (prefix_[u + 1] - e)].peer;
   }
   return Edge{u, v, pair_weight(u, v), /*alive=*/true};
 }
 
 std::optional<EdgeIdx> ImplicitCore::find_edge(NodeId u, NodeId v) const {
   assert(u < n_ && v < n_);
-  if (!is_family_edge(u, v)) return std::nullopt;
-  return rank_of(u, v);
+  if (u == v) return std::nullopt;
+  if (spec_.family == ImplicitFamily::kComplete) return rank_of(u, v);
+  const Incidence* inc = row_entry(std::min(u, v), std::max(u, v));
+  if (inc == nullptr) return std::nullopt;
+  return inc->edge;
 }
 
 // --- row generation ----------------------------------------------------------
 
 void ImplicitCore::gen_row(NodeId v, std::vector<Incidence>& out) const {
   out.clear();
-  if (spec_.family == ImplicitFamily::kComplete) {
-    out.reserve(n_ - 1);
-    for (std::size_t u = 0; u < n_; ++u) {
-      if (u == v) continue;
-      const auto peer = static_cast<NodeId>(u);
-      out.push_back(Incidence{peer, rank_of(v, peer)});
-    }
-    return;
-  }
-  family_neighbors(v, scratch_);
-  out.reserve(scratch_.size());
-  for (const NodeId u : scratch_) {
-    out.push_back(Incidence{u, rank_of(v, u)});
+  out.reserve(n_ - 1);
+  for (std::size_t u = 0; u < n_; ++u) {
+    if (u == v) continue;
+    const auto peer = static_cast<NodeId>(u);
+    out.push_back(Incidence{peer, rank_of(v, peer)});
   }
 }
 
@@ -399,7 +378,7 @@ void ImplicitCore::gen_sorted(NodeId v,
     complete_window(v, 0, ~AugWeight{0}, out);
     return;
   }
-  const std::span<const Incidence> row = cached_row(v);
+  const std::span<const Incidence> row = stored_row(v);
   out.clear();
   out.reserve(row.size());
   for (const Incidence& inc : row) {
@@ -487,12 +466,13 @@ std::span<const SortedIncidence> ImplicitCore::cached_sorted(NodeId v) const {
 
 std::size_t ImplicitCore::degree(NodeId v) const {
   if (spec_.family == ImplicitFamily::kComplete) return n_ - 1;
-  return deg_[v];
+  return row_off_[v + 1] - row_off_[v];
 }
 
 std::span<const Incidence> ImplicitCore::incident(NodeId v) const {
   assert(v < n_);
-  return cached_row(v);
+  if (spec_.family == ImplicitFamily::kComplete) return cached_row(v);
+  return stored_row(v);
 }
 
 std::span<const SortedIncidence> ImplicitCore::sorted_incident(
@@ -540,10 +520,9 @@ Weight ImplicitCore::max_weight() const {
     return 1 + best;
   }
   Weight best = 0;
-  for (std::size_t u = 0; u < n_; ++u) {
-    min_side(static_cast<NodeId>(u), scratch2_);
-    for (const NodeId x : scratch2_) {
-      best = std::max(best, pair_weight(static_cast<NodeId>(u), x));
+  for (NodeId u = 0; u < n_; ++u) {
+    for (const Incidence& inc : stored_row(u)) {
+      if (inc.peer > u) best = std::max(best, pair_weight(u, inc.peer));
     }
   }
   return best;
@@ -564,10 +543,10 @@ EdgeNum ImplicitCore::max_edge_num() const {
     return make_edge_num(a, b, id_bits_);
   }
   EdgeNum best = 0;
-  for (std::size_t u = 0; u < n_; ++u) {
-    min_side(static_cast<NodeId>(u), scratch2_);
-    for (const NodeId x : scratch2_) {
-      best = std::max(best, make_edge_num(ext_ids_[u], ext_ids_[x], id_bits_));
+  for (NodeId u = 0; u < n_; ++u) {
+    for (const Incidence& inc : stored_row(u)) {
+      best = std::max(best,
+                      make_edge_num(ext_ids_[u], ext_ids_[inc.peer], id_bits_));
     }
   }
   return best;

@@ -1,10 +1,5 @@
-// Implicit edge families: graphs whose incidence lists are *computed* from
-// (n, seed) instead of stored. The point is scale -- K_n at n = 10^6 has
-// ~5*10^11 edges (8 TB materialised), but every query a protocol makes
-// (incident row, aug-sorted window, find_edge, edge decode) is answerable
-// from O(n) precomputed arrays plus O(1) work per emitted entry.
-//
-// Three families:
+// Implicit edge families: graphs generated from (n, seed) by one
+// constructor instead of being inserted edge by edge. Three families:
 //  * kComplete    -- K_n. Weights follow a "latin square" rule
 //                    w(u, v) = 1 + (key(u) + key(v)) mod maxw with
 //                    key(v) = hash(seed, v) mod maxw, so a node's
@@ -12,34 +7,44 @@
 //                    global node order (sorted by (key, ext)); any
 //                    sorted_incident_range window is emitted from <= 2
 //                    contiguous segments of that order in O(log n + |out|).
-//  * kGridLong    -- sqrt(n) x sqrt(n) grid plus `long_links` random long
-//                    links per node (small-world); sparse, m = Theta(n).
+//  * kGridLong    -- sqrt(n) x sqrt(n) grid plus `long_links` (<= 64)
+//                    random long links per node (small-world); m = Theta(n).
 //  * kGeometric   -- random points on the unit square (integer fixed-point
 //                    coordinates), edges below a radius derived from
-//                    `target_degree`; bucketed into cells so a neighbor
-//                    enumeration scans a 3x3 cell window.
+//                    `target_degree`; bucketed into cells so a node's peers
+//                    are found in a 3x3 cell window.
 //
-// Edge indices are the lexicographic rank of the endpoint pair (min, max):
-// rank(u, v) for K_n is closed-form; the sparse families keep a per-node
-// prefix array P[u] of min-side counts, so rank and decode are
-// O(log n + deg). Indices are dense in [0, m) and identical to the order
-// `materialize_implicit` inserts edges, which is what makes the adjacency /
-// implicit / mapped backends bit-equivalent (tests/backend_test.cc).
+// Edge indices are the lexicographic rank of the endpoint pair (min, max),
+// dense in [0, m) and identical to the order `materialize_implicit` inserts
+// edges, which is what makes the adjacency / implicit / mapped backends
+// bit-equivalent (tests/backend_test.cc). Ranks are closed-form for K_n.
+// The sparse families emit each node's min-side peers in rank order once,
+// at construction, and store every row ascending by peer in one arena
+// (16 B per incidence) beside a per-node rank prefix P[u]: rank_of and
+// find_edge binary-search the lower endpoint's row, edge(e) decodes through
+// P and that row.
 //
 // Read-only: every family edge is alive. Workloads that mutate topology run
 // on the materialised twin instead.
 //
-// Query state: a small ring of reusable row buffers (incidence slots,
-// sorted-row slots, window buffers). Buffers are recycled, so steady-state
-// queries allocate nothing once each buffer has grown to its high-water
-// size; spans returned by one query stay valid for the next few queries
-// (>= 4 interleaved rows) but are invalidated by eviction -- protocols hold
-// at most one row span at a time plus nested oracle walks, which the slot
-// counts cover.
+// Resident state and span lifetime:
+//  * kComplete keeps O(n) state -- K_n at n = 10^6 has ~5*10^11 edges (8 TB
+//    materialised) -- and computes every row into a small ring of reusable
+//    buffers (incidence slots, sorted-row slots, window buffers). Steady-
+//    state queries allocate nothing once each buffer has grown to its
+//    high-water size; a span stays valid for the next few queries (>= 4
+//    interleaved rows) but is invalidated by eviction -- protocols hold at
+//    most one row span at a time plus nested oracle walks, which the slot
+//    counts cover.
+//  * kGridLong / kGeometric keep O(n + m) stored rows: an incident(v) span
+//    points into the arena and stays valid for the core's lifetime. Sorted
+//    rows (and their windows) are computed from it per query into the same
+//    sorted-row ring as K_n.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -59,7 +64,7 @@ struct ImplicitSpec {
   std::size_t n = 2;              // kGridLong clamps to the largest square
   std::uint64_t seed = 1;
   Weight max_weight = 1u << 20;
-  std::size_t long_links = 2;     // kGridLong: random out-links per node
+  std::size_t long_links = 2;     // kGridLong: random out-links, <= 64
   double target_degree = 8.0;     // kGeometric: expected mean degree
 };
 
@@ -93,6 +98,10 @@ class ImplicitCore {
   // Lexicographic rank of the family edge {u, v} (must exist).
   EdgeIdx rank_of(NodeId u, NodeId v) const;
 
+  // K_n incidence-row ring size: a K_n incident(v) span survives
+  // kIncSlots - 1 queries of other rows.
+  static constexpr std::size_t kIncSlots = 8;
+
  private:
   struct IncSlot {
     NodeId node = kNoNode;
@@ -105,12 +114,16 @@ class ImplicitCore {
 
   // --- family math ---------------------------------------------------------
   Weight pair_weight(NodeId mn, NodeId mx) const;      // any family
-  bool is_family_edge(NodeId u, NodeId v) const;
-  // Sorted (ascending) peers of v; writes into `out`.
-  void family_neighbors(NodeId v, std::vector<NodeId>& out) const;
-  // Sorted (ascending) min-side peers x > u; sparse families only.
-  void min_side(NodeId u, std::vector<NodeId>& out) const;
-  void gen_row(NodeId v, std::vector<Incidence>& out) const;
+  AugWeight aug_of(NodeId u, NodeId v, Weight w) const;
+
+  // Sparse families: fills row_off_ / rows_ from the min-side peers of
+  // every node in rank order (`lex`, delimited by prefix_).
+  void store_rows(const std::vector<NodeId>& lex);
+  std::span<const Incidence> stored_row(NodeId v) const;
+  // The entry of u's stored row with peer v, or null.
+  const Incidence* row_entry(NodeId u, NodeId v) const;
+
+  void gen_row(NodeId v, std::vector<Incidence>& out) const;  // kComplete
   void gen_sorted(NodeId v, std::vector<SortedIncidence>& out) const;
   // kComplete: emit the aug window [lo, hi] of v's row from the global
   // (key, ext) order in O(log n + |out|).
@@ -120,16 +133,8 @@ class ImplicitCore {
                           AugWeight lo, AugWeight hi,
                           std::vector<SortedIncidence>& out) const;
 
-  bool grid_adjacent(NodeId u, NodeId v) const;
-  std::span<const NodeId> out_links(NodeId v) const;
-  std::span<const NodeId> in_links(NodeId v) const;
-  std::uint32_t geo_cell_x(NodeId v) const;
-  std::uint32_t geo_cell_y(NodeId v) const;
-
-  AugWeight aug_of(NodeId u, NodeId v, Weight w) const;
-
   // --- row cache ---------------------------------------------------------
-  std::span<const Incidence> cached_row(NodeId v) const;
+  std::span<const Incidence> cached_row(NodeId v) const;  // kComplete
   std::span<const SortedIncidence> cached_sorted(NodeId v) const;
 
   ImplicitSpec spec_;
@@ -137,7 +142,6 @@ class ImplicitCore {
   EdgeIdx m_ = 0;
   Weight maxw_ = 1;
   std::uint64_t wseed_ = 0;  // weight stream
-  std::uint64_t lseed_ = 0;  // topology stream (long links / coordinates)
   std::vector<ExtId> ext_ids_;
   int id_bits_ = kMaxIdBits;
 
@@ -145,29 +149,13 @@ class ImplicitCore {
   std::vector<std::uint64_t> keys_;
   std::vector<NodeId> order_;
 
-  // kGridLong
-  std::size_t side_ = 0;
-  std::size_t links_ = 0;
-  std::vector<NodeId> out_;       // n * links_, kNoNode = skipped draw
-  std::vector<std::uint64_t> in_off_;
-  std::vector<NodeId> in_src_;    // ascending within each row
-
-  // kGeometric
-  std::uint32_t coord_side_ = 0;  // fixed-point unit square side
-  std::uint64_t radius2_ = 0;
-  std::uint32_t cells_ = 0;       // cell grid is cells_ x cells_
-  std::uint32_t cell_w_ = 0;
-  std::vector<std::uint32_t> xs_, ys_;
-  std::vector<std::uint32_t> cell_off_;
-  std::vector<NodeId> cell_nodes_;
-
-  // Sparse families: min-side rank prefix (P_[u] = rank base of node u)
-  // and full degrees.
+  // Sparse families: min-side rank prefix (prefix_[u] = rank base of node
+  // u) and the row arena (row v = rows_[row_off_[v], row_off_[v + 1])).
   std::vector<EdgeIdx> prefix_;
-  std::vector<std::uint32_t> deg_;
+  std::vector<EdgeIdx> row_off_;
+  std::unique_ptr<Incidence[]> rows_;
 
   // Reusable query buffers (see header comment for the lifetime contract).
-  static constexpr std::size_t kIncSlots = 8;
   static constexpr std::size_t kSortSlots = 6;
   static constexpr std::size_t kWinBufs = 4;
   mutable std::array<IncSlot, kIncSlots> inc_slots_;
@@ -176,11 +164,10 @@ class ImplicitCore {
   mutable std::size_t inc_rr_ = 0;
   mutable std::size_t sort_rr_ = 0;
   mutable std::size_t win_rr_ = 0;
-  mutable std::vector<NodeId> scratch_;
-  mutable std::vector<NodeId> scratch2_;
 };
 
-// Implicit-backend graph over the family (O(n) state, computed incidence).
+// Implicit-backend graph over the family (see the header comment for its
+// resident state).
 Graph make_implicit_graph(const ImplicitSpec& spec);
 
 // The same family, materialised into the adjacency backend: edges inserted

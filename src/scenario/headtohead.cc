@@ -375,8 +375,8 @@ HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg) {
     std::vector<std::size_t> xl_m;
     xl_m.reserve(xl_sizes.size());
     for (const std::size_t n : xl_sizes) {
-      // edge_count on the implicit backend is O(1) resident arithmetic; no
-      // incidence is materialised here.
+      // Each temporary graph writes its stored rows (O(n + m), ~128 MiB at
+      // n = 1048576) and frees them before the next size is built.
       xl_m.push_back(build_graph(xl_spec(n), cfg.first_seed).edge_count());
     }
     const std::pair<const char*, ScenarioBody> xl_algos[] = {

@@ -212,6 +212,10 @@ std::optional<std::string> graph_spec_error(const GraphSpec& spec) {
       if (spec.weights.max_weight > (graph::Weight{1} << 31)) {
         return family + " needs max weight <= 2^31";
       }
+      if (spec.family == GraphFamily::kIGridLong && spec.aux > 64) {
+        return family + " needs long links <= 64 (got " +
+               std::to_string(spec.aux) + ")";
+      }
       return below("n", spec.n,
                    spec.family == GraphFamily::kIGridLong ? 4 : 2);
   }

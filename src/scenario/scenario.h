@@ -71,9 +71,10 @@ enum class GraphFamily {
   kHierarchical,  // GHS worst case, n = 2^aux         (aux = levels)
   // Implicit families (graph/implicit.h): hash-defined topologies whose
   // incidence is computable from (n, seed), so the implicit backend runs
-  // them at web scale with O(n) resident state. The same spec materialises
-  // exactly (backend adjacency) for equivalence testing and for workloads
-  // that mutate the graph.
+  // them at web scale (K_n in O(n) resident state, the sparse families in
+  // O(n + m) stored rows). The same spec materialises exactly (backend
+  // adjacency) for equivalence testing and for workloads that mutate the
+  // graph. igridlong takes at most 64 long links per node.
   kIComplete,     // implicit K_n, latin-square weights (n)
   kIGridLong,     // implicit grid + long links         (n ~ side^2, aux = links)
   kIGeometric,    // implicit random geometric          (n, param = mean degree)

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/forest.h"
@@ -183,7 +185,72 @@ TEST(Implicit, GridClampsToSquare) {
   EXPECT_EQ(core.spec().n, 36u);
 }
 
-// --- XL smokes: O(n) state, never materialise -------------------------------
+// --- Stored sparse rows ------------------------------------------------------
+
+// Every pair's find_edge / rank_of / edge round-trip, against the
+// materialised twin. igridlong n=64 with 64 long links saturates: each node
+// draws every peer that is not a grid neighbour, so every long link is
+// drawn from both ends (u -> t and t -> u) and must appear once in both
+// rows -- the family is exactly K_64.
+TEST(ImplicitRows, AllPairsRoundTripMatchesMaterialized) {
+  ImplicitSpec grid;
+  grid.family = ImplicitFamily::kGridLong;
+  grid.n = 64;
+  grid.long_links = 64;
+  grid.seed = 5;
+  ImplicitSpec geo;
+  geo.family = ImplicitFamily::kGeometric;
+  geo.n = 96;
+  geo.target_degree = 10.0;
+  geo.seed = 5;
+  EXPECT_EQ(ImplicitCore(grid).edge_slots(), 64u * 63u / 2u);
+  for (const ImplicitSpec& spec : {grid, geo}) {
+    const char* what = implicit_family_name(spec.family);
+    const ImplicitCore core(spec);
+    const Graph mat = materialize_implicit(spec);
+    expect_rows_match(core, mat, what);
+    const auto n = static_cast<NodeId>(core.node_count());
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = 0; v < n; ++v) {
+        const std::optional<EdgeIdx> e = core.find_edge(u, v);
+        ASSERT_EQ(e, mat.find_edge(u, v)) << what << " u=" << u << " v=" << v;
+        if (!e) continue;
+        EXPECT_EQ(core.rank_of(u, v), *e) << what;
+        const Edge ce = core.edge(*e);
+        EXPECT_EQ(std::min(ce.u, ce.v), std::min(u, v)) << what << " e=" << *e;
+        EXPECT_EQ(std::max(ce.u, ce.v), std::max(u, v)) << what << " e=" << *e;
+        EXPECT_EQ(ce.weight, mat.edge(*e).weight) << what << " e=" << *e;
+      }
+    }
+  }
+}
+
+// Sparse rows are stored, not recycled: an incident(v) span stays
+// byte-identical while more other rows are queried than the K_n ring
+// (kIncSlots) holds.
+TEST(ImplicitRows, SparseIncidentSpansOutliveTheRing) {
+  for (const ImplicitFamily fam :
+       {ImplicitFamily::kGridLong, ImplicitFamily::kGeometric}) {
+    const ImplicitCore core(small_spec(fam, 3));
+    const auto n = static_cast<NodeId>(core.node_count());
+    const std::span<const Incidence> row = core.incident(0);
+    const std::vector<Incidence> copy(row.begin(), row.end());
+    ASSERT_GT(n, 3 * ImplicitCore::kIncSlots);
+    std::size_t queried = 0;
+    for (NodeId v = 1; v <= 3 * ImplicitCore::kIncSlots; ++v) {
+      queried += core.incident(v).size() + core.sorted_incident(v).size();
+    }
+    EXPECT_GT(queried, 0u);
+    EXPECT_EQ(core.incident(0).data(), row.data());
+    ASSERT_EQ(row.size(), copy.size());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row[i].peer, copy[i].peer) << implicit_family_name(fam);
+      EXPECT_EQ(row[i].edge, copy[i].edge) << implicit_family_name(fam);
+    }
+  }
+}
+
+// --- XL smokes: never materialise -------------------------------------------
 
 TEST(ImplicitXL, CompleteMillionNodesAnalyticProbes) {
   ImplicitSpec spec;

@@ -83,6 +83,8 @@ TEST(GraphSpecError, RejectsSizesTheGeneratorsOnlyAssert) {
   EXPECT_TRUE(graph_spec_error(GraphSpec::hierarchical(0)).has_value());
   EXPECT_TRUE(graph_spec_error(GraphSpec::igridlong(3)).has_value());
   EXPECT_FALSE(graph_spec_error(GraphSpec::igridlong(4)).has_value());
+  EXPECT_FALSE(graph_spec_error(GraphSpec::igridlong(64, 64)).has_value());
+  EXPECT_TRUE(graph_spec_error(GraphSpec::igridlong(64, 65)).has_value());
   EXPECT_TRUE(graph_spec_error(GraphSpec::icomplete(1)).has_value());
 
   GraphSpec implicit_ring = ring;

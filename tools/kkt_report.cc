@@ -132,6 +132,11 @@ int cmd_run(const Args& a) {
       return 2;
     }
   }
+  if (cfg.xl_long_links > 64) {
+    std::fprintf(stderr, "error: --xl-links must be <= 64 (got %zu)\n",
+                 cfg.xl_long_links);
+    return 2;
+  }
   const kkt::scenario::HeadToHeadResult result =
       kkt::scenario::run_headtohead(cfg);
   const kkt::report::ResultFile file = result.to_result_file();
