@@ -1,17 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 verify on the strict `dev` preset, the full
 # test suite under Address+UB sanitizers, the parallel-sweep tests under
-# ThreadSanitizer, the bench-baseline snapshots that seed the perf
-# trajectory, and the report stage that regenerates the experiment docs
-# and fails on drift. Usage:
+# ThreadSanitizer, and the report stage that regenerates the experiment
+# docs and fails on drift. Usage:
 #
 #   ci/run.sh           # dev + asan + tsan stages
 #   ci/run.sh dev       # strict-warnings build + tests only
 #   ci/run.sh asan      # sanitizer build + tests only
 #   ci/run.sh tsan      # ThreadSanitizer build + `parallel`-labeled tests
-#   ci/run.sh bench     # release build + bench smoke, archives
-#                       # BENCH_messages.json and BENCH_churn.json
-#                       # (unified schema, docs/RESULT_SCHEMA.md)
 #   ci/run.sh report    # release build + head-to-head grid; archives
 #                       # BENCH_headtohead.json and fails if the committed
 #                       # docs/experiments tables or the EXPERIMENTS.md
@@ -37,9 +33,10 @@
 #                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
 #
-# The exact counter gate against bench/baselines/ is part of the ctest suite
-# the dev and asan stages run (bench_gate.*, docs/PERF.md); wall time is the
-# repo benchmark's job (perfbench/, BENCHMARK.json).
+# The exact counter gate (`kkt_report bench <suite>` for all eight suites
+# against tests/baselines/) is part of the ctest suite the dev and asan
+# stages run (bench_gate.*, docs/PERF.md); wall time is the repo
+# benchmark's job (perfbench/, BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,27 +60,6 @@ build_release() {
   cmake --build --preset release -j "$jobs"
 }
 
-# Bench baseline: the model-cost counters (messages, bits, rounds,
-# broadcast-and-echoes) are deterministic given the seed, so a smoke-length
-# run captures the same counter values as a full run. The snapshots are the
-# perf-trajectory artifacts future PRs diff against, written through the
-# unified result schema (KKT_BENCH_OUT + bench/bench_util.h) so every
-# BENCH_*.json shares one version header and diffs line-by-line.
-run_bench_baseline() {
-  build_release
-  echo "==> bench baseline (smoke config, unified schema)"
-  local out="${BENCH_OUT:-BENCH_messages.json}"
-  KKT_BENCH_OUT="$out" ./build/release/bench/bench_build_mst \
-    --benchmark_min_time=0.01
-  echo "==> archived $out"
-  # Churn soak counters: per-op percentiles + oracle exactness + the
-  # thread-count determinism rows (identical model costs at 1/2/8 threads).
-  local churn_out="${BENCH_CHURN_OUT:-BENCH_churn.json}"
-  KKT_BENCH_OUT="$churn_out" ./build/release/bench/bench_churn \
-    --benchmark_min_time=0.01
-  echo "==> archived $churn_out"
-}
-
 # Report stage: run the KKT-vs-baseline head-to-head grid at the canonical
 # seeds, then verify the committed experiment docs are exactly what the
 # fresh artifact renders. Drift means someone changed counters or docs
@@ -103,8 +79,7 @@ run_report() {
 # not an error, when no clang-tidy binary is installed) and runs the
 # lint-labeled ctest cases (kkt_lint self-scan + seeded-violation check +
 # lint_test unit suite). The self-scan artifact is then regenerated at the
-# repo root so CI can upload LINT_findings.json alongside the bench
-# snapshots.
+# repo root so CI can upload LINT_findings.json.
 run_lint() {
   run_preset lint
   echo "==> kkt_lint self-scan artifact"
@@ -175,13 +150,12 @@ case "$stage" in
   dev)     run_preset dev ;;
   asan)    run_preset asan ;;
   tsan)    run_preset tsan ;;
-  bench)   run_bench_baseline ;;
   report)  run_report ;;
   lint)    run_lint ;;
   bigraph) run_bigraph ;;
   faults)  run_faults ;;
   all)     run_preset dev; run_preset asan; run_preset tsan; run_lint ;;
-  *)       echo "usage: $0 [dev|asan|tsan|bench|report|lint|bigraph|faults|all]" >&2; exit 2 ;;
+  *)       echo "usage: $0 [dev|asan|tsan|report|lint|bigraph|faults|all]" >&2; exit 2 ;;
 esac
 
 echo "==> OK [$stage]"

@@ -61,9 +61,7 @@ std::optional<FileClass> classify_path(std::string_view rel) {
     return cls;
   }
   // Outside the result-producing code only headers are scanned (hygiene).
-  if ((under(rel, "tests") || under(rel, "bench") ||
-       under(rel, "examples")) &&
-      header) {
+  if ((under(rel, "tests") || under(rel, "examples")) && header) {
     return cls;
   }
   return std::nullopt;
@@ -79,8 +77,7 @@ RepoReport scan_repo(const std::string& root) {
   std::vector<std::string> test_sources;
   for (const std::string_view dir :
        {std::string_view("src"), std::string_view("tools"),
-        std::string_view("tests"), std::string_view("bench"),
-        std::string_view("examples")}) {
+        std::string_view("tests"), std::string_view("examples")}) {
     for (const std::string& rel : list_files(base, dir)) {
       if (under(rel, "tests") && has_ext(rel, "_test.cc")) {
         test_sources.push_back(rel);

@@ -4,7 +4,7 @@
 //
 // Policy (rationale in docs/LINT_RULES.md):
 //   * src/** and tools/**  (.h/.cc)  -> determinism rules; .h adds hygiene
-//   * tests/**, bench/**   (.h only) -> hygiene rules
+//   * tests/**, examples/** (.h only) -> hygiene rules
 //   * src/util/rng.h                 -> the one sanctioned randomness source
 //   * the wire/transport files       -> hotpath-alloc on top (kHotPathFiles)
 //   * tests/*_test.cc                -> must be registered in

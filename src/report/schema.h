@@ -11,7 +11,8 @@
 //     "kkt_result_schema": 2,
 //     "tool": "bench_build_mst",
 //     "records": [
-//       {"name": "BM_BuildMst_Kkt_N15/64", "counters": {"messages": 10480}}
+//       {"name": "BM_BuildMst_Kkt_N15/64/iterations:1",
+//        "counters": {"messages": 5048}}
 //     ]
 //   }
 //
@@ -48,7 +49,7 @@ inline constexpr int kMinResultSchemaVersion = 1;
 
 struct RunRecord {
   // Slash-delimited identifier, e.g. "headtohead/build_mst/kkt/n=256" or a
-  // Google Benchmark run name. Renderers key off documented prefixes.
+  // `kkt_report bench` record name. Renderers key off documented prefixes.
   std::string name;
   // Observables. std::map: serialization order is sorted and therefore
   // deterministic regardless of how the producer filled the map.

@@ -18,8 +18,8 @@
 // Seed discipline: the graph is generated from `seed`; the network draws
 // its randomness from `net_seed`, which defaults to seed ^ kNetSeedSalt.
 // Harnesses that predate this library pin their historical net-seed
-// derivations (bench_util, test_util) so fixed-seed model-cost counters
-// stay comparable across PRs.
+// derivations (tools/bench_suites.cc, tests/test_util.h) so fixed-seed
+// model-cost counters stay comparable across changes.
 //
 // Determinism contract (see docs/ARCHITECTURE.md): a Scenario value plus
 // its seeds fully determines the world and every model-cost counter a run

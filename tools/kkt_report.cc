@@ -26,11 +26,20 @@
 //       exits 1 listing every drifted file. This is the CI report stage's
 //       "docs match the artifact" gate.
 //
+//   kkt_report bench <suite> [--out FILE]
+//       Runs one of the paper's counter experiments (EXPERIMENTS.md;
+//       suites build_mst, build_st, churn, crossover, findany, findmin,
+//       repair, testout; code in tools/bench_suites.cc), prints one line
+//       per record and, with --out, writes the artifact. Deterministic: the
+//       artifact is byte-identical on every run. A failed correctness check
+//       (a build that does not span, a nonzero oracle_failures) prints an
+//       `error:` line, writes nothing and exits 1.
+//
 //   kkt_report perf  --baseline FILE --current FILE
-//       The bench counter gate (docs/PERF.md; run by the bench_gate ctest
-//       cases). Every record must appear on both sides with EXACTLY equal
-//       counters -- model costs are deterministic, so any drift is a
-//       behaviour change and exits 1.
+//       The counter gate (docs/PERF.md; run by the bench_gate ctest cases
+//       against tests/baselines/). Every record must appear on both sides
+//       with EXACTLY equal counters -- model costs are deterministic, so
+//       any drift is a behaviour change and exits 1.
 //
 // The artifact format is docs/RESULT_SCHEMA.md.
 #include <cstdio>
@@ -43,6 +52,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_suites.h"
 #include "report/render.h"
 #include "report/schema.h"
 #include "scenario/headtohead.h"
@@ -249,7 +259,48 @@ int cmd_check(const Args& a) {
 }
 
 // ---------------------------------------------------------------------------
-// perf: the bench counter gate (docs/PERF.md)
+// bench: the counter experiments (tools/bench_suites.h)
+// ---------------------------------------------------------------------------
+
+int cmd_bench(const Args& a) {
+  if (const auto key = a.unknown_key({"out"})) {
+    kkt::util::usage_error("bench takes only --out FILE (got --" + *key +
+                           ")");
+  }
+  const auto& pos = a.positional();
+  const auto run = pos.size() == 1 ? kkt::bench::run_suite(pos[0])
+                                   : std::nullopt;
+  if (!run) {
+    std::string got;
+    for (const std::string& p : pos) got += (got.empty() ? "" : " ") + p;
+    kkt::util::usage_error("bench wants one suite of: " +
+                           kkt::bench::suite_names() + " (got '" + got + "')");
+  }
+  for (const kkt::report::RunRecord& rec : run->file.records) {
+    std::printf("%s\n ", rec.name.c_str());
+    for (const auto& [key, val] : rec.counters) {
+      std::printf(" %s=%.12g", key.c_str(), val);
+    }
+    std::printf("\n");
+  }
+  for (const std::string& err : run->errors) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+  }
+  if (!run->errors.empty()) return 1;
+  if (a.has("out")) {
+    const std::string out = a.get("out", "");
+    if (!kkt::report::write_results_file(out, run->file)) {
+      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
+      return 2;
+    }
+    std::printf("wrote %s: %zu records (schema v%d)\n", out.c_str(),
+                run->file.records.size(), run->file.schema_version);
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// perf: the counter gate (docs/PERF.md)
 // ---------------------------------------------------------------------------
 
 std::optional<kkt::report::ResultFile> load_named(const Args& a,
@@ -333,7 +384,7 @@ int cmd_perf(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: kkt_report run|gen|check|perf [--flags]\n"
+                 "usage: kkt_report run|gen|check|bench|perf [--flags]\n"
                  "see the header comment of tools/kkt_report.cc\n");
     return 2;
   }
@@ -342,6 +393,7 @@ int main(int argc, char** argv) {
   if (cmd == "run") return cmd_run(a);
   if (cmd == "gen") return cmd_gen(a);
   if (cmd == "check") return cmd_check(a);
+  if (cmd == "bench") return cmd_bench(a);
   if (cmd == "perf") return cmd_perf(a);
   std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
   return 2;
