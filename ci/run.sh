@@ -27,9 +27,10 @@
 #   ci/run.sh faults    # fault-injection gate (docs/FAULTS.md): the
 #                       # fault-labelled suite (loss, link outages, batch
 #                       # deletions, regional outages, partition-and-heal;
-#                       # bit-identical metrics across reruns and delivery
-#                       # paths, oracle-clean heals) under the strict dev
-#                       # preset, then the full fault matrix through kkt_lab
+#                       # bit-identical metrics across reruns and with or
+#                       # without the sync send skip, oracle-clean heals)
+#                       # under the strict dev preset, then the full fault
+#                       # matrix through kkt_lab
 #                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
 #
@@ -89,9 +90,10 @@ run_lint() {
 
 # Faults stage: the fault-injection gate (docs/FAULTS.md). The labelled
 # suite pins the deterministic fault matrix -- every model x transport x
-# seed with bit-identical metrics across reruns and delivery paths, plus
-# the loss-degrade and link-overlay semantics -- under the strict dev
-# build. The kkt_lab run then replays all three fault models through
+# seed with bit-identical metrics across reruns and between SyncNetwork and
+# a unit-delay AdversarialNetwork (the sync send skip vs per-send policy
+# calls), plus the loss-degrade and link-overlay semantics -- under the
+# strict dev build. The kkt_lab run then replays all three fault models through
 # MaintenanceSession::apply_batch and archives the counter-only artifact.
 run_faults() {
   echo "==> configure/build [dev]"

@@ -5,8 +5,8 @@
 //
 // A thin RandomDelayPolicy instantiation of Network: each send draws an
 // integer delay in [1, max_delay] from a seed-derived stream; the shared
-// queue delivers in timestamp order (ties broken by send order, making runs
-// deterministic).
+// timing wheel delivers in timestamp order (ties broken by send order,
+// making runs deterministic).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@ namespace kkt::sim {
 class AsyncNetwork final : public Network {
  public:
   struct Config {
-    // Delays are drawn uniformly from [1, max_delay].
+    // Delays are drawn uniformly from [1, max_delay]; 0 acts as 1.
     std::uint64_t max_delay;
     constexpr Config(std::uint64_t max_delay_ = 16) noexcept
         : max_delay(max_delay_) {}

@@ -1,20 +1,24 @@
 // Pluggable transport policies: when does a sent message arrive?
 //
-// The Network owns the mechanism -- a pooled envelope queue drained in
-// (delivery time, send sequence) order -- and delegates the *schedule* to a
+// The Network owns the mechanism -- a timing wheel drained in (delivery
+// time, send sequence) order -- and delegates the *schedule* to a
 // DeliveryPolicy. The policy sees each send (endpoints and current virtual
 // time) and answers with a delivery timestamp, optionally scheduling
-// adversarial extras (duplicates). This separates cost accounting, which is
-// identical across transports, from schedule shape, which is the experiment
-// variable:
+// adversarial extras (duplicates). It also states its horizon, max_delay():
+// no timestamp it hands out lies more than that far after the send, which
+// sizes the wheel. This separates cost accounting, which is identical
+// across transports, from schedule shape, which is the experiment variable:
 //
 //   FifoSyncPolicy    -- the synchronous CONGEST model: a global clock;
 //                        every message sent in round r arrives at r+1.
+//                        Horizon 1.
 //   RandomDelayPolicy -- the benign asynchronous model: each message draws
 //                        an independent uniform delay in [1, max_delay].
+//                        Horizon max_delay.
 //   AdversarialPolicy -- schedule-diversity experiments: per-edge delay
 //                        bounds, bounded reordering jitter, and seeded
-//                        duplicate delivery.
+//                        duplicate delivery. Horizon: the widest delay
+//                        bound plus the jitter window.
 //
 // All policies are deterministic given their seed, so every schedule a test
 // or bench explores is replayable.
@@ -40,22 +44,26 @@ class DeliveryPolicy {
   virtual void begin_op() {}
 
   // Delivery timestamp for a message sent along {from, to} at virtual time
-  // `now`. Must be strictly greater than `now` (no zero-latency edges).
+  // `now`. Must lie in (now, now + max_delay()]: no zero-latency edges, and
+  // nothing past the horizon (the Network aborts on either).
   virtual std::uint64_t delivery_time(NodeId from, NodeId to,
                                       std::uint64_t now) = 0;
+
+  // The horizon: an upper bound on delivery_time(from, to, now) - now over
+  // every send, duplicates included, until the policy is next reconfigured.
+  // At least 1. Network::run reads it once, when the run starts, and sizes
+  // the timing wheel to bit_ceil(horizon + 1) buckets.
+  virtual std::uint64_t max_delay() const noexcept = 0;
 
   // Number of adversarial duplicate deliveries of the message just
   // scheduled (0 for honest transports). Each duplicate gets its own
   // delivery_time call.
   virtual unsigned duplicates(NodeId /*from*/, NodeId /*to*/) { return 0; }
 
-  // Contract flag for the Network's round-batched fast path: true promises
-  // that delivery_time(from, to, now) == now + 1 for every send and that
-  // duplicates() always returns 0. The Network may then skip the event heap
-  // (and these two virtual calls) entirely and drain contiguous per-round
-  // buckets in send order, which is exactly the (timestamp, seq) order the
-  // heap would have produced. Policies that cannot promise this keep the
-  // default and take the general heap path.
+  // True promises that delivery_time(from, to, now) == now + 1 for every
+  // send and that duplicates() always returns 0 (so max_delay() is 1). The
+  // Network then skips those two virtual calls on every send; the schedule
+  // is the one the calls would have produced.
   virtual bool unit_delay() const noexcept { return false; }
 
   // Whether this policy's configuration can ever drop() a message. The
@@ -84,20 +92,25 @@ class FifoSyncPolicy final : public DeliveryPolicy {
     return now + 1;
   }
 
+  std::uint64_t max_delay() const noexcept override { return 1; }
   bool unit_delay() const noexcept override { return true; }
 };
 
 // Benign asynchrony: independent uniform delays in [1, max_delay], drawn
 // from a stream derived from the network seed (one draw per send, in send
-// order, so schedules are reproducible).
+// order, so schedules are reproducible). A max_delay of 0 is clamped to 1,
+// the minimum the model allows, as AdversarialPolicy clamps its bounds.
 class RandomDelayPolicy final : public DeliveryPolicy {
  public:
   RandomDelayPolicy(std::uint64_t seed, std::uint64_t max_delay)
-      : rng_(util::mix_seeds(seed, 0xa57)), max_delay_(max_delay) {}
+      : rng_(util::mix_seeds(seed, 0xa57)),
+        max_delay_(std::max<std::uint64_t>(max_delay, 1)) {}
 
   std::uint64_t delivery_time(NodeId, NodeId, std::uint64_t now) override {
     return now + rng_.range(1, max_delay_);
   }
+
+  std::uint64_t max_delay() const noexcept override { return max_delay_; }
 
  private:
   util::Rng rng_;
@@ -188,6 +201,18 @@ class AdversarialPolicy final : public DeliveryPolicy {
     return at;
   }
 
+  // The widest delay bound, default or per-edge, clamped as delivery_time
+  // clamps it, plus the jitter window. Widening a bound between runs
+  // widens the horizon of the next run.
+  std::uint64_t max_delay() const noexcept override {
+    std::uint64_t hi = clamped_max(cfg_.min_delay, cfg_.max_delay);
+    for (const auto& entry : edge_bounds_) {
+      hi = std::max(hi, clamped_max(entry.second.min_delay,
+                                    entry.second.max_delay));
+    }
+    return hi + cfg_.reorder_window;
+  }
+
   unsigned duplicates(NodeId, NodeId) override {
     if (cfg_.duplicate_num == 0) return 0;
     return rng_.bernoulli(cfg_.duplicate_num, cfg_.duplicate_den) ? 1 : 0;
@@ -250,6 +275,12 @@ class AdversarialPolicy final : public DeliveryPolicy {
     std::uint64_t num;
     std::uint64_t den;
   };
+
+  // The largest delay delivery_time draws from bounds [lo, hi].
+  static std::uint64_t clamped_max(std::uint64_t lo,
+                                   std::uint64_t hi) noexcept {
+    return std::max({lo, hi, std::uint64_t{1}});
+  }
 
   static std::uint64_t edge_key(NodeId u, NodeId v) noexcept {
     if (u > v) {

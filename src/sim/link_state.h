@@ -9,11 +9,11 @@
 // removes the edge from every node's local knowledge.
 //
 // Because is_down() is a pure function of the endpoint pair (no clock, no
-// randomness, no iteration order), link-state drops are bit-identical
-// across the heap and round-batched delivery paths -- unlike policy loss,
-// they therefore apply to every protocol, loss-safe or not (a protocol that
-// cannot make progress across a dead link simply reaches quiescence with a
-// degraded result, exactly as it would on the partitioned topology).
+// randomness, no iteration order), link-state drops do not depend on the
+// delivery schedule -- unlike policy loss, they therefore apply to every
+// protocol, loss-safe or not (a protocol that cannot make progress across a
+// dead link simply reaches quiescence with a degraded result, exactly as it
+// would on the partitioned topology).
 //
 // Mutations are sequential-context only (the Network asserts no run is in
 // progress); fault schedules flip links *between* operations, which is the

@@ -79,7 +79,7 @@ struct Message {
 };
 
 // The whole point of the inline representation: the transport copies
-// messages through a pooled queue with no per-message allocation.
+// messages through the timing wheel with no per-message allocation.
 static_assert(std::is_trivially_copyable_v<Message>);
 static_assert(std::is_trivially_destructible_v<Message>);
 

@@ -1,8 +1,9 @@
 #include "sim/network.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
-#include <numeric>
+#include <cstdio>
+#include <cstdlib>
 
 namespace kkt::sim {
 
@@ -17,65 +18,50 @@ Network::Network(const graph::Graph& g, std::uint64_t seed,
   }
 }
 
-// --- pooled envelope queue --------------------------------------------------
+// --- timing wheel ------------------------------------------------------------
 //
-// Envelopes live in recycled slots of pool_; free slots cycle through ring_
-// (a circular FIFO) so that slot reuse is uniform. The pending set is a
-// hand-rolled binary heap of (at, seq, slot) entries: its backing vector
-// keeps its capacity across operations, so after warm-up the send/deliver
-// hot path performs zero heap allocations (tests/alloc_test.cc holds this).
+// The wheel's one invariant is that every pending `at` lies in
+// (now_, now_ + horizon_] and horizon_ < wheel_.size(). A policy that breaks
+// it would land a send in an earlier bucket and deliver it early, silently
+// reordering the schedule, so both checks abort in every build type.
 
-std::uint32_t Network::pool_put(const Envelope& env) {
-  if (ring_count_ > 0) {
-    const std::uint32_t slot = ring_[ring_head_];
-    ring_head_ = (ring_head_ + 1) % ring_.size();
-    --ring_count_;
-    pool_[slot] = env;
-    return slot;
-  }
-  // Pool exhausted: grow. The free ring is empty, so it can be resized
-  // without relocating live entries.
-  const auto slot = static_cast<std::uint32_t>(pool_.size());
-  pool_.push_back(env);
-  ring_.push_back(0);  // keep |ring_| == |pool_| so every slot fits
-  ring_head_ = 0;
-  return slot;
+namespace {
+
+// Largest horizon run() accepts: a wheel of 2^20 buckets is already far
+// wider than any schedule the experiments use.
+constexpr std::uint64_t kMaxHorizon = std::uint64_t{1} << 20;
+
+[[noreturn]] void bad_horizon(std::uint64_t horizon) {
+  std::fprintf(stderr,
+               "kkt::sim::Network: DeliveryPolicy::max_delay() = %llu is "
+               "outside [1, %llu]\n",
+               static_cast<unsigned long long>(horizon),
+               static_cast<unsigned long long>(kMaxHorizon));
+  std::abort();
 }
 
-void Network::pool_release(std::uint32_t slot) {
-  assert(ring_count_ < ring_.size());
-  ring_[(ring_head_ + ring_count_) % ring_.size()] = slot;
-  ++ring_count_;
+[[noreturn]] void bad_delivery_time(std::uint64_t now, std::uint64_t at,
+                                    std::uint64_t horizon) {
+  std::fprintf(stderr,
+               "kkt::sim::Network: delivery_time %llu is outside (%llu, "
+               "%llu]: the policy's max_delay() of %llu is wrong\n",
+               static_cast<unsigned long long>(at),
+               static_cast<unsigned long long>(now),
+               static_cast<unsigned long long>(now + horizon),
+               static_cast<unsigned long long>(horizon));
+  std::abort();
 }
 
-void Network::heap_push(Event ev) {
-  heap_.push_back(ev);
-  std::push_heap(heap_.begin(), heap_.end(), event_later);
-}
-
-Network::Event Network::heap_pop() {
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), event_later);
-  const Event ev = heap_.back();
-  heap_.pop_back();
-  return ev;
-}
-
-void Network::queue_clear() {
-  heap_.clear();
-  cur_round_.clear();
-  next_round_.clear();
-  ring_head_ = 0;
-  ring_count_ = ring_.size();
-  std::iota(ring_.begin(), ring_.end(), 0u);
-}
-
-// --- send / run -------------------------------------------------------------
+}  // namespace
 
 void Network::schedule(const Envelope& env) {
   const std::uint64_t at = policy_->delivery_time(env.from, env.to, now_);
-  assert(at > now_ && "delivery must take at least one time unit");
-  heap_push(Event{at, seq_++, pool_put(env)});
+  // One unsigned compare covers both ends: at <= now_ wraps past horizon_.
+  if (at - now_ - 1 >= horizon_) [[unlikely]] {
+    bad_delivery_time(now_, at, horizon_);
+  }
+  wheel_[at & mask_].push_back(env);
+  ++pending_;
 }
 
 void Network::send(NodeId from, NodeId to, const Message& msg) {
@@ -103,12 +89,13 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
     return;
   }
   const Envelope env{from, to, msg};
-  if (fast_path_) {
+  if (unit_delay_) {
     // unit_delay() promises delivery at now + 1 with no duplicates, so the
-    // bucket append *is* the schedule: append order == send sequence order.
+    // policy need not be asked.
     assert(policy_->delivery_time(from, to, now_) == now_ + 1);
     assert(policy_->duplicates(from, to) == 0);
-    next_round_.push_back(env);
+    wheel_[(now_ + 1) & mask_].push_back(env);
+    ++pending_;
     return;
   }
   schedule(env);
@@ -121,53 +108,27 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
   }
 }
 
-std::uint64_t Network::drain_rounds(Protocol& proto,
-                                    std::uint64_t max_rounds) {
+std::uint64_t Network::drain(Protocol& proto, std::uint64_t max_rounds) {
   const std::uint64_t start = now_;
-  while (!next_round_.empty()) {
-    if (now_ + 1 - start > max_rounds) {
-      // Backstop hit: every pending delivery shares the same timestamp, so
-      // dropping the whole bucket matches the heap path's per-event check.
-      // The discards are transport drops like any other -- count them.
-      metrics_.dropped_deliveries += next_round_.size();
-      next_round_.clear();
-      now_ = start + max_rounds;
+  while (pending_ != 0) {
+    if (now_ - start == max_rounds) {
+      // Backstop hit: everything still pending is due after the bound. Drop
+      // it so the next operation starts from an empty wheel, and count the
+      // discards as transport drops (tests/sim_test.cc pins the count).
+      metrics_.dropped_deliveries += pending_;
+      for (std::vector<Envelope>& bucket : wheel_) bucket.clear();
+      pending_ = 0;
       break;
     }
     ++now_;
-    cur_round_.swap(next_round_);
-    // Handlers only append to next_round_, so iterating cur_round_ by index
-    // is stable; clear() afterwards keeps the capacity for the next round.
-    for (const Envelope& env : cur_round_) {
+    // Handlers append only to later buckets, so this one neither grows nor
+    // moves while it is delivered in place; clear() keeps its capacity.
+    std::vector<Envelope>& bucket = wheel_[now_ & mask_];
+    for (const Envelope& env : bucket) {
       proto.on_message(*this, env.to, env.from, env.msg);
     }
-    cur_round_.clear();
-  }
-  const std::uint64_t elapsed = now_ - start;
-  now_ = 0;  // virtual clock is per-operation
-  return elapsed;
-}
-
-std::uint64_t Network::drain(Protocol& proto, std::uint64_t max_rounds) {
-  if (fast_path_) return drain_rounds(proto, max_rounds);
-  const std::uint64_t start = now_;
-  while (!heap_.empty()) {
-    const Event ev = heap_pop();
-    if (ev.at - start > max_rounds) {
-      // Backstop hit: drop undeliverable leftovers so the next operation
-      // starts from a clean transport. The popped event plus everything
-      // still heaped is undelivered -- count them as transport drops
-      // instead of discarding silently (tests/sim_test.cc pins the count).
-      metrics_.dropped_deliveries += heap_.size() + 1;
-      queue_clear();
-      now_ = start + max_rounds;
-      break;
-    }
-    now_ = ev.at;
-    // Copy out before delivering: the handler's own sends may reuse the slot.
-    const Envelope env = pool_[ev.slot];
-    pool_release(ev.slot);
-    proto.on_message(*this, env.to, env.from, env.msg);
+    pending_ -= bucket.size();
+    bucket.clear();
   }
   const std::uint64_t elapsed = now_ - start;
   now_ = 0;  // virtual clock is per-operation
@@ -187,7 +148,15 @@ std::uint64_t Network::run(Protocol& proto,
   const bool lossy_policy = policy_->lossy();
   loss_active_ = lossy_policy && proto.loss_safe();
   if (lossy_policy && !loss_active_) ++loss_degrades_;
-  fast_path_ = round_batching_enabled_ && policy_->unit_delay();
+  unit_delay_ = policy_->unit_delay();
+  horizon_ = policy_->max_delay();
+  if (horizon_ == 0 || horizon_ > kMaxHorizon) bad_horizon(horizon_);
+  if (horizon_ >= wheel_.size()) {
+    // The wheel is empty between runs, so growing it moves no envelope;
+    // existing buckets keep their capacity.
+    wheel_.resize(std::bit_ceil(horizon_ + 1));
+    mask_ = wheel_.size() - 1;
+  }
   policy_->begin_op();
   for (NodeId v : participants) proto.on_start(*this, v);
   const std::uint64_t elapsed = drain(proto, max_rounds);

@@ -13,23 +13,28 @@
 // runs in a ParallelPhase so that elapsed time counts as the max over
 // fragments while messages still sum.
 //
-// Transport mechanics are uniform across schedules: send() places the
-// envelope into a pooled queue (slots are recycled through a free ring, so
-// steady-state traffic performs no allocation -- messages themselves are
-// trivially copyable, see sim/message.h) and the DeliveryPolicy assigns the
-// delivery timestamp. drain() delivers in (timestamp, send sequence) order.
-// SyncNetwork / AsyncNetwork / AdversarialNetwork are thin policy
-// instantiations over this one mechanism.
+// Transport mechanics are uniform across schedules: the DeliveryPolicy
+// assigns each send a delivery timestamp `at`, and send() appends the
+// envelope to a timing wheel -- a ring of bit_ceil(horizon + 1) buckets,
+// where the horizon is the policy's max_delay() bound on `at - now`. Bucket
+// `at & mask` holds the sends due at `at`. Every pending delivery lies in
+// (now, now + horizon], so no two pending timestamps share a bucket, and a
+// handler never appends to the bucket being delivered. drain() advances the
+// clock one tick at a time and delivers each bucket front to back. Append
+// order is send order, so deliveries happen in exactly (timestamp, send
+// sequence) order. Buckets keep their capacity across operations, so
+// steady-state traffic performs no allocation (messages are trivially
+// copyable, see sim/message.h). SyncNetwork / AsyncNetwork /
+// AdversarialNetwork are thin policy instantiations over this one mechanism.
 //
-// Fast path: when the policy promises unit delay (FifoSyncPolicy), every
-// send lands exactly one round after `now`, so at most two timestamps are
-// ever pending -- the round being drained and the next one. The Network then
-// bypasses the heap and keeps two contiguous round buckets, swapped once per
-// round and drained in append (= send sequence) order, which is exactly the
-// (timestamp, seq) order the heap would produce. The buckets keep their
-// capacity across operations, preserving the zero-allocation steady state.
-// set_round_batching(false) forces the general heap path for any policy
-// (the counter bit-identity tests compare both paths).
+// A policy whose `at` falls outside (now, now + horizon] would wrap onto an
+// earlier bucket; send() aborts on that in every build type. run() reads
+// the horizon when it starts, aborts unless it lies in [1, 2^20], and grows
+// the wheel then, while it is empty.
+//
+// Under a unit-delay policy (FifoSyncPolicy, horizon 1) the wheel is two
+// buckets, this round and the next, and send() skips the per-send
+// delivery_time and duplicates calls: every send lands at now + 1.
 //
 #pragma once
 
@@ -137,17 +142,6 @@ class Network {
     }
   }
 
-  // Slow-path knob: disables the round-batched fast path, forcing every
-  // operation through the general (timestamp, seq) event heap even under a
-  // unit-delay policy. Delivery order -- and therefore every counter -- is
-  // identical either way; tests pin that equivalence. Must not be flipped
-  // while a run is in progress.
-  void set_round_batching(bool enabled) noexcept {
-    assert(active_ == nullptr && "set_round_batching during Network::run");
-    round_batching_enabled_ = enabled;
-  }
-  bool round_batching() const noexcept { return round_batching_enabled_; }
-
   static constexpr std::uint64_t kDefaultMaxRounds = 1u << 26;
 
  private:
@@ -158,29 +152,10 @@ class Network {
   };
   static_assert(std::is_trivially_copyable_v<Envelope>);
 
-  // One pending delivery: a heap entry pointing at a pooled envelope slot.
-  struct Event {
-    std::uint64_t at;    // delivery timestamp
-    std::uint64_t seq;   // tie-break: FIFO among equal timestamps
-    std::uint32_t slot;  // index into pool_
-  };
-
-  // Schedules one copy of the envelope at the policy-chosen timestamp.
+  // Appends one copy of the envelope at the policy-chosen timestamp.
   void schedule(const Envelope& env);
   // Delivers everything pending; returns the elapsed virtual time.
   std::uint64_t drain(Protocol& proto, std::uint64_t max_rounds);
-  // Fast-path drain: per-round buckets instead of the heap (unit delay).
-  std::uint64_t drain_rounds(Protocol& proto, std::uint64_t max_rounds);
-
-  // --- pooled envelope queue ----------------------------------------------
-  std::uint32_t pool_put(const Envelope& env);
-  void pool_release(std::uint32_t slot);
-  void heap_push(Event ev);
-  Event heap_pop();
-  void queue_clear();
-  static bool event_later(const Event& a, const Event& b) noexcept {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-  }
 
   const graph::Graph* graph_;
   Metrics metrics_;
@@ -188,19 +163,14 @@ class Network {
   std::unique_ptr<DeliveryPolicy> policy_;
   Protocol* active_ = nullptr;  // protocol being run (sends allowed only then)
 
-  std::vector<Envelope> pool_;        // envelope slots, recycled
-  std::vector<std::uint32_t> ring_;   // circular FIFO of free slot indices
-  std::size_t ring_head_ = 0;         // oldest free slot
-  std::size_t ring_count_ = 0;        // number of free slots
-  std::vector<Event> heap_;           // binary min-heap on (at, seq)
-  std::vector<Envelope> cur_round_;   // fast path: round being delivered
-  std::vector<Envelope> next_round_;  // fast path: sends land here (seq order)
+  std::vector<std::vector<Envelope>> wheel_;  // bucket t & mask_: due at t
+  std::uint64_t mask_ = 0;            // wheel_.size() - 1
+  std::uint64_t horizon_ = 0;         // this run's policy max_delay()
+  std::size_t pending_ = 0;           // envelopes in the wheel
   std::uint64_t now_ = 0;             // virtual clock, per-operation
-  std::uint64_t seq_ = 0;             // send sequence (monotonic)
   LinkState links_;                   // down/up overlay (fault injection)
   std::uint64_t loss_degrades_ = 0;   // lossy runs degraded to delay
-  bool round_batching_enabled_ = true;
-  bool fast_path_ = false;            // this run uses the round buckets
+  bool unit_delay_ = false;           // this run skips the policy calls
   bool loss_active_ = false;          // this run consults policy drop()
 };
 

@@ -2,12 +2,14 @@
 //
 // The wire-level contract of the message fabric (sim/inline_words.h,
 // sim/network.cc) is that steady-state traffic performs no heap allocation:
-// messages carry their payload inline, envelopes live in recycled pool
-// slots, and the event heap keeps its capacity across operations. These
+// messages carry their payload inline, and envelopes sit in the timing
+// wheel's buckets, which keep their capacity across operations. These
 // tests hold that contract by instrumenting global operator new.
 //
-// Discipline: the first run of a workload warms the arenas (pool growth is
-// amortized and expected); the measured run must then allocate nothing.
+// Discipline: the first run of a workload warms the arenas (bucket growth
+// is amortized and expected), and so does the first run after the policy's
+// horizon widens (the wheel regrows once); the measured run must then
+// allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -110,7 +112,7 @@ template <typename Net>
 std::uint64_t allocations_for_thousand_hops(Net& net) {
   const NodeId participants[] = {0};
   {
-    PingPong warmup(0, 1, 1000);  // grows pool/heap arenas once
+    PingPong warmup(0, 1, 1000);  // grows the wheel's buckets once
     net.run(warmup, participants);
   }
   const std::uint64_t before = g_allocations.load();
@@ -142,6 +144,21 @@ TEST(Allocation, AdversarialSendDeliverIsAllocationFree) {
   cfg.max_delay = 16;
   cfg.reorder_window = 8;
   AdversarialNetwork net(*g, 7, cfg);
+  EXPECT_EQ(allocations_for_thousand_hops(net), 0u);
+}
+
+TEST(Allocation, RunAfterWheelRegrowthIsAllocationFree) {
+  KKT_SKIP_UNLESS_COUNTING();
+  auto g = path_graph(2, 4);
+  AdversarialNetwork::Config cfg;
+  cfg.reorder_window = 4;
+  AdversarialNetwork net(*g, 7, cfg);
+  const NodeId participants[] = {0};
+  PingPong narrow(0, 1, 1000);
+  net.run(narrow, participants);
+  // Horizon 12 -> 44: the next run regrows the wheel from 16 to 64 buckets
+  // (and warms them); the run after that must allocate nothing.
+  net.adversary().set_edge_bounds(0, 1, 20, 40);
   EXPECT_EQ(allocations_for_thousand_hops(net), 0u);
 }
 

@@ -5,10 +5,12 @@
 // burst outages, LinkState link-down overlays) on sim::Network.
 //
 // The determinism contract under test: the full sim::Metrics block --
-// including dropped_deliveries -- must be bit-identical across reruns and
-// between the round-batched fast path and the (timestamp, seq) heap path,
-// for every fault model. Oracle checks run after every event, so every heal
-// is verified to reconcile the forest with the centralized MSF.
+// including dropped_deliveries -- must be bit-identical across reruns, and
+// between SyncNetwork's unit-delay skip ("fast") and the same schedule
+// asked of the policy on every send (test::unit_adversarial_net(), the
+// "heap" side of the test names), for every fault model. Oracle checks
+// run after every event, so every heal is verified to reconcile the forest
+// with the centralized MSF.
 //
 // Carries the `fault` ctest label: the faults CI stage runs the whole
 // suite.
@@ -63,10 +65,9 @@ struct ReplayOutcome {
 
 // Generates the model's schedule against the world's starting graph and
 // replays it through a fresh MaintenanceSession with oracle checks on.
-ReplayOutcome replay(FaultModel model, NetKind net, std::uint64_t seed,
-                     bool round_batching = true) {
+ReplayOutcome replay(FaultModel model, const scenario::NetSpec& net,
+                     std::uint64_t seed) {
   World w = test::make_gnm_world(32, 96, seed, net);
-  if (!round_batching) w.net->set_round_batching(false);
   const FaultTrace trace = generate_faults(
       *w.g, spec_for(model), util::mix_seeds(seed, kFaultSeedSalt));
   test::mark_msf(w);
@@ -101,8 +102,10 @@ class FaultMatrix : public ::testing::TestWithParam<
 
 TEST_P(FaultMatrix, ReplayIsBitDeterministicAndOracleClean) {
   const auto [model, net, seed] = GetParam();
-  const ReplayOutcome first = replay(model, net, seed);
-  const ReplayOutcome again = replay(model, net, seed);
+  scenario::NetSpec spec;
+  spec.kind = net;
+  const ReplayOutcome first = replay(model, spec, seed);
+  const ReplayOutcome again = replay(model, spec, seed);
 
   EXPECT_EQ(first.metrics, again.metrics);
   EXPECT_EQ(first.metrics.dropped_deliveries,
@@ -135,8 +138,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Delivery-path invariance: the whole fault replay -- batch repairs,
-// partition churn, heal reconciliation -- must cost exactly the same on the
-// round-batched fast path and on the (timestamp, seq) heap path.
+// partition churn, heal reconciliation -- must cost exactly the same on
+// SyncNetwork and on the unit-delay AdversarialNetwork, which asks its
+// policy on every send.
 // ---------------------------------------------------------------------------
 
 class FaultPathSweep : public ::testing::TestWithParam<
@@ -144,10 +148,11 @@ class FaultPathSweep : public ::testing::TestWithParam<
 
 TEST_P(FaultPathSweep, MetricsBitIdenticalOnFastAndHeapPaths) {
   const auto [model, seed] = GetParam();
-  const ReplayOutcome fast = replay(model, NetKind::kSync, seed);
-  const ReplayOutcome heap =
-      replay(model, NetKind::kSync, seed, /*round_batching=*/false);
-  EXPECT_EQ(fast.metrics, heap.metrics);
+  const ReplayOutcome fast =
+      replay(model, scenario::NetSpec::sync(), seed);
+  const ReplayOutcome per_send =
+      replay(model, test::unit_adversarial_net(), seed);
+  EXPECT_EQ(fast.metrics, per_send.metrics);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,7 +171,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(Partition, CutRaisesComponentsAndHealRestoresThem) {
-  const ReplayOutcome out = replay(FaultModel::kPartition, NetKind::kSync, 5);
+  const ReplayOutcome out =
+      replay(FaultModel::kPartition, scenario::NetSpec::sync(), 5);
   bool saw_cut = false, saw_heal = false;
   std::size_t baseline_components = 0;
   for (const FaultRecord& rec : out.records) {
@@ -189,7 +195,8 @@ TEST(Partition, CutRaisesComponentsAndHealRestoresThem) {
 }
 
 TEST(Partition, DamageEventsAggregateBatchOutcome) {
-  const ReplayOutcome out = replay(FaultModel::kBatch, NetKind::kSync, 11);
+  const ReplayOutcome out =
+      replay(FaultModel::kBatch, scenario::NetSpec::sync(), 11);
   for (const FaultRecord& rec : out.records) {
     if (rec.kind != FaultKind::kBatchDelete) continue;
     EXPECT_GT(rec.requested, 0u);
@@ -415,9 +422,9 @@ TEST(Loss, MaintenanceSessionUnderLossIsReproducible) {
 }
 
 // ---------------------------------------------------------------------------
-// LinkState: the hard link-down overlay. Down links drop on every delivery
-// path -- round-batched and heap -- for every protocol, loss-safe or
-// not, and the drops land in dropped_deliveries.
+// LinkState: the hard link-down overlay. Down links drop under every
+// delivery policy, for every protocol, loss-safe or not, and the drops land
+// in dropped_deliveries.
 // ---------------------------------------------------------------------------
 
 TEST(LinkOverlay, SetDownIsIdempotentAndHealRestores) {
@@ -484,11 +491,10 @@ TEST(LinkOverlay, DropsApplyToNonLossSafeProtocolsToo) {
 
 TEST(LinkOverlay, DropsBitIdenticalOnFastAndHeapPaths) {
   // Flooding touches every edge, so the down links are guaranteed to eat
-  // deliveries on every path; flooding also tolerates the holes (the tree
+  // deliveries on both networks; flooding also tolerates the holes (the tree
   // just grows around them).
-  const auto run_with = [](bool batching) {
-    World w = test::make_gnm_world(48, 160, 5, NetKind::kSync);
-    if (!batching) w.net->set_round_batching(false);
+  const auto run_with = [](const scenario::NetSpec& net) {
+    World w = test::make_gnm_world(48, 160, 5, net);
     const auto alive = w.g->alive_edge_indices();
     const graph::Edge& a = w.g->edge(alive[alive.size() / 2]);
     const graph::Edge& b = w.g->edge(alive[alive.size() / 3]);
@@ -497,9 +503,9 @@ TEST(LinkOverlay, DropsBitIdenticalOnFastAndHeapPaths) {
     baseline::flood_build_st(*w.net, *w.forest);
     return w.net->metrics();
   };
-  const sim::Metrics base = run_with(true);
+  const sim::Metrics base = run_with(scenario::NetSpec::sync());
   EXPECT_GT(base.dropped_deliveries, 0u);
-  EXPECT_EQ(base, run_with(false));
+  EXPECT_EQ(base, run_with(test::unit_adversarial_net()));
 }
 
 // ---------------------------------------------------------------------------

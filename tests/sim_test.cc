@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "sim/adversarial_network.h"
@@ -385,8 +389,8 @@ TEST(Metrics, PlusEquals) {
 
 // The max_rounds backstop discards whatever is still in flight. Those
 // discards must surface in dropped_deliveries -- not vanish silently --
-// and the count must agree between the round-batched bucket drain and the
-// (at, seq) heap drain.
+// and the count must agree between SyncNetwork's unit-delay skip and the
+// same schedule asked of the policy on every send.
 TEST(SyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
   auto g = path_graph(2, 20);
   SyncNetwork net(*g, 7);
@@ -402,14 +406,272 @@ TEST(SyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
 
 TEST(SyncNetwork, MaxRoundsBackstopDropCountMatchesOnHeapPath) {
   auto g = path_graph(2, 21);
-  SyncNetwork net(*g, 7);
-  net.set_round_batching(false);
+  AdversarialNetwork::Config unit;
+  unit.min_delay = 1;
+  unit.max_delay = 1;
+  unit.reorder_window = 0;
+  AdversarialNetwork net(*g, 7, unit);
+  ASSERT_FALSE(net.policy().unit_delay());
   PingPong proto(0, 1, 100);
   const NodeId participants[] = {0};
-  net.run(proto, participants, /*max_rounds=*/10);
+  const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/10);
+  EXPECT_EQ(rounds, 10u);
   EXPECT_EQ(proto.received(), 10);
   EXPECT_EQ(net.metrics().messages, 11u);
   EXPECT_EQ(net.metrics().dropped_deliveries, 1u);
+}
+
+// Every delivery is echoed to all of the recipient's neighbours, so traffic
+// keeps growing until the backstop cuts it off. How much is in flight at
+// the cut depends on the whole delay schedule.
+class Gossip final : public Protocol {
+ public:
+  void on_start(Network& net, NodeId self) override { echo(net, self); }
+  void on_message(Network& net, NodeId self, NodeId, const Message&) override {
+    ++received;
+    echo(net, self);
+  }
+  std::uint64_t received = 0;
+
+ private:
+  static void echo(Network& net, NodeId self) {
+    for (const graph::Incidence& inc : net.graph().incident(self)) {
+      net.send(self, inc.peer, Message(Tag::kNone));
+    }
+  }
+};
+
+// Backstop pins off the unit-delay path. The counts are those of a
+// (timestamp, seq) priority-queue transport, which the wheel must
+// reproduce exactly.
+TEST(AsyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
+  auto g = path_graph(3, 22);
+  AsyncNetwork net(*g, 7);
+  Gossip proto;
+  const NodeId participants[] = {1};
+  const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/60);
+  EXPECT_EQ(rounds, 60u);
+  const Metrics& m = net.metrics();
+  EXPECT_EQ(m.messages, proto.received + m.dropped_deliveries);
+  EXPECT_EQ(m.messages, 78u);
+  EXPECT_EQ(m.dropped_deliveries, 24u);
+}
+
+TEST(AdversarialNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
+  auto g = path_graph(3, 23);
+  AdversarialNetwork::Config cfg;
+  cfg.duplicate_num = 1;
+  cfg.duplicate_den = 4;
+  AdversarialNetwork net(*g, 7, cfg);
+  Gossip proto;
+  const NodeId participants[] = {1};
+  const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/60);
+  EXPECT_EQ(rounds, 60u);
+  const Metrics& m = net.metrics();
+  EXPECT_EQ(m.messages + m.duplicate_deliveries,
+            proto.received + m.dropped_deliveries);
+  EXPECT_EQ(m.messages, 1127u);
+  EXPECT_EQ(m.duplicate_deliveries, 282u);
+  EXPECT_EQ(m.dropped_deliveries, 617u);
+}
+
+// ---------------------------------------------------------------------------
+// The timing wheel's delivery order, horizon guard and growth.
+// ---------------------------------------------------------------------------
+
+// Wraps a policy and logs every timestamp it hands out, tagged with the
+// payload id the sender announced in `payload`: one entry per scheduled
+// copy, duplicates included, in send order.
+template <typename Inner>
+class LoggingPolicy final : public DeliveryPolicy {
+ public:
+  explicit LoggingPolicy(Inner inner) : inner_(std::move(inner)) {}
+
+  std::uint64_t delivery_time(NodeId from, NodeId to,
+                              std::uint64_t now) override {
+    const std::uint64_t at = inner_.delivery_time(from, to, now);
+    log.emplace_back(at, payload);
+    return at;
+  }
+  unsigned duplicates(NodeId from, NodeId to) override {
+    return inner_.duplicates(from, to);
+  }
+  std::uint64_t max_delay() const noexcept override {
+    return inner_.max_delay();
+  }
+
+  std::uint64_t payload = 0;                                 // set per send
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> log;  // (at, payload)
+
+ private:
+  Inner inner_;
+};
+
+// Every node opens by messaging each neighbour; every delivery is answered
+// by one message to a neighbour picked from the payload id, until `budget`
+// sends. Each send carries a fresh id; deliveries are logged by id.
+template <typename Policy>
+class Tracer final : public Protocol {
+ public:
+  Tracer(Policy& policy, std::uint64_t budget)
+      : policy_(&policy), budget_(budget) {}
+
+  void on_start(Network& net, NodeId self) override {
+    for (const graph::Incidence& inc : net.graph().incident(self)) {
+      send(net, self, inc.peer);
+    }
+  }
+  void on_message(Network& net, NodeId self, NodeId,
+                  const Message& msg) override {
+    delivered.push_back(msg.words[0]);
+    const auto row = net.graph().incident(self);
+    send(net, self, row[(msg.words[0] * 7) % row.size()].peer);
+  }
+
+  std::vector<std::uint64_t> delivered;
+
+ private:
+  void send(Network& net, NodeId from, NodeId to) {
+    if (next_id_ == budget_) return;
+    policy_->payload = next_id_;
+    net.send(from, to, Message(Tag::kNone, {next_id_}));
+    ++next_id_;
+  }
+
+  Policy* policy_;
+  std::uint64_t budget_;
+  std::uint64_t next_id_ = 0;
+};
+
+// Runs Tracer over `policy` on K_6 and checks the delivered order against
+// the stable sort of the policy's log by timestamp.
+template <typename Inner>
+void expect_stable_time_order(Inner inner) {
+  util::Rng rng(30);
+  const graph::Graph g = graph::complete(6, {}, rng);
+  auto owned = std::make_unique<LoggingPolicy<Inner>>(std::move(inner));
+  LoggingPolicy<Inner>& policy = *owned;
+  Network net(g, 7, std::move(owned));
+  Tracer<LoggingPolicy<Inner>> proto(policy, 4000);
+  const NodeId participants[] = {0, 1, 2, 3, 4, 5};
+  net.run(proto, participants);
+
+  auto expected = policy.log;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  ASSERT_EQ(proto.delivered.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(proto.delivered[i], expected[i].second) << "delivery " << i;
+  }
+  EXPECT_EQ(net.metrics().messages, 4000u);
+  EXPECT_EQ(expected.size(),
+            net.metrics().messages + net.metrics().duplicate_deliveries);
+}
+
+TEST(DeliveryOrder, AdversarialMatchesStableSortByTimestamp) {
+  // Edge {0, 1} sits at the widest bound, so its sends that draw the full
+  // jitter of 4 land at now + horizon. Horizon 15 makes a wheel of exactly
+  // 16 buckets, and such a send lands in the bucket drained one tick before.
+  AdversarialConfig cfg;
+  cfg.min_delay = 1;
+  cfg.max_delay = 8;
+  cfg.reorder_window = 4;
+  cfg.duplicate_num = 1;
+  cfg.duplicate_den = 3;
+  AdversarialPolicy inner(11, cfg);
+  inner.set_edge_bounds(0, 1, 11, 11);
+  ASSERT_EQ(inner.max_delay(), 15u);
+  expect_stable_time_order(std::move(inner));
+}
+
+TEST(DeliveryOrder, RandomDelayMatchesStableSortByTimestamp) {
+  expect_stable_time_order(RandomDelayPolicy(12, 15));
+}
+
+// Claims a horizon of 2 but delivers `delay` ticks after the send.
+class LyingPolicy final : public DeliveryPolicy {
+ public:
+  explicit LyingPolicy(std::uint64_t delay) : delay_(delay) {}
+  std::uint64_t delivery_time(NodeId, NodeId, std::uint64_t now) override {
+    return now + delay_;
+  }
+  std::uint64_t max_delay() const noexcept override { return 2; }
+
+ private:
+  std::uint64_t delay_;
+};
+
+void run_ping_pong_on(std::unique_ptr<DeliveryPolicy> policy) {
+  auto g = path_graph(2, 31);
+  Network net(*g, 7, std::move(policy));
+  PingPong proto(0, 1, 4);
+  const NodeId participants[] = {0};
+  net.run(proto, participants);
+}
+
+// The wheel would file such a send under an earlier bucket and deliver it
+// early. The guard is not an assert: it aborts in Release builds too.
+TEST(TimingWheelDeathTest, DeliveryPastTheHorizonAborts) {
+  EXPECT_DEATH(run_ping_pong_on(std::make_unique<LyingPolicy>(5)),
+               "outside \\(0, 2\\]");
+}
+
+TEST(TimingWheelDeathTest, ZeroLatencyDeliveryAborts) {
+  EXPECT_DEATH(run_ping_pong_on(std::make_unique<LyingPolicy>(0)),
+               "outside \\(0, 2\\]");
+}
+
+TEST(TimingWheel, WiderEdgeBoundsBetweenRunsRegrowTheWheel) {
+  auto g = path_graph(2, 32);
+  AdversarialNetwork::Config cfg;
+  cfg.reorder_window = 0;
+  AdversarialNetwork net(*g, 5, cfg);
+  const NodeId participants[] = {0};
+  PingPong narrow(0, 1, 4);
+  net.run(narrow, participants);
+  EXPECT_EQ(narrow.received(), 4);
+  EXPECT_EQ(net.policy().max_delay(), 8u);
+
+  // 40 is past the 16-bucket wheel the first run built; the next run must
+  // regrow it instead of aborting on the first send.
+  net.adversary().set_edge_bounds(0, 1, 40, 40);
+  EXPECT_EQ(net.policy().max_delay(), 40u);
+  PingPong wide(0, 1, 4);
+  EXPECT_EQ(net.run(wide, participants), 4 * 40u);
+  EXPECT_EQ(wide.received(), 4);
+}
+
+TEST(AdversarialPolicy, HorizonCoversClampedBoundsAndJitter) {
+  AdversarialConfig cfg;
+  cfg.min_delay = 0;
+  cfg.max_delay = 0;
+  cfg.reorder_window = 0;
+  AdversarialPolicy policy(1, cfg);
+  EXPECT_EQ(policy.max_delay(), 1u);  // zero bounds clamp to one tick
+  policy.set_edge_bounds(2, 3, 9, 4);  // hi < lo clamps hi up to lo
+  EXPECT_EQ(policy.max_delay(), 9u);
+  cfg.reorder_window = 6;
+  AdversarialPolicy jittered(1, cfg);
+  EXPECT_EQ(jittered.max_delay(), 7u);
+}
+
+TEST(RandomDelayPolicy, ZeroMaxDelayClampsToOneTick) {
+  RandomDelayPolicy zero(3, 0);
+  RandomDelayPolicy one(3, 1);
+  EXPECT_EQ(zero.max_delay(), 1u);
+  for (std::uint64_t now = 0; now < 50; ++now) {
+    EXPECT_EQ(zero.delivery_time(0, 1, now), now + 1);
+    EXPECT_EQ(one.delivery_time(0, 1, now), now + 1);
+  }
+
+  auto g = path_graph(2, 33);
+  AsyncNetwork net(*g, 7, AsyncNetwork::Config{0});
+  PingPong proto(0, 1, 6);
+  const NodeId participants[] = {0};
+  EXPECT_EQ(net.run(proto, participants), 6u);  // every hop takes one tick
+  EXPECT_EQ(proto.received(), 6);
 }
 
 }  // namespace

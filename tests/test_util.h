@@ -57,6 +57,26 @@ inline World make_gnm_world(std::size_t n, std::size_t m, std::uint64_t seed,
   return scenario::make_world(gnm_scenario(n, m, seed, kind, max_weight));
 }
 
+// Connected G(n, m) world on an explicit network spec.
+inline World make_gnm_world(std::size_t n, std::size_t m, std::uint64_t seed,
+                            const scenario::NetSpec& net) {
+  scenario::Scenario sc = gnm_scenario(n, m, seed);
+  sc.net = net;
+  return scenario::make_world(sc);
+}
+
+// The sync schedule on the per-send policy path: an AdversarialNetwork
+// whose every delay is exactly 1, with no jitter and no duplicates. It
+// delivers in SyncNetwork's order but asks its policy on every send, which
+// SyncNetwork's unit-delay skip does not; comparing the two pins the skip.
+inline scenario::NetSpec unit_adversarial_net() {
+  sim::AdversarialConfig cfg;
+  cfg.min_delay = 1;
+  cfg.max_delay = 1;
+  cfg.reorder_window = 0;
+  return scenario::NetSpec::adversarial(cfg);
+}
+
 // A temporary .kkg path for `name`, keyed by the running test too: ctest
 // -j runs every case in its own process, and cases that share a name would
 // otherwise race on one file. The '/' of parameterised test names becomes
