@@ -65,8 +65,11 @@ VerifyMstResult verify_mst(sim::Network& net, graph::MarkedForest& forest,
         samples == tree_edges.size()
             ? tree_edges[s]
             : tree_edges[rng.below(tree_edges.size())];
-    // Conceptually remove e; both endpoints observe this locally.
-    const graph::Edge& ed = g.edge(e);
+    // Conceptually remove e; both endpoints observe this locally. The
+    // re-mark restores the edge's epoch: every marking flow gives both
+    // halves one epoch, so mark_epoch(e) is each half's.
+    const graph::Edge ed = g.edge(e);
+    const std::uint32_t epoch = forest.mark_epoch(e);
     forest.unmark_half(e, ed.u);
     forest.unmark_half(e, ed.v);
 
@@ -76,8 +79,8 @@ VerifyMstResult verify_mst(sim::Network& net, graph::MarkedForest& forest,
     // The cut defined by removing e must have e itself as its minimum.
     if (!fm.found || fm.edge_num != g.edge_num(e)) ++res.violations;
 
-    forest.mark_half(e, ed.u);
-    forest.mark_half(e, ed.v);
+    forest.mark_half(e, ed.u, epoch);
+    forest.mark_half(e, ed.v, epoch);
   }
   return res;
 }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 #include <limits>
+#include <utility>
 
 #include "graph/dsu.h"
 #include "graph/mst_oracle.h"
@@ -22,14 +23,14 @@ std::uint32_t MarkedForest::SlabPool::allocate(std::uint32_t cap) {
   int k = segment_of(tail_);
   while (segment_start(k + 1) - tail_ < cap) {
     ++k;
-    assert(k < kSegments && "tree index pool exhausted");
+    assert(k < kSegments && "mark store pool exhausted");
     tail_ = segment_start(k);
   }
   auto& seg = segments_[static_cast<std::size_t>(k)];
   if (seg == nullptr) {
     // Left uninitialised: the OS backs only the pages slabs actually touch.
-    seg = std::make_unique_for_overwrite<Incidence[]>(
-        std::size_t{1} << (kShift + k));
+    seg = std::make_unique_for_overwrite<Entry[]>(std::size_t{1}
+                                                  << (kShift + k));
   }
   const auto offset = static_cast<std::uint32_t>(tail_);
   tail_ += cap;
@@ -40,217 +41,148 @@ void MarkedForest::SlabPool::release(std::uint32_t offset, std::uint32_t cap) {
   if (cap < free_.size()) free_[cap].push_back(offset);
 }
 
-void MarkedForest::SlabPool::reset() {
-  tail_ = 0;
-  for (std::vector<std::uint32_t>& list : free_) list.clear();
-}
-
-bool MarkedForest::own_half_marked(EdgeIdx e, NodeId v) const {
-  if (sparse_) return half_marked(e, v);
-  const std::size_t i = 2 * static_cast<std::size_t>(e);
-  if (i + 1 >= half_marks_.size()) return false;
-  // Decide from the mark pair alone unless exactly one half is marked (a
-  // handshake in flight); only then read the edge record behind slot().
-  const std::uint8_t a = half_marks_[i];
-  const std::uint8_t b = half_marks_[i + 1];
-  if ((a | b) == 0) return false;
-  if ((a & b) != 0) return true;
-  return half_marks_[i + static_cast<std::size_t>(slot(e, v))] != 0;
-}
-
-void MarkedForest::rebuild_tree_row(NodeId v) const {
-  TreeSlab& s = slabs_[v];
-  const std::span<const Incidence> row = graph_->incident(v);
-  Incidence* out = s.cap == 0 ? nullptr : pool_.at(s.offset);
-  std::uint32_t len = 0;
-  std::size_t i = 0;
-  for (; i < row.size(); ++i) {
-    if (!own_half_marked(row[i].edge, v)) continue;
-    if (len == s.cap) break;
-    out[len++] = row[i];
+void MarkedForest::append(NodeId v, const Entry& x) {
+  NodeMarks& m = nodes_[v];
+  if (m.len == m.cap) {
+    // Full: move to a slab twice the size and recycle the old one.
+    const std::uint32_t cap = m.cap == 0 ? 2 : 2 * m.cap;
+    const std::uint32_t offset = pool_.allocate(cap);
+    if (m.len > 0) std::copy_n(pool_.at(m.offset), m.len, pool_.at(offset));
+    if (m.cap > 0) pool_.release(m.offset, m.cap);
+    m.offset = offset;
+    m.cap = cap;
   }
-  if (i < row.size()) {
-    // Overflow at row[i]: move to a slab sized exactly for the whole entry
-    // (tree degrees rarely grow again) and recycle the old one.
-    std::uint32_t total = len;
-    for (std::size_t j = i; j < row.size(); ++j) {
-      if (own_half_marked(row[j].edge, v)) ++total;
+  pool_.at(m.offset)[m.len++] = x;
+  m.row_version = kStaleRow;
+}
+
+MarkedForest::Entry* MarkedForest::find(NodeId v, EdgeIdx e) const {
+  for (Entry& x : entries(v)) {
+    if (x.inc.edge == e) return &x;
+  }
+  return nullptr;
+}
+
+void MarkedForest::reorder(NodeId v) const {
+  nodes_[v].row_version = graph_->row_version(v);
+  const std::span<Entry> list = entries(v);
+  if (list.size() < 2) return;  // nothing to order
+  std::uint32_t alive = 0;
+  for (std::uint32_t i = 0; i < list.size(); ++i) {
+    if (!graph_->alive(list[i].inc.edge)) continue;
+    slot_of_peer_[list[i].inc.peer] = i;
+    ++alive;
+  }
+  // Swap each alive entry, in row order, into the next front position;
+  // dead entries end up behind them.
+  std::uint32_t k = 0;
+  for (const Incidence& inc : graph_->incident(v)) {
+    if (k == alive) break;
+    const std::uint32_t j = slot_of_peer_[inc.peer];
+    if (j == kNoSlot) continue;
+    assert(list[j].inc.edge == inc.edge);
+    std::swap(list[k], list[j]);
+    // The entry moved out of slot k keeps its scratch slot current (a dead
+    // entry has none; its peer may be an alive entry's peer too).
+    if (slot_of_peer_[list[j].inc.peer] == k) {
+      slot_of_peer_[list[j].inc.peer] = j;
     }
-    const std::uint32_t offset = pool_.allocate(total);
-    Incidence* fresh = pool_.at(offset);
-    std::copy_n(out, len, fresh);
-    if (s.cap > 0) pool_.release(s.offset, s.cap);
-    s.offset = offset;
-    s.cap = total;
-    out = fresh;
-    for (; i < row.size(); ++i) {
-      if (own_half_marked(row[i].edge, v)) out[len++] = row[i];
-    }
+    slot_of_peer_[inc.peer] = kNoSlot;
+    ++k;
   }
-  s.len = len;
-  s.row_version = graph_->row_version(v);
-}
-
-void MarkedForest::invalidate_endpoints(EdgeIdx e) {
-  const Edge ed = graph_->edge(e);
-  invalidate(ed.u);
-  invalidate(ed.v);
-}
-
-void MarkedForest::grow(EdgeIdx e) {
-  assert(!sparse_);
-  const std::size_t want = 2 * (static_cast<std::size_t>(e) + 1);
-  if (half_marks_.size() < want) {
-    half_marks_.resize(want, 0);
-    half_epochs_.resize(want, 0);
-  }
-}
-
-void MarkedForest::sync_capacity() {
-  if (sparse_) return;  // the map needs no pre-sizing
-  const std::size_t slots = graph_->edge_slots();
-  if (slots > 0) grow(static_cast<EdgeIdx>(slots - 1));
-}
-
-int MarkedForest::slot(EdgeIdx e, NodeId endpoint) const {
-  const Edge ed = graph_->edge(e);
-  assert(endpoint == ed.u || endpoint == ed.v);
-  return endpoint == ed.u ? 0 : 1;
-}
-
-bool MarkedForest::sparse_marked(EdgeIdx e) const {
-  const auto it = sparse_marks_.find(e);
-  return it != sparse_marks_.end() && it->second.marks[0] != 0 &&
-         it->second.marks[1] != 0 && graph_->alive(e);
 }
 
 void MarkedForest::mark_half(EdgeIdx e, NodeId endpoint, std::uint32_t epoch) {
-  const int s = slot(e, endpoint);
-  invalidate(endpoint);
-  if (sparse_) {
-    SparseMarks& sm = sparse_marks_[e];
-    sm.marks[s] = 1;
-    sm.epochs[s] = epoch;
+  assert(epoch != kUnmarked);
+  const NodeId peer = graph_->edge(e).other(endpoint);
+  Entry* mirror = find(peer, e);
+  if (mirror != nullptr) mirror->peer_epoch = epoch;
+  if (Entry* own = find(endpoint, e)) {
+    own->own_epoch = epoch;
     return;
   }
-  ensure_size(e);
-  const std::size_t i = 2 * static_cast<std::size_t>(e) + s;
-  half_marks_[i] = 1;
-  half_epochs_[i] = epoch;
+  append(endpoint,
+         {{peer, e}, epoch, mirror != nullptr ? mirror->own_epoch : kUnmarked});
+}
+
+void MarkedForest::unmark_half(EdgeIdx e, NodeId endpoint) {
+  Entry* own = find(endpoint, e);
+  if (own == nullptr) return;
+  const NodeId peer = own->inc.peer;
+  const std::span<Entry> list = entries(endpoint);
+  std::copy(own + 1, list.data() + list.size(), own);  // keeps row order
+  --nodes_[endpoint].len;
+  if (Entry* mirror = find(peer, e)) mirror->peer_epoch = kUnmarked;
 }
 
 std::uint32_t MarkedForest::mark_epoch(EdgeIdx e) const {
-  if (sparse_) {
-    const auto it = sparse_marks_.find(e);
-    if (it == sparse_marks_.end()) return 0;
-    return std::max(it->second.epochs[0], it->second.epochs[1]);
+  const Edge ed = graph_->edge(e);
+  if (const Entry* x = find(ed.u, e)) {
+    return x->peer_epoch == kUnmarked ? x->own_epoch
+                                      : std::max(x->own_epoch, x->peer_epoch);
   }
-  const std::size_t i = 2 * static_cast<std::size_t>(e);
-  if (i + 1 >= half_epochs_.size()) return 0;
-  return std::max(half_epochs_[i], half_epochs_[i + 1]);
+  const Entry* x = find(ed.v, e);
+  return x != nullptr ? x->own_epoch : 0;
+}
+
+bool MarkedForest::is_marked_at(EdgeIdx e, std::uint32_t epoch_limit) const {
+  // Either endpoint's entry carries both epochs: scan the shorter list.
+  const Edge ed = graph_->edge(e);
+  const Entry* x = find(nodes_[ed.u].len <= nodes_[ed.v].len ? ed.u : ed.v, e);
+  return x != nullptr && x->peer_epoch != kUnmarked &&
+         std::max(x->own_epoch, x->peer_epoch) <= epoch_limit &&
+         graph_->alive(e);
 }
 
 std::uint32_t MarkedForest::max_mark_epoch() const {
   std::uint32_t best = 0;
-  if (sparse_) {
-    for (const auto& [e, sm] : sparse_marks_) {
-      if (is_marked(e)) best = std::max(best, mark_epoch(e));
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    for (const Entry& x : entries(v)) {
+      if (x.peer_epoch != kUnmarked && graph_->alive(x.inc.edge)) {
+        best = std::max({best, x.own_epoch, x.peer_epoch});
+      }
     }
-    return best;
-  }
-  for (EdgeIdx e = 0; e < edge_slots_grown(); ++e) {
-    if (is_marked(e)) best = std::max(best, mark_epoch(e));
   }
   return best;
 }
 
-void MarkedForest::unmark_half(EdgeIdx e, NodeId endpoint) {
-  const int s = slot(e, endpoint);
-  invalidate(endpoint);
-  if (sparse_) {
-    const auto it = sparse_marks_.find(e);
-    if (it == sparse_marks_.end()) return;
-    it->second.marks[s] = 0;
-    it->second.epochs[s] = 0;
-    return;
-  }
-  ensure_size(e);
-  const std::size_t i = 2 * static_cast<std::size_t>(e) + s;
-  half_marks_[i] = 0;
-  half_epochs_[i] = 0;
-}
-
-bool MarkedForest::half_marked(EdgeIdx e, NodeId endpoint) const {
-  const int s = slot(e, endpoint);
-  if (sparse_) {
-    const auto it = sparse_marks_.find(e);
-    return it != sparse_marks_.end() && it->second.marks[s] != 0;
-  }
-  const std::size_t i = 2 * static_cast<std::size_t>(e) + s;
-  return i < half_marks_.size() && half_marks_[i] != 0;
-}
-
 void MarkedForest::mark_edge(EdgeIdx e, std::uint32_t epoch) {
-  invalidate_endpoints(e);
-  if (sparse_) {
-    SparseMarks& sm = sparse_marks_[e];
-    sm.marks[0] = sm.marks[1] = 1;
-    sm.epochs[0] = sm.epochs[1] = epoch;
-    return;
-  }
-  ensure_size(e);
-  const std::size_t i = 2 * static_cast<std::size_t>(e);
-  half_marks_[i] = half_marks_[i + 1] = 1;
-  half_epochs_[i] = half_epochs_[i + 1] = epoch;
+  const Edge ed = graph_->edge(e);
+  mark_half(e, ed.u, epoch);
+  mark_half(e, ed.v, epoch);
 }
-
-void MarkedForest::unmark_edge(EdgeIdx e) { clear_edge(e); }
 
 void MarkedForest::clear_edge(EdgeIdx e) {
-  invalidate_endpoints(e);
-  if (sparse_) {
-    sparse_marks_.erase(e);
-    return;
-  }
-  ensure_size(e);
-  const std::size_t i = 2 * static_cast<std::size_t>(e);
-  half_marks_[i] = half_marks_[i + 1] = 0;
-  half_epochs_[i] = half_epochs_[i + 1] = 0;
+  const Edge ed = graph_->edge(e);
+  unmark_half(e, ed.u);
+  unmark_half(e, ed.v);
 }
 
 void MarkedForest::clear_all() {
-  sparse_marks_.clear();
-  std::fill(half_marks_.begin(), half_marks_.end(), 0);
-  std::fill(half_epochs_.begin(), half_epochs_.end(), 0);
-  std::fill(slabs_.begin(), slabs_.end(), TreeSlab{});
-  pool_.reset();
+  for (NodeMarks& m : nodes_) m.len = 0;  // slabs retained
 }
 
 bool MarkedForest::properly_marked() const {
-  if (sparse_) {
-    for (const auto& [e, sm] : sparse_marks_) {
-      if (sm.marks[0] != sm.marks[1]) return false;
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    for (const Entry& x : entries(v)) {
+      if (x.peer_epoch == kUnmarked) return false;
     }
-    return true;
-  }
-  for (EdgeIdx e = 0; e < edge_slots_grown(); ++e) {
-    const std::size_t i = 2 * static_cast<std::size_t>(e);
-    if (half_marks_[i] != half_marks_[i + 1]) return false;
   }
   return true;
 }
 
 std::vector<EdgeIdx> MarkedForest::marked_edges() const {
   std::vector<EdgeIdx> out;
-  if (sparse_) {
-    for (const auto& [e, sm] : sparse_marks_) {
-      if (is_marked(e)) out.push_back(e);
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    for (const Entry& x : entries(v)) {
+      // Each marked edge once: from its smaller endpoint's entry.
+      if (v < x.inc.peer && x.peer_epoch != kUnmarked &&
+          graph_->alive(x.inc.edge)) {
+        out.push_back(x.inc.edge);
+      }
     }
-    return out;
   }
-  for (EdgeIdx e = 0; e < edge_slots_grown(); ++e) {
-    if (is_marked(e)) out.push_back(e);
-  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -258,10 +190,6 @@ std::vector<Incidence> MarkedForest::marked_incident(NodeId v) const {
   std::vector<Incidence> out;
   for (const Incidence& inc : TreeView(*this).neighbors(v)) out.push_back(inc);
   return out;
-}
-
-std::size_t MarkedForest::marked_degree(NodeId v) const {
-  return TreeView(*this).degree(v);
 }
 
 std::pair<std::vector<std::uint32_t>, std::size_t> MarkedForest::components()
@@ -313,34 +241,53 @@ std::vector<NodeId> MarkedForest::component_of(NodeId root) const {
 
 bool MarkedForest::verify_state() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
-  for (NodeId v = 0; v < graph_->node_count(); ++v) {
-    const TreeSlab& s = slabs_[v];
-    if (s.len > s.cap) return false;
-    if (s.cap > 0) {
-      const std::uint64_t first = s.offset;
-      const std::uint64_t last = first + s.cap;  // exclusive
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    const NodeMarks& m = nodes_[v];
+    if (m.len > m.cap) return false;
+    if (m.cap > 0) {
+      const std::uint64_t first = m.offset;
+      const std::uint64_t last = first + m.cap;  // exclusive
       if (last > pool_.tail() ||
           SlabPool::segment_of(first) != SlabPool::segment_of(last - 1)) {
         return false;
       }
       extents.emplace_back(first, last);
     }
-    if (s.row_version != graph_->row_version(v)) continue;  // rebuilt on read
-    // A fresh entry must equal the full-row own-half filter, in row order.
-    std::uint32_t k = 0;
-    for (const Incidence& inc : graph_->incident(v)) {
-      if (!own_half_marked(inc.edge, v)) continue;
-      if (k == s.len) return false;
-      const Incidence& got = pool_.at(s.offset)[k++];
-      if (got.edge != inc.edge || got.peer != inc.peer) return false;
+    const std::span<const Entry> list = entries(v);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const Entry& x = list[i];
+      if (x.inc.edge >= graph_->edge_slots() || x.own_epoch == kUnmarked) {
+        return false;
+      }
+      const Edge ed = graph_->edge(x.inc.edge);
+      if (!((ed.u == v && ed.v == x.inc.peer) ||
+            (ed.v == v && ed.u == x.inc.peer))) {
+        return false;
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        if (list[j].inc.edge == x.inc.edge) return false;  // listed twice
+      }
+      const Entry* mirror = find(x.inc.peer, x.inc.edge);
+      if (x.peer_epoch != (mirror != nullptr ? mirror->own_epoch : kUnmarked)) {
+        return false;
+      }
     }
-    if (k != s.len) return false;
+    if (m.row_version != graph_->row_version(v)) continue;  // stale
+    // Fresh: the alive entries, in row order, then only dead ones.
+    std::size_t k = 0;
+    for (const Incidence& inc : graph_->incident(v)) {
+      if (k < list.size() && list[k].inc.edge == inc.edge) ++k;
+    }
+    for (; k < list.size(); ++k) {
+      if (graph_->alive(list[k].inc.edge)) return false;
+    }
   }
   std::sort(extents.begin(), extents.end());
   for (std::size_t i = 1; i < extents.size(); ++i) {
-    if (extents[i].first < extents[i - 1].second) return false;
+    if (extents[i].first < extents[i - 1].second) return false;  // overlap
   }
-  return true;
+  return std::all_of(slot_of_peer_.begin(), slot_of_peer_.end(),
+                     [](std::uint32_t s) { return s == kNoSlot; });
 }
 
 bool MarkedForest::is_forest() const {

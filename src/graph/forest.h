@@ -13,28 +13,26 @@
 // Threading contract: a forest belongs to one world (graph, network,
 // protocols) and is only ever touched by that world's thread -- the
 // SweepExecutor runs whole worlds on worker threads, never one forest from
-// two -- so nothing here locks. Read accessors are bounds-checked and never
-// grow storage; growth happens only at construction and in mutators.
-// Storage: dense interleaved arrays indexed by 2e + endpoint-slot, 10 bytes
-// per edge slot. Graphs whose edge-slot count exceeds a limit (implicit K_n
-// at n = 10^6 has ~5*10^11 slots) switch to a sparse std::map keyed by edge
-// index -- a maintained forest holds < n marked edges regardless of m, so
-// the map stays O(n).
+// two -- so nothing here locks.
 //
-// Tree index: per node, the incident edges whose *own* half is marked, in
-// incidence-row order (docs/ARCHITECTURE.md, "Tree index"). TreeView walks
-// read it instead of filtering every incident edge, so a tree walk touches
-// tree edges only. An entry is rebuilt lazily on the next read after its
-// node marks or unmarks its own half, mark_edge / clear_edge touch an edge
-// of the node, clear_all runs, or the node's incidence row changes
-// (Graph::row_version). A node's own-half mutators write only that node's
-// entry; slabs come from a bump pool whose segments never move.
+// Storage: the per-node tree index is the only mark store
+// (docs/ARCHITECTURE.md, "Tree index"). Node v keeps one entry per edge
+// whose *own* half (v's) is marked: the incidence, v's epoch and a mirror of
+// the peer's epoch (kUnmarked while the peer's half is not marked). Forest
+// state is O(n + tree edges) whatever m is. mark_half / unmark_half edit
+// v's entry and the mirror in the peer's entry, O(tree degree); every mark
+// read answers from the endpoints' entries. TreeView walks need entries in
+// incidence-row order: a node's list goes stale when it gains an entry or
+// its row changes (Graph::row_version), and the next walk reorders it with
+// one pass over the row, in place, so reads never allocate. Entries of dead
+// edges stay in the store (walks skip them) until their halves are
+// unmarked. Each node's list is one slab of a bump pool whose segments
+// never move, so a node outgrowing its slab moves only its own entries.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -43,30 +41,25 @@
 
 namespace kkt::graph {
 
-// Edge-slot count above which MarkedForest stores marks sparsely (dense
-// arrays would exceed ~10 GB).
-inline constexpr std::size_t kForestDenseSlotLimit = std::size_t{1} << 30;
-
 class MarkedForest {
  public:
-  // `dense_slot_limit` is a test seam; the default keeps every materialised
-  // graph dense and flips only web-scale implicit families to sparse.
-  explicit MarkedForest(const Graph& g,
-                        std::size_t dense_slot_limit = kForestDenseSlotLimit)
+  explicit MarkedForest(const Graph& g)
       : graph_(&g),
-        sparse_(g.edge_slots() > dense_slot_limit),
-        slabs_(g.node_count()) {
-    sync_capacity();
-  }
+        nodes_(g.node_count()),
+        slot_of_peer_(g.node_count(), kNoSlot) {}
 
   // --- per-endpoint marking (what protocols do) ---------------------------
   // `epoch` records when the mark was placed; construction phases use it to
   // query the fragment structure "as of the start of phase i" (edges marked
   // in phase i become part of the tree only from phase i+1 on), matching the
-  // paper's synchronized-phase semantics in Build MST step (d).
+  // paper's synchronized-phase semantics in Build MST step (d). Epoch
+  // ~0 (kUnmarked) is reserved.
   void mark_half(EdgeIdx e, NodeId endpoint, std::uint32_t epoch = 0);
   void unmark_half(EdgeIdx e, NodeId endpoint);
-  bool half_marked(EdgeIdx e, NodeId endpoint) const;
+  bool half_marked(EdgeIdx e, NodeId endpoint) const {
+    return find(endpoint, e) != nullptr;
+  }
+  // Largest epoch among the edge's marked halves (0 if none).
   std::uint32_t mark_epoch(EdgeIdx e) const;
   // Largest epoch among currently marked edges (0 if none) -- lets a new
   // phased operation pick fresh epochs above everything already placed.
@@ -74,34 +67,17 @@ class MarkedForest {
 
   // --- symmetric convenience (driver/test use) ----------------------------
   void mark_edge(EdgeIdx e, std::uint32_t epoch = 0);
-  void unmark_edge(EdgeIdx e);
   // Clears both halves, e.g. when the edge is deleted from the graph.
   void clear_edge(EdgeIdx e);
   void clear_all();
 
-  // An edge is in the maintained forest iff both halves are marked.
-  // Inline: TreeView walks apply it to every tree-index entry (the peer's
-  // half may be unmarked). Pure read: edges beyond the grown range are
-  // simply unmarked.
+  // An edge is in the maintained forest iff both halves are marked (and it
+  // is alive).
   bool is_marked(EdgeIdx e) const {
-    if (sparse_) return sparse_marked(e);
-    const std::size_t i = 2 * static_cast<std::size_t>(e);
-    return i + 1 < half_marks_.size() &&
-           (half_marks_[i] & half_marks_[i + 1]) != 0 && graph_->alive(e);
+    return is_marked_at(e, ~std::uint32_t{0});
   }
-
   // Marked and placed no later than the given epoch.
-  bool is_marked_at(EdgeIdx e, std::uint32_t epoch_limit) const {
-    if (!is_marked(e)) return false;
-    if (sparse_) return mark_epoch(e) <= epoch_limit;
-    const std::size_t i = 2 * static_cast<std::size_t>(e);
-    const std::uint32_t eu = half_epochs_[i];
-    const std::uint32_t ev = half_epochs_[i + 1];
-    return (eu > ev ? eu : ev) <= epoch_limit;
-  }
-
-  // Whether marks live in the sparse map (see class comment).
-  bool sparse() const noexcept { return sparse_; }
+  bool is_marked_at(EdgeIdx e, std::uint32_t epoch_limit) const;
 
   // Every edge has zero or two marked halves.
   bool properly_marked() const;
@@ -111,7 +87,6 @@ class MarkedForest {
 
   // Marked alive incident edges of v, in incidence-row order.
   std::vector<Incidence> marked_incident(NodeId v) const;
-  std::size_t marked_degree(NodeId v) const;
 
   // Component label per node of the marked subgraph, plus component count.
   std::pair<std::vector<std::uint32_t>, std::size_t> components() const;
@@ -128,30 +103,41 @@ class MarkedForest {
 
   const Graph& graph() const noexcept { return *graph_; }
 
-  // Audit of the tree index (tests and debugging; O(m), never called on a
-  // hot path): every fresh entry equals the row-ordered own-half-marked
-  // subset of its node's incidence row, and no two slabs overlap.
+  // From-scratch audit of the store (tests and debugging; O(m), never
+  // called on a hot path): every entry names an edge of its node, no node
+  // lists an edge twice, every mirror equals the peer's own epoch (or
+  // kUnmarked when the peer lists no entry), a fresh list holds its alive
+  // entries in incidence-row order ahead of any dead ones, and no two
+  // slabs overlap.
   bool verify_state() const;
+
+  // Peer-epoch value of an entry whose peer half is unmarked.
+  static constexpr std::uint32_t kUnmarked = ~std::uint32_t{0};
+
+  // One own-marked half of a node.
+  struct Entry {
+    Incidence inc;
+    std::uint32_t own_epoch;
+    std::uint32_t peer_epoch;  // kUnmarked: the peer's half is unmarked
+  };
 
  private:
   friend class TreeView;
 
-  // Stable-address bump allocator for the tree index. Segment k holds
-  // kFirst << k entries and never moves once allocated, so carving a new
-  // slab never invalidates another node's entries.
-  // Released slabs of small capacity are recycled by exact size; reset()
-  // (clear_all) reclaims everything.
+  // Stable-address bump allocator for the entry lists. Segment k holds
+  // kFirst << k entries and never moves once allocated, so growing one
+  // node's slab never moves another node's entries. Released slabs of small
+  // capacity are recycled by exact size.
   class SlabPool {
    public:
     // Valid only for offsets inside an allocated slab.
-    Incidence* at(std::uint32_t offset) const {
+    Entry* at(std::uint32_t offset) const {
       const int k = segment_of(offset);
       return segments_[static_cast<std::size_t>(k)].get() +
              (offset - segment_start(k));
     }
     std::uint32_t allocate(std::uint32_t cap);
     void release(std::uint32_t offset, std::uint32_t cap);
-    void reset();
     std::uint64_t tail() const noexcept { return tail_; }
 
     static int segment_of(std::uint64_t offset) {
@@ -166,75 +152,52 @@ class MarkedForest {
     // Segment starts stay below 2^32, so offsets fit the slab's uint32.
     static constexpr int kSegments = 32 - kShift;
 
-    std::array<std::unique_ptr<Incidence[]>, kSegments> segments_;
+    std::array<std::unique_ptr<Entry[]>, kSegments> segments_;
     std::uint64_t tail_ = 0;
     // free_[c]: offsets of released slabs of capacity c (c < 64; larger
-    // slabs are rare and simply abandoned until reset()).
+    // slabs are rare and simply abandoned).
     std::vector<std::vector<std::uint32_t>> free_ =
         std::vector<std::vector<std::uint32_t>>(64);
   };
 
-  // One node's tree-index entry: pool_[offset, offset + len), capacity cap,
-  // fresh while row_version equals the graph's row version of the node
-  // (which would need 2^32 - 1 row changes to reach the stale marker).
+  // One node's entries: pool_[offset, offset + len) in a slab of capacity
+  // cap, in incidence-row order while row_version equals the graph's row
+  // version of the node (which would need 2^32 - 1 row changes to reach the
+  // stale marker).
   static constexpr std::uint32_t kStaleRow = ~std::uint32_t{0};
-  struct TreeSlab {
+  struct NodeMarks {
     std::uint32_t offset = 0;
     std::uint32_t len = 0;
     std::uint32_t cap = 0;
     std::uint32_t row_version = kStaleRow;
   };
 
-  // The tree-index entry of v, rebuilt first if stale.
-  std::span<const Incidence> tree_row(NodeId v) const {
-    const TreeSlab& s = slabs_[v];
-    if (s.row_version != graph_->row_version(v)) rebuild_tree_row(v);
-    if (s.len == 0) return {};  // maybe no slab yet: never touch the pool
-    return {pool_.at(s.offset), s.len};
+  std::span<Entry> entries(NodeId v) const {
+    const NodeMarks& m = nodes_[v];
+    if (m.len == 0) return {};  // maybe no slab yet: never touch the pool
+    return {pool_.at(m.offset), m.len};
   }
-  void rebuild_tree_row(NodeId v) const;  // slow path of tree_row
-  void invalidate(NodeId v) { slabs_[v].row_version = kStaleRow; }
-  void invalidate_endpoints(EdgeIdx e);
-  bool own_half_marked(EdgeIdx e, NodeId v) const;
+  // v's entries in row order, reordered first if stale.
+  std::span<const Entry> tree_row(NodeId v) const {
+    if (nodes_[v].row_version != graph_->row_version(v)) reorder(v);
+    return entries(v);
+  }
+  void append(NodeId v, const Entry& x);
+  void reorder(NodeId v) const;  // slow path of tree_row
+  // v's entry for e, or nullptr if v's half is unmarked. Mutable like
+  // entries(): mark_half writes through it.
+  Entry* find(NodeId v, EdgeIdx e) const;
 
-  // One edge's marks in sparse mode; same slot convention as the arrays.
-  struct SparseMarks {
-    std::uint8_t marks[2] = {0, 0};
-    std::uint32_t epochs[2] = {0, 0};
-  };
-
-  // Grows the half-mark/epoch arrays to cover every current edge slot.
-  void sync_capacity();
-  // Mutator-only growth: reads never resize (see class comment).
-  void ensure_size(EdgeIdx e) {
-    if (!sparse_ && half_marks_.size() <= 2 * static_cast<std::size_t>(e) + 1) {
-      grow(e);
-    }
-  }
-  void grow(EdgeIdx e);  // out-of-line slow path of ensure_size
-  // Returns 0 or 1 for the endpoint's slot in the interleaved arrays.
-  int slot(EdgeIdx e, NodeId endpoint) const;
-  std::size_t edge_slots_grown() const noexcept {
-    return half_marks_.size() / 2;
-  }
-  bool sparse_marked(EdgeIdx e) const;  // out-of-line sparse read
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   const Graph* graph_;
-  bool sparse_ = false;
-  // Interleaved per-endpoint mark bytes: element 2e + slot is endpoint
-  // slot's half of edge e.
-  std::vector<std::uint8_t> half_marks_;
-  // Per-endpoint epoch at which the half was marked; an edge's epoch is the
-  // max over its two halves (both halves carry the same value in every
-  // marking flow, so this matches the historical single-epoch semantics).
-  std::vector<std::uint32_t> half_epochs_;
-  // Sparse mode: marks keyed by edge index (ascending iteration order keeps
-  // marked_edges / audits deterministic and identical to the dense walk).
-  std::map<EdgeIdx, SparseMarks> sparse_marks_;
-  // Tree index: one slab per node (node count is fixed), entries in pool_.
-  // Mutable: reads rebuild stale entries lazily.
-  mutable std::vector<TreeSlab> slabs_;
-  mutable SlabPool pool_;
+  // Mutable: reads reorder stale lists lazily.
+  mutable std::vector<NodeMarks> nodes_;
+  SlabPool pool_;
+  // reorder() scratch: slot_of_peer_[p] is the position of the entry whose
+  // alive edge leads to p (alive edges at a node have distinct peers);
+  // kNoSlot everywhere between calls.
+  mutable std::vector<std::uint32_t> slot_of_peer_;
 };
 
 // A node-local lens on the maintained tree: the marked incident edges as of
@@ -252,11 +215,14 @@ class TreeView {
   }
 
   // Allocation-free range over the marked incident edges of `v`, in
-  // incidence-row order: a walk over v's tree-index entry that skips the
-  // entries contains() rejects (peer half unmarked, placed after the epoch
-  // limit). Entries stay valid until v's next mark change. The range
-  // copies the view's fields, so it may outlive a temporary TreeView.
+  // incidence-row order: a walk over v's entries that skips those
+  // contains() rejects (peer half unmarked, placed after the epoch limit,
+  // edge dead), reading entry fields only. Entries stay valid until v's
+  // next mark change. The range copies the view's fields, so it may
+  // outlive a temporary TreeView.
   class NeighborRange {
+    using Entry = MarkedForest::Entry;
+
    public:
     class iterator {
      public:
@@ -264,14 +230,14 @@ class TreeView {
       using reference = const Incidence&;
       using difference_type = std::ptrdiff_t;
 
-      iterator(const MarkedForest* forest, std::uint32_t epoch_limit,
-               const Incidence* cur, const Incidence* end)
-          : forest_(forest), epoch_limit_(epoch_limit), cur_(cur), end_(end) {
+      iterator(const Graph* graph, std::uint32_t epoch_limit, const Entry* cur,
+               const Entry* end)
+          : graph_(graph), epoch_limit_(epoch_limit), cur_(cur), end_(end) {
         skip_unmarked();
       }
 
-      reference operator*() const { return *cur_; }
-      const Incidence* operator->() const { return cur_; }
+      reference operator*() const { return cur_->inc; }
+      const Incidence* operator->() const { return &cur_->inc; }
       iterator& operator++() {
         ++cur_;
         skip_unmarked();
@@ -282,29 +248,31 @@ class TreeView {
 
      private:
       void skip_unmarked() {
-        while (cur_ != end_ &&
-               !forest_->is_marked_at(cur_->edge, epoch_limit_)) {
+        while (cur_ != end_ && !(cur_->peer_epoch != MarkedForest::kUnmarked &&
+                                 cur_->own_epoch <= epoch_limit_ &&
+                                 cur_->peer_epoch <= epoch_limit_ &&
+                                 graph_->alive(cur_->inc.edge))) {
           ++cur_;
         }
       }
 
-      const MarkedForest* forest_;
+      const Graph* graph_;
       std::uint32_t epoch_limit_;
-      const Incidence* cur_;
-      const Incidence* end_;
+      const Entry* cur_;
+      const Entry* end_;
     };
 
-    NeighborRange(const MarkedForest* forest, std::uint32_t epoch_limit,
-                  std::span<const Incidence> entries)
-        : forest_(forest), epoch_limit_(epoch_limit), entries_(entries) {}
+    NeighborRange(const Graph* graph, std::uint32_t epoch_limit,
+                  std::span<const Entry> entries)
+        : graph_(graph), epoch_limit_(epoch_limit), entries_(entries) {}
 
     iterator begin() const {
-      return {forest_, epoch_limit_, entries_.data(),
+      return {graph_, epoch_limit_, entries_.data(),
               entries_.data() + entries_.size()};
     }
     iterator end() const {
-      const Incidence* last = entries_.data() + entries_.size();
-      return {forest_, epoch_limit_, last, last};
+      const Entry* last = entries_.data() + entries_.size();
+      return {graph_, epoch_limit_, last, last};
     }
     std::size_t size() const {
       std::size_t d = 0;
@@ -313,13 +281,13 @@ class TreeView {
     }
 
    private:
-    const MarkedForest* forest_;
+    const Graph* graph_;
     std::uint32_t epoch_limit_;
-    std::span<const Incidence> entries_;
+    std::span<const Entry> entries_;
   };
 
   NeighborRange neighbors(NodeId v) const {
-    return {forest_, epoch_limit_, forest_->tree_row(v)};
+    return {&forest_->graph(), epoch_limit_, forest_->tree_row(v)};
   }
 
   std::size_t degree(NodeId v) const { return neighbors(v).size(); }

@@ -4,7 +4,8 @@
 // sim/network.cc) is that steady-state traffic performs no heap allocation:
 // messages carry their payload inline, and envelopes sit in the timing
 // wheel's buckets, which keep their capacity across operations. These
-// tests hold that contract by instrumenting global operator new.
+// tests hold that contract by instrumenting global operator new, which also
+// counts bytes: the maintained forest's state must stay O(n + tree edges).
 //
 // Discipline: the first run of a workload warms the arenas (bucket growth
 // is amortized and expected), and so does the first run after the policy's
@@ -16,6 +17,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "graph/forest.h"
+#include "graph/implicit.h"
 #include "proto/tree_ops.h"
 #include "sim/adversarial_network.h"
 #include "sim/async_network.h"
@@ -40,22 +43,26 @@
 namespace {
 
 [[maybe_unused]] std::atomic<std::uint64_t> g_allocations{0};
+[[maybe_unused]] std::atomic<std::uint64_t> g_bytes{0};
 
 }  // namespace
 
 #if KKT_ALLOC_COUNTING
 
-void* operator new(std::size_t size) {
+namespace {
+// Out of line: inlined into operator new, the byte count let GCC pair the
+// replaced new with the free() in the replaced delete and report a
+// -Wmismatched-new-delete false positive.
+[[gnu::noinline]] void* counted_malloc(std::size_t size) {
   ++g_allocations;
+  g_bytes += size;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+}  // namespace
 
-void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -230,6 +237,30 @@ TEST(Allocation, BroadcastEchoOnIndexedForestIsAllocationFree) {
   // A spanning tree on 256 nodes: one broadcast and one echo per edge.
   EXPECT_EQ(w.net->metrics().messages - messages_before, 2u * 255u);
   EXPECT_GT(result.at(0), 0u);
+}
+
+TEST(Allocation, ForestBytesAreLinearInNodesOnImplicitComplete) {
+  KKT_SKIP_UNLESS_COUNTING();
+  // Marks are node-local state: constructing a forest on implicit K_n
+  // (m ~ 8.4M) and marking a spanning path must allocate O(n) bytes -- per
+  // node a slab header plus scratch slot (64 B is ample) and at most four
+  // entries of pool space for its <= 2 path edges (slabs and pool segments
+  // both grow by doubling).
+  constexpr std::size_t kNodes = 4096;
+  graph::ImplicitSpec spec;
+  spec.n = kNodes;
+  spec.seed = 1;
+  const graph::Graph g = graph::make_implicit_graph(spec);
+  const std::uint64_t before = g_bytes.load();
+  graph::MarkedForest forest(g);
+  for (NodeId v = 0; v + 1 < kNodes; ++v) {
+    forest.mark_edge(*g.find_edge(v, v + 1));
+  }
+  const std::uint64_t bytes = g_bytes.load() - before;
+  EXPECT_LE(bytes, kNodes * (64 + 4 * sizeof(graph::MarkedForest::Entry)));
+  EXPECT_EQ(forest.marked_edges().size(), kNodes - 1);
+  EXPECT_TRUE(forest.is_forest());
+  EXPECT_EQ(forest.components().second, 1u);
 }
 
 }  // namespace

@@ -76,6 +76,30 @@ TEST(Churn, ReplayReproducesGeneratedRun) {
   EXPECT_EQ(trace_digest(generated.trace), trace_digest(replayed.trace));
 }
 
+// The forest store's from-scratch audit after every op of a long async
+// churn: entries, peer mirrors and row order must survive every repair
+// path (rejected and swapping inserts, deletions with and without a
+// replacement search, reweighs), not just agree with the oracle at the end.
+TEST(Churn, ForestStoreAuditsCleanAfterEveryOp) {
+  Scenario sc = test::gnm_scenario(128, 512, 21, NetKind::kAsync);
+  sc.premark_msf = true;
+  scenario::World w = scenario::make_world(sc);
+  const UpdateTrace trace = generate_trace(
+      w.graph(), WorkloadSpec::of(WorkloadKind::kUniform, 300), 21);
+  ASSERT_EQ(trace.ops.size(), 300u);
+  core::SessionOptions options;
+  options.check_oracle = true;
+  core::MaintenanceSession session(w.graph(), w.trees(), w.network(),
+                                   core::ForestKind::kMst, options);
+  ASSERT_TRUE(w.trees().verify_state());
+  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
+    ASSERT_TRUE(session.apply(trace.ops[i]).applied) << "op " << i;
+    ASSERT_TRUE(w.trees().verify_state()) << "op " << i;
+    ASSERT_TRUE(w.trees().properly_marked()) << "op " << i;
+  }
+  EXPECT_EQ(session.oracle_failures(), 0u);
+}
+
 TEST(SweepExecutorTest, ResultsLandInIndexOrder) {
   const SweepExecutor ex(8);
   const auto out = ex.map(33, [](int i) { return i * i; });

@@ -386,7 +386,7 @@ TEST(MarkedForest, MarkedIncidentAndDegree) {
   g.add_edge(1, 2, 2);
   MarkedForest f(g);
   f.mark_edge(e1);
-  EXPECT_EQ(f.marked_degree(1), 1u);
+  EXPECT_EQ(TreeView(f).degree(1), 1u);
   EXPECT_EQ(f.marked_incident(1).size(), 1u);
   EXPECT_EQ(f.marked_incident(1)[0].peer, 0u);
   EXPECT_EQ(f.marked_edges(), std::vector<EdgeIdx>{e1});

@@ -328,65 +328,17 @@ TEST(ImplicitXL, GridLongMillionNodesRowProbes) {
   }
 }
 
-// --- MarkedForest sparse mode ------------------------------------------------
-
-// Forcing the dense-slot limit to zero flips the forest to the sparse map;
-// every audit and marking flow must behave exactly like the dense arrays.
-TEST(ForestSparse, SparseMarksMatchDense) {
-  util::Rng rng(5);
-  const Graph g = random_connected_gnm(40, 160, {1u << 12}, rng);
-  MarkedForest dense(g);
-  MarkedForest sparse(g, /*dense_slot_limit=*/0);
-  EXPECT_FALSE(dense.sparse());
-  EXPECT_TRUE(sparse.sparse());
-  util::Rng pick(17);
-  for (int i = 0; i < 200; ++i) {
-    const auto e = static_cast<EdgeIdx>(pick.below(g.edge_slots()));
-    const Edge ed = g.edge(e);
-    const std::uint32_t epoch = static_cast<std::uint32_t>(pick.below(5));
-    switch (pick.below(4)) {
-      case 0:
-        dense.mark_half(e, ed.u, epoch);
-        sparse.mark_half(e, ed.u, epoch);
-        break;
-      case 1:
-        dense.mark_edge(e, epoch);
-        sparse.mark_edge(e, epoch);
-        break;
-      case 2:
-        dense.unmark_half(e, ed.v);
-        sparse.unmark_half(e, ed.v);
-        break;
-      default:
-        dense.clear_edge(e);
-        sparse.clear_edge(e);
-        break;
-    }
-    EXPECT_EQ(dense.is_marked(e), sparse.is_marked(e)) << "i=" << i;
-    EXPECT_EQ(dense.half_marked(e, ed.u), sparse.half_marked(e, ed.u));
-    EXPECT_EQ(dense.half_marked(e, ed.v), sparse.half_marked(e, ed.v));
-    EXPECT_EQ(dense.mark_epoch(e), sparse.mark_epoch(e));
-    EXPECT_EQ(dense.is_marked_at(e, 2), sparse.is_marked_at(e, 2));
-  }
-  EXPECT_EQ(dense.properly_marked(), sparse.properly_marked());
-  EXPECT_EQ(dense.marked_edges(), sparse.marked_edges());
-  EXPECT_EQ(dense.max_mark_epoch(), sparse.max_mark_epoch());
-  dense.clear_all();
-  sparse.clear_all();
-  EXPECT_EQ(dense.marked_edges(), sparse.marked_edges());
-  EXPECT_TRUE(sparse.marked_edges().empty());
-}
+// --- MarkedForest on web-scale implicit graphs ------------------------------
 
 // An implicit K_n at web scale must construct a forest without touching
-// Theta(m) memory: the constructor picks sparse mode from edge_slots().
-TEST(ForestSparse, WebScaleImplicitForestIsSparse) {
+// Theta(m) memory: marks live in per-node entries, O(n + tree edges).
+TEST(ImplicitForest, WebScaleCompleteForestIsNodeLocal) {
   ImplicitSpec spec;
   spec.family = ImplicitFamily::kComplete;
   spec.n = 1'000'000;
   spec.seed = 1;
   const Graph g = make_implicit_graph(spec);
-  MarkedForest forest(g);  // dense would be ~5 TB of marks
-  EXPECT_TRUE(forest.sparse());
+  MarkedForest forest(g);  // per-edge marks would be ~5 TB
   const EdgeIdx e = *g.find_edge(3, 77);
   forest.mark_edge(e, 2);
   EXPECT_TRUE(forest.is_marked(e));

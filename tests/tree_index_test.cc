@@ -1,15 +1,17 @@
-// The tree index of graph::MarkedForest (graph/forest.h) replaced a filter
-// over every incident edge. It must stay observationally identical to that
-// filter: TreeView::neighbors(v) yields exactly the incidence-row-ordered
-// edges that is_marked_at() accepts, for every node and every epoch limit,
-// after any sequence of marking (and, on the mutable adjacency backend,
-// topology) mutations, on every backend and in sparse mode. The reference
-// below is the deleted full-row filter.
+// graph::MarkedForest (graph/forest.h) keeps every mark in its per-node
+// tree index. This test drives it with random marking (and, on the mutable
+// adjacency backend, topology) mutations on every backend and checks each
+// read against an independent shadow model: plain per-edge half marks and
+// epochs, updated by the same ops. TreeView::neighbors(v) must yield
+// exactly the incidence-row-ordered edges the model calls marked -- the
+// full-row filter TreeView used before the index existed -- for every node
+// and every epoch limit.
 // Each random step also runs the verify_state() audit, before the reads
-// (a missed invalidation shows up as a fresh slab with the wrong entries)
-// and after them (rebuilds must leave a consistent pool).
+// (a missed reorder or a stale mirror shows up there) and after them
+// (reorders must leave a consistent store).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -31,28 +33,110 @@ namespace {
 
 constexpr std::uint32_t kEpochLimits[] = {0u, 1u, 3u, ~std::uint32_t{0}};
 
-// The full-row filter TreeView used before the index existed.
-std::vector<Incidence> full_scan(const MarkedForest& f, NodeId v,
-                                 std::uint32_t epoch_limit) {
-  std::vector<Incidence> out;
-  for (const Incidence& inc : f.graph().incident(v)) {
-    if (f.is_marked_at(inc.edge, epoch_limit)) out.push_back(inc);
-  }
-  return out;
-}
+// The reference: what each endpoint has marked, per edge slot. Side 0 is
+// the edge's u, side 1 its v; an unmarked half has epoch 0.
+class ShadowMarks {
+ public:
+  explicit ShadowMarks(const Graph& g) : g_(&g) {}
 
-void expect_node_matches(const MarkedForest& f, NodeId v) {
-  for (const std::uint32_t limit : kEpochLimits) {
-    const TreeView view(f, limit);
-    const std::vector<Incidence> want = full_scan(f, v, limit);
-    std::vector<Incidence> got;
-    for (const Incidence& inc : view.neighbors(v)) got.push_back(inc);
-    ASSERT_EQ(got.size(), want.size()) << "node " << v << " limit " << limit;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i].edge, want[i].edge) << "node " << v << " entry " << i;
-      ASSERT_EQ(got[i].peer, want[i].peer) << "node " << v << " entry " << i;
+  void mark_half(EdgeIdx e, NodeId end, std::uint32_t epoch) {
+    half(e, end) = {true, epoch};
+  }
+  void unmark_half(EdgeIdx e, NodeId end) { half(e, end) = {}; }
+  void mark_edge(EdgeIdx e, std::uint32_t epoch) {
+    mark_half(e, g_->edge(e).u, epoch);
+    mark_half(e, g_->edge(e).v, epoch);
+  }
+  void clear_edge(EdgeIdx e) {
+    unmark_half(e, g_->edge(e).u);
+    unmark_half(e, g_->edge(e).v);
+  }
+  void clear_all() { halves_.clear(); }
+
+  bool half_marked(EdgeIdx e, NodeId end) { return half(e, end).marked; }
+  std::uint32_t mark_epoch(EdgeIdx e) {
+    return std::max(side(e, 0).epoch, side(e, 1).epoch);
+  }
+  bool is_marked_at(EdgeIdx e, std::uint32_t limit) {
+    return side(e, 0).marked && side(e, 1).marked && g_->alive(e) &&
+           mark_epoch(e) <= limit;
+  }
+  bool properly_marked() {
+    for (EdgeIdx e = 0; e < g_->edge_slots(); ++e) {
+      if (side(e, 0).marked != side(e, 1).marked) return false;
     }
-    ASSERT_EQ(view.degree(v), want.size()) << "node " << v;
+    return true;
+  }
+  std::vector<EdgeIdx> marked_edges() {
+    std::vector<EdgeIdx> out;
+    for (EdgeIdx e = 0; e < g_->edge_slots(); ++e) {
+      if (is_marked_at(e, ~std::uint32_t{0})) out.push_back(e);
+    }
+    return out;
+  }
+  std::uint32_t max_mark_epoch() {
+    std::uint32_t best = 0;
+    for (const EdgeIdx e : marked_edges()) best = std::max(best, mark_epoch(e));
+    return best;
+  }
+  std::vector<Incidence> neighbors(NodeId v, std::uint32_t limit) {
+    std::vector<Incidence> out;
+    for (const Incidence& inc : g_->incident(v)) {
+      if (is_marked_at(inc.edge, limit)) out.push_back(inc);
+    }
+    return out;
+  }
+
+ private:
+  struct Half {
+    bool marked = false;
+    std::uint32_t epoch = 0;
+  };
+  Half& side(EdgeIdx e, int s) {
+    const std::size_t need = 2 * (static_cast<std::size_t>(e) + 1);
+    if (halves_.size() < need) halves_.resize(need);
+    return halves_[2 * static_cast<std::size_t>(e) + s];
+  }
+  Half& half(EdgeIdx e, NodeId end) {
+    return side(e, end == g_->edge(e).u ? 0 : 1);
+  }
+
+  const Graph* g_;
+  std::vector<Half> halves_;
+};
+
+// Every read of the forest against the model, at every edge slot and the
+// four epoch limits; `nodes` lists the nodes whose neighbors to compare.
+void expect_matches(const MarkedForest& f, ShadowMarks& model,
+                    const std::vector<NodeId>& nodes) {
+  const Graph& g = f.graph();
+  for (EdgeIdx e = 0; e < g.edge_slots(); ++e) {
+    const Edge ed = g.edge(e);
+    ASSERT_EQ(f.half_marked(e, ed.u), model.half_marked(e, ed.u)) << e;
+    ASSERT_EQ(f.half_marked(e, ed.v), model.half_marked(e, ed.v)) << e;
+    ASSERT_EQ(f.mark_epoch(e), model.mark_epoch(e)) << e;
+    ASSERT_EQ(f.is_marked(e), model.is_marked_at(e, ~std::uint32_t{0})) << e;
+    for (const std::uint32_t limit : kEpochLimits) {
+      ASSERT_EQ(f.is_marked_at(e, limit), model.is_marked_at(e, limit))
+          << "edge " << e << " limit " << limit;
+    }
+  }
+  ASSERT_EQ(f.marked_edges(), model.marked_edges());
+  ASSERT_EQ(f.max_mark_epoch(), model.max_mark_epoch());
+  ASSERT_EQ(f.properly_marked(), model.properly_marked());
+  for (const NodeId v : nodes) {
+    for (const std::uint32_t limit : kEpochLimits) {
+      const TreeView view(f, limit);
+      const std::vector<Incidence> want = model.neighbors(v, limit);
+      std::vector<Incidence> got;
+      for (const Incidence& inc : view.neighbors(v)) got.push_back(inc);
+      ASSERT_EQ(got.size(), want.size()) << "node " << v << " limit " << limit;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].edge, want[i].edge) << "node " << v << " entry " << i;
+        ASSERT_EQ(got[i].peer, want[i].peer) << "node " << v << " entry " << i;
+      }
+      ASSERT_EQ(view.degree(v), want.size()) << "node " << v;
+    }
   }
 }
 
@@ -60,7 +144,6 @@ struct Backend {
   std::string name;
   std::function<Graph()> make;
   bool can_mutate = false;  // only the adjacency backend changes topology
-  std::size_t dense_slot_limit = kForestDenseSlotLimit;
 };
 
 // gtest's default printer dumps the raw bytes, which start with the name's
@@ -103,7 +186,6 @@ std::vector<Backend> backends() {
          return make_implicit_graph(spec);
        },
        false},
-      {"sparse_adjacency", [] { return gnm(7); }, true, /*limit=*/0},
   };
 }
 
@@ -112,8 +194,8 @@ class TreeIndexEquivalence : public ::testing::TestWithParam<Backend> {};
 TEST_P(TreeIndexEquivalence, RandomMutationsMatchFullScan) {
   const Backend& b = GetParam();
   Graph g = b.make();
-  MarkedForest f(g, b.dense_slot_limit);
-  ASSERT_EQ(f.sparse(), b.dense_slot_limit == 0);
+  MarkedForest f(g);
+  ShadowMarks model(g);
   util::Rng rng(0x7ee + g.node_count());
   const auto random_node = [&] {
     return static_cast<NodeId>(rng.below(g.node_count()));
@@ -122,10 +204,12 @@ TEST_P(TreeIndexEquivalence, RandomMutationsMatchFullScan) {
     const std::vector<EdgeIdx> alive = g.alive_edge_indices();
     return alive[rng.below(alive.size())];
   };
+  std::vector<NodeId> all_nodes(g.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) all_nodes[v] = v;
 
   for (int step = 0; step < 600; ++step) {
     // Any slot, dead ones included: marks on deleted edges must stay out of
-    // the index just as they stayed out of the filter.
+    // the walks and every alive-only read.
     const auto e = static_cast<EdgeIdx>(rng.below(g.edge_slots()));
     const Edge ed = g.edge(e);
     const NodeId end = rng.coin() ? ed.u : ed.v;
@@ -133,14 +217,19 @@ TEST_P(TreeIndexEquivalence, RandomMutationsMatchFullScan) {
     const std::uint64_t op = rng.below(100);
     if (op < 35) {
       f.mark_half(e, end, epoch);
+      model.mark_half(e, end, epoch);
     } else if (op < 55) {
       f.unmark_half(e, end);
+      model.unmark_half(e, end);
     } else if (op < 65) {
       f.mark_edge(e, epoch);
+      model.mark_edge(e, epoch);
     } else if (op < 73) {
       f.clear_edge(e);
+      model.clear_edge(e);
     } else if (op < 75) {
       f.clear_all();
+      model.clear_all();
     } else if (!b.can_mutate) {
       // Read-only backends: marks only.
     } else if (op < 87) {
@@ -148,28 +237,36 @@ TEST_P(TreeIndexEquivalence, RandomMutationsMatchFullScan) {
       const NodeId v = random_node();
       if (u != v && !g.find_edge(u, v).has_value()) {
         const EdgeIdx added = g.add_edge(u, v, 1 + rng.below(1u << 12));
-        if (rng.coin()) f.mark_edge(added, epoch);
+        if (rng.coin()) {
+          f.mark_edge(added, epoch);
+          model.mark_edge(added, epoch);
+        }
       }
     } else if (g.edge_count() > g.node_count()) {
       // Remove a marked edge half the time: the row reorder (swap with
       // last) must reach the index through the row version.
-      const std::vector<EdgeIdx> marked = f.marked_edges();
+      const std::vector<EdgeIdx> marked = model.marked_edges();
       g.remove_edge(rng.coin() && !marked.empty()
                         ? marked[rng.below(marked.size())]
                         : random_alive_edge());
     }
     ASSERT_TRUE(f.verify_state()) << b.name << " step " << step;
 
-    // Read every node on even steps, a few on odd ones, so some entries
-    // stay stale across several mutations.
+    // Walk every node on even steps, a few on odd ones, so some lists stay
+    // stale across several mutations.
     if (step % 2 == 0) {
-      for (NodeId v = 0; v < g.node_count(); ++v) expect_node_matches(f, v);
+      expect_matches(f, model, all_nodes);
     } else {
-      for (int i = 0; i < 3; ++i) expect_node_matches(f, random_node());
+      expect_matches(f, model, {random_node(), random_node(), random_node()});
     }
     if (::testing::Test::HasFatalFailure()) return;
     ASSERT_TRUE(f.verify_state()) << b.name << " step " << step;
   }
+  f.clear_all();
+  model.clear_all();
+  expect_matches(f, model, all_nodes);
+  EXPECT_TRUE(f.marked_edges().empty());
+  EXPECT_TRUE(f.verify_state());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -202,7 +299,7 @@ TEST(TreeIndex, ClearAllResetsEpochsLikeClearEdge) {
 }
 
 // clear_all() also drops the whole index: nothing is reachable afterwards,
-// and fresh marks rebuild entries from the reset pool.
+// and fresh marks start new entries.
 TEST(TreeIndex, ClearAllInvalidatesEveryNode) {
   const Graph g = gnm(12);
   MarkedForest f(g);

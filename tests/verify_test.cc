@@ -130,6 +130,28 @@ TEST(VerifyMst, AuditsAFreshDistributedBuild) {
   EXPECT_TRUE(res.looks_like_mst());
 }
 
+// Sampling an edge unmarks and re-marks it. The re-mark must keep the
+// epoch build_mst placed (phases mark from epoch 1 on), or a later phased
+// operation reads a different max_mark_epoch after a mere audit.
+TEST(VerifyMst, KeepsTheMarkEpochsItSamples) {
+  World w = make_gnm_world(48, 400, 14);
+  build_mst(*w.net, *w.forest);
+  const std::vector<EdgeIdx> tree = w.forest->marked_edges();
+  std::vector<std::uint32_t> epochs;
+  for (EdgeIdx e : tree) epochs.push_back(w.forest->mark_epoch(e));
+  const std::uint32_t max_epoch = w.forest->max_mark_epoch();
+  ASSERT_GE(max_epoch, 1u);
+
+  const VerifyMstResult res = verify_mst(*w.net, *w.forest, /*samples=*/0);
+  EXPECT_TRUE(res.looks_like_mst());
+  EXPECT_EQ(res.edges_checked, tree.size());
+  ASSERT_EQ(w.forest->marked_edges(), tree);
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    EXPECT_EQ(w.forest->mark_epoch(tree[i]), epochs[i]) << "edge " << tree[i];
+  }
+  EXPECT_EQ(w.forest->max_mark_epoch(), max_epoch);
+}
+
 TEST(Metrics, PerTagBreakdownSumsToTotal) {
   World w = make_gnm_world(32, 150, 13);
   build_mst(*w.net, *w.forest);
