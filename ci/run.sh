@@ -112,8 +112,8 @@ run_faults() {
 # Bigraph stage: the web-scale backend gate (docs/GRAPH_STORE.md). The
 # backend-labelled suite pins metric bit-identity across the adjacency,
 # implicit and mapped backends, the implicit family oracles and the store
-# corruption matrix; the CLI chain
-# proves a packed .kkg round-trips through the mmap backend end to end;
+# corruption matrix; the kkt_lab gen -> info -> build --in chain proves a
+# packed .kkg round-trips through the mmap backend end to end;
 # and the build_mst_xl grid completes a BuildMST point at n = 1048576 on
 # the implicit backend. The RSS gate is hard: the documented budget
 # (2 GiB, docs/GRAPH_STORE.md) is ~4x the measured 510 MiB footprint, so
@@ -126,12 +126,12 @@ run_bigraph() {
   echo "==> backend-labelled tests (equivalence, implicit oracles, store)"
   ctest --test-dir build/release -L backend --output-on-failure -j "$jobs"
   echo "==> pack + validate a .kkg store artifact"
-  ./build/release/tools/kkt_graphstore pack --family igridlong --n 65536 \
-    --aux 2 --seed 1 --out STORE_igridlong_65536.kkg
-  ./build/release/tools/kkt_graphstore info STORE_igridlong_65536.kkg
+  ./build/release/examples/kkt_lab gen --family igridlong --n 65536 \
+    --links 2 --seed 1 --out STORE_igridlong_65536.kkg
+  ./build/release/examples/kkt_lab info STORE_igridlong_65536.kkg
   echo "==> BuildMST from the mmap'd store (read-only kMapped backend)"
   ./build/release/examples/kkt_lab build --algo kkt-mst \
-    --store STORE_igridlong_65536.kkg --rss-budget-mb 2048
+    --in STORE_igridlong_65536.kkg --rss-budget-mb 2048
   echo "==> web-scale grid: build_mst_xl up to n = 1048576 (implicit)"
   local run_log
   run_log=$(./build/release/tools/kkt_report run --sizes 64,128 --seeds 1 \

@@ -1,55 +1,73 @@
-// kkt_lab: a command-line laboratory for the library.
+// kkt_lab: the command-line laboratory for the library, and the repo's one
+// graph CLI (generate, pack, inspect, build, churn).
 //
-//   kkt_lab gen   --family gnm|gnp|complete|ring|grid|barbell|geometric|
-//                          pa|tree|hier|icomplete|igridlong|igeo
-//                 [--n N] [--m M] [--levels L] [--links K] [--degree D]
-//                 [--maxw W] [--seed S] [--out FILE]
+//   kkt_lab gen   (--in FILE | --family F [graph flags]) [--seed S]
+//                 --out FILE
+//   kkt_lab info  FILE.kkg
 //   kkt_lab build --algo kkt-mst|kkt-st|ghs|flood
-//                 (--in FILE | --store FILE.kkg | --family ... as above)
-//                 [--backend auto|adjacency|implicit] [--seed S]
-//                 [--net sync|async|adversarial]
+//                 (--in FILE | --family F [graph flags]) [--seed S]
+//                 [--net sync|async|adversarial] [--loss P]
 //                 [--rss-budget-mb MB] [--csv]
 //   kkt_lab churn --workload uniform|hotspot|bridges|growth --ops K
-//                 [--family ... as above] [--backend auto|adjacency]
-//                 [--kind mst|st] [--seed S]
-//                 [--net sync|async|adversarial]
+//                 [--family F [graph flags]] [--kind mst|st] [--seed S]
+//                 [--net sync|async|adversarial] [--loss P]
 //                 [--sweep N] [--threads T]
 //                 [--trace FILE] [--record FILE] [--csv]
 //   kkt_lab churn --faults batch|regional|partition[,MODEL...]
 //                 [--events E] [--batch-k K] [--churn-ops C]
-//                 [--family ...] [--kind mst|st] [--seed S] [--net ...]
-//                 [--record FILE] [--out FILE] [--csv]
+//                 [--family F [graph flags]] [--kind mst|st] [--seed S]
+//                 [--net ...] [--record FILE] [--out FILE] [--csv]
 //
-// Graph families and transports are the kkt_scenario descriptors, so every
-// experiment expressible here is also expressible as a Scenario value in
-// code. `build` constructs the requested tree, verifies it (distributed
-// verify_spanning plus the centralized oracle for MSTs) and prints the
-// communication bill with a per-message-tag breakdown (messages and bits).
-// `churn` drives the trace-based engine (src/workload): a seeded workload
-// generator or a replayed `--trace` file runs through a MaintenanceSession
-// with per-op oracle checks and percentile cost stats; `--record` writes
-// the generated trace as a reproducible artifact and `--sweep N --threads
-// T` churns N worlds on a thread pool (aggregates are bit-identical for
-// every T). `--csv` emits machine-readable rows.
-// Malformed numbers and family sizes below a generator's minimum are usage
-// errors (exit 2).
-// `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): for
-// `build`, auto resolves to implicit for the icomplete/igridlong/igeo
-// families, so `build --family igridlong --n 1048576` runs at web scale
-// in O(n + m) stored rows (K_n: O(n) state). The implicit backend is
-// read-only, so `churn` (with or without --faults) resolves auto to
-// adjacency and rejects an explicit `--backend implicit` as a usage error.
-// `build --store FILE.kkg` maps a packed store (kkt_graphstore pack)
-// instead of generating;
-// `--rss-budget-mb MB` prints the process peak RSS after the run and fails
-// the exit code when it exceeds the budget -- the CI bigraph stage's
-// memory gate.
+// Graph families (F) are the kkt_scenario descriptors, so every experiment
+// expressible here is also expressible as a Scenario value in code:
+//   gnm        [--m M]        (default min(8n, n(n-1)/2))
+//   ring, complete, tree, icomplete
+//   gnp        [--p P]        (default: the density of --m edges)
+//   geometric  [--radius R]   (default 0.5)
+//   grid       [--cols C]     (default n)
+//   barbell    [--path L]     (default 3)
+//   pa         [--k K]        (default 3)
+//   hier       [--levels L]   (default 8)
+//   igridlong  [--links K]    (default 2, at most 64)
+//   igeo       [--degree D]   (default 8)
+// plus, for every family, [--n N] (default 128), [--maxw W] and
+// [--backend auto|adjacency|implicit]. A family flag given to another
+// family is a usage error.
+//
+// `gen` writes the graph to FILE: a packed `.kkg` mmap store
+// (docs/GRAPH_STORE.md) when FILE ends in `.kkg`, the text format
+// (graph/io.h) otherwise. `info` prints a store's n, m, id bits and file
+// size with the full loader verdict (exit 0 valid, 1 invalid). `--in FILE`
+// maps a `.kkg` read-only, or parses any other FILE as text, instead of
+// generating. `build` constructs the requested tree, verifies it
+// (distributed verify_spanning plus the centralized oracle for MSTs) and
+// prints the communication bill with a per-message-tag breakdown (messages
+// and bits). `churn` drives the trace-based engine (src/workload): a seeded
+// workload generator or a replayed `--trace` file runs through a
+// MaintenanceSession with per-op oracle checks and percentile cost stats;
+// `--record` writes the generated trace as a reproducible artifact and
+// `--sweep N --threads T` churns N worlds on a thread pool (aggregates are
+// bit-identical for every T). `--csv` emits machine-readable rows.
+//
+// Every subcommand rejects a flag it does not read; that, a malformed
+// number and a family size below a generator's minimum are usage errors
+// (an `error:` line, exit 2).
+// `--backend` picks the graph storage backend: auto resolves to implicit
+// for the icomplete/igridlong/igeo families, so `build --family igridlong
+// --n 1048576` runs at web scale in O(n + m) stored rows (K_n: O(n)
+// state). The implicit backend is read-only, so `churn` (with or without
+// --faults) resolves auto to adjacency and rejects an explicit `--backend
+// implicit`. `--rss-budget-mb MB` prints the process peak RSS after the
+// run and fails the exit code when it exceeds the budget -- the CI bigraph
+// stage's memory gate.
 // `--loss P` (adversarial networks only) drops each delivery independently
 // with probability P -- seeded, reproducible, and counted in the
-// dropped_deliveries metric; protocols that declare loss_safe()==false get
-// the loss degraded to delay (docs/FAULTS.md). `churn --faults MODEL` swaps
-// the workload generator for the fault generator (src/workload/faults.h):
-// a seeded stream of batch deletions, regional BFS-ball outages, or
+// dropped_deliveries metric. Only loss-safe protocols (flood) really lose
+// messages: every KKT, GHS and repair protocol declares loss_safe()==false
+// and gets the loss degraded to delay (docs/FAULTS.md); `build --loss` and
+// `churn --faults` print both counts. `churn --faults MODEL` swaps the
+// workload generator for the fault generator (src/workload/faults.h): a
+// seeded stream of batch deletions, regional BFS-ball outages, or
 // partition-and-heal events runs through MaintenanceSession::apply_batch
 // with per-event oracle checks; `--record` writes the fault trace
 // (docs/TRACE_FORMAT.md F records) and `--out` writes the
@@ -59,8 +77,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "baseline/flood_st.h"
@@ -74,6 +96,7 @@
 #include "report/schema.h"
 #include "scenario/scenario.h"
 #include "util/cli.h"
+#include "util/rng.h"
 #include "util/rusage.h"
 #include "workload/churn.h"
 #include "workload/faults.h"
@@ -82,69 +105,87 @@
 namespace {
 
 using Args = kkt::util::CliArgs;
+using kkt::util::usage_error;
+
+// Every flag make_graph_spec reads. From "cols" on they are the family
+// flags, each read by one family only.
+constexpr std::string_view kSpecFlags[] = {
+    "family", "n", "m", "maxw", "backend", "cols", "path", "k", "levels",
+    "p", "radius", "links", "degree"};
+constexpr auto kFamilyFlags = std::span(kSpecFlags).subspan<5>();
 
 kkt::scenario::GraphSpec make_graph_spec(const Args& a) {
   const std::string family = a.get("family", "gnm");
   const auto fam = kkt::scenario::family_from_name(family);
-  if (!fam) {
-    std::fprintf(stderr, "error: unknown family '%s'\n", family.c_str());
-    std::exit(2);
-  }
+  if (!fam) usage_error("unknown family '" + family + "'");
   kkt::scenario::GraphSpec spec;
   spec.family = *fam;
   spec.n = a.num("n", 128);
   spec.m = a.num("m", std::min(8 * spec.n, spec.n * (spec.n - 1) / 2));
   spec.weights = {a.num("maxw", 1u << 20)};
+  std::string_view own;  // the one family flag this family reads
   using F = kkt::scenario::GraphFamily;
   switch (*fam) {
-    case F::kGrid: spec.aux = a.num("cols", spec.n); break;
-    case F::kBarbell: spec.aux = a.num("path", 3); break;
-    case F::kPreferential: spec.aux = a.num("k", 3); break;
-    case F::kHierarchical: spec.aux = a.num("levels", 8); break;
-    case F::kGnp: spec.param = 2.0 * double(spec.m) /
-                               (double(spec.n) * double(spec.n - 1)); break;
-    case F::kGeometric: spec.param = 0.5; break;
-    case F::kIGridLong: spec.aux = a.num("links", 2); break;
+    case F::kGrid: own = "cols"; spec.aux = a.num("cols", spec.n); break;
+    case F::kBarbell: own = "path"; spec.aux = a.num("path", 3); break;
+    case F::kPreferential: own = "k"; spec.aux = a.num("k", 3); break;
+    case F::kHierarchical: own = "levels"; spec.aux = a.num("levels", 8); break;
+    case F::kGnp:
+      own = "p";
+      spec.param = a.real("p", 2.0 * double(spec.m) /
+                                   (double(spec.n) * double(spec.n - 1)));
+      break;
+    case F::kGeometric:
+      own = "radius";
+      spec.param = a.real("radius", 0.5);
+      break;
+    case F::kIGridLong: own = "links"; spec.aux = a.num("links", 2); break;
     case F::kIGeometric:
-      spec.param = double(a.num("degree", 8));
+      own = "degree";
+      spec.param = a.real("degree", 8.0);
       break;
     default: break;
   }
+  for (const std::string_view flag : kFamilyFlags) {
+    if (flag != own && a.has(std::string(flag))) {
+      usage_error("--" + std::string(flag) + " does not apply to family " +
+                  family);
+    }
+  }
   const std::string backend = a.get("backend", "auto");
   const auto b = kkt::scenario::backend_from_name(backend);
-  if (!b) {
-    std::fprintf(stderr, "error: unknown backend '%s'\n", backend.c_str());
-    std::exit(2);
-  }
+  if (!b) usage_error("unknown backend '" + backend + "'");
   spec.backend = *b;
   if (const auto err = kkt::scenario::graph_spec_error(spec)) {
-    kkt::util::usage_error(*err);
+    usage_error(*err);
   }
   return spec;
 }
 
-kkt::graph::Graph make_graph(const Args& a, kkt::util::Rng& rng) {
-  if (a.has("store")) {
-    // Map a packed .kkg (kkt_graphstore pack) read-only; the mapping stays
-    // alive for the graph's lifetime.
-    std::string err;
-    auto store = kkt::graph::MappedStore::open(a.get("store", ""), &err);
-    if (store == nullptr) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      std::exit(2);
+// The --in FILE graph (a `.kkg` mapped read-only for the graph's lifetime,
+// anything else parsed as text), or the generated --family one.
+kkt::graph::Graph make_graph(const Args& a) {
+  const std::uint64_t seed = a.num("seed", 1);
+  if (!a.has("in")) {
+    return kkt::scenario::build_graph(make_graph_spec(a), seed);
+  }
+  for (const std::string_view flag : kSpecFlags) {
+    if (a.has(std::string(flag))) {
+      usage_error("--in reads the graph from a file; drop --" +
+                  std::string(flag));
     }
+  }
+  const std::string path = a.get("in", "");
+  std::string err;
+  if (path.ends_with(".kkg")) {
+    auto store = kkt::graph::MappedStore::open(path, &err);
+    if (store == nullptr) usage_error(err);
     return kkt::graph::Graph::from_store(std::move(store));
   }
-  if (a.has("in")) {
-    std::string err;
-    auto g = kkt::graph::read_graph_file(a.get("in", ""), rng, &err);
-    if (!g) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      std::exit(2);
-    }
-    return *std::move(g);
-  }
-  return kkt::scenario::build_graph(make_graph_spec(a), a.num("seed", 1));
+  kkt::util::Rng rng(seed);
+  auto g = kkt::graph::read_graph_file(path, rng, &err);
+  if (!g) usage_error(err);
+  return *std::move(g);
 }
 
 kkt::scenario::NetSpec make_net_spec(const Args& a,
@@ -152,10 +193,7 @@ kkt::scenario::NetSpec make_net_spec(const Args& a,
   const std::string net = a.get(
       "net", kkt::scenario::net_kind_name(dflt));
   const auto kind = kkt::scenario::net_kind_from_name(net);
-  if (!kind) {
-    std::fprintf(stderr, "error: unknown net kind '%s'\n", net.c_str());
-    std::exit(2);
-  }
+  if (!kind) usage_error("unknown net kind '" + net + "'");
   kkt::scenario::NetSpec spec;
   spec.kind = *kind;
   // --loss P: seeded per-delivery message loss. Loss is a property of the
@@ -163,19 +201,26 @@ kkt::scenario::NetSpec make_net_spec(const Args& a,
   // is quantized to /4096 so the drawn stream is exactly reproducible.
   if (a.has("loss")) {
     if (spec.kind != kkt::scenario::NetKind::kAdversarial) {
-      std::fprintf(stderr, "error: --loss requires --net adversarial\n");
-      std::exit(2);
+      usage_error("--loss requires --net adversarial");
     }
     const double p = a.real("loss", 0.0);
     if (p < 0.0 || p > 1.0) {
-      std::fprintf(stderr, "error: --loss wants a probability in [0, 1]\n");
-      std::exit(2);
+      usage_error("--loss wants a probability in [0, 1]");
     }
     spec.adversarial_cfg.loss_den = 4096;
     spec.adversarial_cfg.loss_num =
         static_cast<std::uint64_t>(p * 4096.0 + 0.5);
   }
   return spec;
+}
+
+kkt::core::ForestKind forest_kind(const Args& a) {
+  const std::string kind = a.get("kind", "mst");
+  if (kind != "mst" && kind != "st") {
+    usage_error("--kind wants mst or st, got '" + kind + "'");
+  }
+  return kind == "mst" ? kkt::core::ForestKind::kMst
+                       : kkt::core::ForestKind::kSt;
 }
 
 void print_metrics(const kkt::sim::Metrics& m, std::size_t n, std::size_t em,
@@ -204,32 +249,50 @@ void print_metrics(const kkt::sim::Metrics& m, std::size_t n, std::size_t em,
 }
 
 int cmd_gen(const Args& a) {
-  kkt::util::Rng rng(a.num("seed", 1));
-  const kkt::graph::Graph g = make_graph(a, rng);
+  a.expect_only("gen", {"in", "seed", "out"}, kSpecFlags);
   const std::string out = a.get("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "error: gen requires --out FILE\n");
-    return 2;
-  }
-  if (!kkt::graph::write_graph_file(out, g)) {
-    std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-    return 2;
+  if (out.empty()) usage_error("gen requires --out FILE");
+  const kkt::graph::Graph g = make_graph(a);
+  std::string err = "cannot write " + out;
+  if (!(out.ends_with(".kkg") ? kkt::graph::pack_store(out, g, &err)
+                              : kkt::graph::write_graph_file(out, g))) {
+    usage_error(err);
   }
   std::printf("wrote %s: n=%zu m=%zu\n", out.c_str(), g.node_count(),
               g.edge_count());
   return 0;
 }
 
+// Exit 0 for a valid store, 1 for one the loader rejects.
+int cmd_info(const Args& a) {
+  a.expect_only("info", {}, {}, 1);
+  const std::string& path = a.positional().front();
+  std::printf("file:    %s\n", path.c_str());
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  if (!ec) std::printf("bytes:   %ju\n", bytes);
+  std::string err;
+  const auto store = kkt::graph::MappedStore::open(path, &err);
+  if (store == nullptr) {
+    std::printf("valid:   NO -- %s\n", err.c_str());
+    return 1;
+  }
+  std::printf("n:       %zu\nm:       %zu\nid_bits: %d\nvalid:   yes\n",
+              store->node_count(), store->edge_count(), store->id_bits());
+  return 0;
+}
+
 int cmd_build(const Args& a) {
-  kkt::util::Rng rng(a.num("seed", 1));
-  const kkt::graph::Graph g = make_graph(a, rng);
+  a.expect_only("build",
+                {"in", "seed", "algo", "net", "loss", "csv", "rss-budget-mb"},
+                kSpecFlags);
   const std::string algo = a.get("algo", "kkt-mst");
   const bool csv = a.has("csv");
   if (algo != "kkt-mst" && algo != "kkt-st" && algo != "ghs" &&
       algo != "flood") {
-    std::fprintf(stderr, "error: unknown algo '%s'\n", algo.c_str());
-    return 2;
+    usage_error("unknown algo '" + algo + "'");
   }
+  const kkt::graph::Graph g = make_graph(a);
 
   kkt::graph::MarkedForest forest(g);
   const auto net_ptr = kkt::scenario::make_network(
@@ -264,6 +327,13 @@ int cmd_build(const Args& a) {
   }
   print_metrics(before_verify, g.node_count(), g.edge_count(), csv,
                 algo.c_str());
+  // Loss reaches only loss-safe protocols; the rest run lossless and count
+  // each degraded drop (docs/FAULTS.md), so say which happened.
+  if (a.has("loss") && !csv) {
+    std::printf("dropped deliveries: %" PRIu64 ", loss degrades: %" PRIu64
+                "\n",
+                net.metrics().dropped_deliveries, net.loss_degrades());
+  }
   // Memory gate: always report peak RSS when a budget is set (the CI
   // bigraph stage greps this line); exceed it and the exit code trips.
   const std::uint64_t budget_mb = a.num("rss-budget-mb", 0);
@@ -303,8 +373,7 @@ int run_fault_model(const Args& a, const kkt::scenario::Scenario& sc,
   if (a.has("record")) {
     const std::string out = a.get("record", "");
     if (!kkt::workload::write_fault_trace_file(out, trace)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-      return 2;
+      usage_error("cannot write " + out);
     }
     std::fprintf(stderr, "recorded %zu-event fault trace to %s "
                  "(digest %016" PRIx64 ")\n",
@@ -314,11 +383,8 @@ int run_fault_model(const Args& a, const kkt::scenario::Scenario& sc,
 
   kkt::core::SessionOptions opts;
   opts.check_oracle = true;
-  kkt::core::MaintenanceSession session(
-      *w.g, *w.forest, *w.net,
-      a.get("kind", "mst") == "mst" ? kkt::core::ForestKind::kMst
-                                    : kkt::core::ForestKind::kSt,
-      opts);
+  kkt::core::MaintenanceSession session(*w.g, *w.forest, *w.net,
+                                        forest_kind(a), opts);
 
   std::vector<kkt::workload::FaultRecord> records;
   records.reserve(trace.events.size());
@@ -409,24 +475,15 @@ int cmd_churn_faults(const Args& a, const kkt::scenario::Scenario& sc) {
     if (comma > at) {
       const std::string name = list.substr(at, comma - at);
       const auto model = kkt::workload::fault_model_from_name(name);
-      if (!model) {
-        std::fprintf(stderr, "error: unknown fault model '%s'\n",
-                     name.c_str());
-        return 2;
-      }
+      if (!model) usage_error("unknown fault model '" + name + "'");
       models.push_back(*model);
     }
     at = comma + 1;
   }
-  if (models.empty()) {
-    std::fprintf(stderr, "error: --faults wants at least one model\n");
-    return 2;
-  }
+  if (models.empty()) usage_error("--faults wants at least one model");
   if (a.has("record") && models.size() > 1) {
-    std::fprintf(stderr,
-                 "error: --record writes one fault trace; use a single "
-                 "--faults model with it\n");
-    return 2;
+    usage_error("--record writes one fault trace; use a single --faults "
+                "model with it");
   }
   kkt::report::ResultFile artifact;
   artifact.tool = "kkt_lab_faults";
@@ -439,8 +496,7 @@ int cmd_churn_faults(const Args& a, const kkt::scenario::Scenario& sc) {
   if (a.has("out")) {
     const std::string out = a.get("out", "BENCH_faultmodel.json");
     if (!kkt::report::write_results_file(out, artifact)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-      return 2;
+      usage_error("cannot write " + out);
     }
     std::fprintf(stderr, "wrote %s\n", out.c_str());
   }
@@ -453,51 +509,43 @@ void print_cost_stats(const char* what, const kkt::workload::CostStats& s) {
               what, s.min, s.p50, s.mean, s.p99, s.max, s.total);
 }
 
+// Churn regenerates its world from (family, seed) -- per sweep seed and on
+// trace replay -- so it takes no --in FILE.
 int cmd_churn(const Args& a) {
+  if (a.has("faults")) {
+    a.expect_only("churn --faults",
+                  {"seed", "csv", "net", "loss", "kind", "faults", "events",
+                   "batch-k", "churn-ops", "record", "out"},
+                  kSpecFlags);
+  } else {
+    a.expect_only("churn",
+                  {"seed", "csv", "net", "loss", "kind", "workload", "ops",
+                   "threads", "sweep", "trace", "record"},
+                  kSpecFlags);
+  }
   const std::uint64_t seed = a.num("seed", 1);
   const bool csv = a.has("csv");
-
-  if (a.has("in")) {
-    // Churn regenerates the world from (family, seed) -- per sweep seed and
-    // on trace replay -- so file-loaded topologies are not supported yet.
-    std::fprintf(stderr,
-                 "error: churn builds its world from --family/--seed; "
-                 "--in FILE is not supported\n");
-    return 2;
-  }
 
   kkt::scenario::Scenario sc;
   sc.graph = make_graph_spec(a);
   if (const auto err = kkt::scenario::use_mutable_backend(sc.graph)) {
-    kkt::util::usage_error(*err);
+    usage_error(*err);
   }
   sc.net = make_net_spec(a, kkt::scenario::NetKind::kAsync);
   sc.seed = seed;
 
-  if (a.has("faults")) {
-    if (a.has("sweep") || a.has("trace")) {
-      std::fprintf(stderr,
-                   "error: --faults drives its own event stream; it "
-                   "composes with --record/--out, not --sweep/--trace\n");
-      return 2;
-    }
-    return cmd_churn_faults(a, sc);
-  }
+  if (a.has("faults")) return cmd_churn_faults(a, sc);
 
   const std::string workload = a.get("workload", "uniform");
   const auto kind = kkt::workload::workload_from_name(workload);
-  if (!kind) {
-    std::fprintf(stderr, "error: unknown workload '%s'\n", workload.c_str());
-    return 2;
-  }
+  if (!kind) usage_error("unknown workload '" + workload + "'");
   kkt::workload::WorkloadSpec spec = kkt::workload::WorkloadSpec::of(
       *kind, static_cast<int>(a.num("ops", 64)));
   spec.max_weight = a.num("maxw", 1u << 20);
   sc.workload = spec;
 
   kkt::workload::ChurnOptions opt;
-  opt.kind = a.get("kind", "mst") == "mst" ? kkt::core::ForestKind::kMst
-                                           : kkt::core::ForestKind::kSt;
+  opt.kind = forest_kind(a);
   opt.threads = static_cast<int>(a.num("threads", 1));
 
   // Sweep mode: churn `sweep` worlds (seeds seed, seed+1, ...) on the
@@ -505,10 +553,8 @@ int cmd_churn(const Args& a) {
   const int sweep = static_cast<int>(a.num("sweep", 0));
   if (sweep > 0) {
     if (a.has("trace") || a.has("record")) {
-      std::fprintf(stderr,
-                   "error: --trace/--record apply to single runs, not "
-                   "--sweep (each sweep world generates its own trace)\n");
-      return 2;
+      usage_error("--trace/--record apply to single runs, not --sweep "
+                  "(each sweep world generates its own trace)");
     }
     const auto res = kkt::workload::run_churn_sweep(sc, seed, sweep, opt);
     if (csv) {
@@ -541,18 +587,14 @@ int cmd_churn(const Args& a) {
   if (a.has("trace")) {
     std::string err;
     replay = kkt::workload::read_trace_file(a.get("trace", ""), &err);
-    if (!replay) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
-    }
+    if (!replay) usage_error(err);
   }
   const auto res = kkt::workload::run_churn(
       sc, opt, replay ? &*replay : nullptr);
   if (a.has("record")) {
     const std::string out = a.get("record", "");
     if (!kkt::workload::write_trace_file(out, res.trace)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-      return 2;
+      usage_error("cannot write " + out);
     }
     // stderr: keeps --csv stdout machine-readable.
     std::fprintf(stderr, "recorded %zu-op trace to %s (digest %016" PRIx64
@@ -601,16 +643,14 @@ int cmd_churn(const Args& a) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: kkt_lab gen|build|churn [--flags]\n"
-                 "see the header comment of examples/kkt_lab.cpp\n");
-    return 2;
+    usage_error("usage: kkt_lab gen|info|build|churn [--flags]; see the "
+                "header comment of examples/kkt_lab.cpp");
   }
   const std::string cmd = argv[1];
   const Args a(argc, argv, 2);
   if (cmd == "gen") return cmd_gen(a);
+  if (cmd == "info") return cmd_info(a);
   if (cmd == "build") return cmd_build(a);
   if (cmd == "churn") return cmd_churn(a);
-  std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
-  return 2;
+  usage_error("unknown command '" + cmd + "'");
 }

@@ -197,8 +197,7 @@ std::vector<std::vector<NodeId>> fragment_lists(
 
 }  // namespace
 
-GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
-                       const GhsConfig& cfg) {
+GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest) {
   assert(forest.marked_edges().empty() && "forest must start empty");
   const graph::Graph& g = net.graph();
   const std::size_t n = g.node_count();
@@ -207,11 +206,9 @@ GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
 
   const std::size_t graph_components = graph::components(g).second;
   const std::size_t max_phases =
-      cfg.max_phases != 0
-          ? cfg.max_phases
-          : 2 * static_cast<std::size_t>(std::ceil(std::log2(
-                    static_cast<double>(std::max<std::size_t>(n, 2))))) +
-                4;
+      2 * static_cast<std::size_t>(std::ceil(
+              std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))) +
+      4;
 
   // Persistent across phases: the classic GHS rejected-edge memory.
   std::vector<char> rejected(g.edge_slots() + g.node_count() * 4, 0);

@@ -31,10 +31,6 @@
 
 namespace kkt::baseline {
 
-struct GhsConfig {
-  std::size_t max_phases = 0;  // 0 = 2*ceil(lg n) + 4
-};
-
 struct GhsPhaseInfo {
   std::size_t fragments = 0;
   std::uint64_t messages = 0;
@@ -47,8 +43,7 @@ struct GhsStats {
 };
 
 // Builds the minimum spanning forest of net.graph() into `forest` (which
-// must start empty). Deterministic.
-GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
-                       const GhsConfig& cfg = {});
+// must start empty) in at most 2*ceil(lg n) + 4 phases. Deterministic.
+GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest);
 
 }  // namespace kkt::baseline

@@ -37,8 +37,7 @@ BuildStats build_mst(sim::Network& net, graph::MarkedForest& forest,
   if (n == 0) return stats;
 
   const std::size_t graph_components = graph::components(g).second;
-  const std::size_t max_phases =
-      cfg.max_phases != 0 ? cfg.max_phases : paper_phase_budget(n, cfg.c);
+  const std::size_t max_phases = paper_phase_budget(n, cfg.c);
 
   FindMinConfig fm;
   fm.w = cfg.w;
@@ -50,8 +49,9 @@ BuildStats build_mst(sim::Network& net, graph::MarkedForest& forest,
   proto::ProtoScratch scratch;
 
   for (std::size_t phase = 1; phase <= max_phases; ++phase) {
+    // Checked centrally, not charged to the network.
     auto [label, count] = forest.components();
-    if (cfg.stop_when_spanning && count == graph_components) {
+    if (count == graph_components) {
       stats.spanning = true;
       break;
     }

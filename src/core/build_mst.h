@@ -24,15 +24,11 @@
 
 namespace kkt::core {
 
+// Runs phases until the forest spans, at most the paper's (40c/C) lg n.
 struct BuildMstConfig {
   // FindMin slice width and failure exponent.
   int w = 64;
   int c = 2;
-  // Stop as soon as the forest spans (checked by the benchmark driver, not
-  // charged to the network). When false, runs the paper's full phase budget.
-  bool stop_when_spanning = true;
-  // Hard cap on phases; 0 selects the paper's (40c/C) lg n bound.
-  std::size_t max_phases = 0;
 };
 
 struct PhaseInfo {

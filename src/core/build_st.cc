@@ -69,8 +69,7 @@ BuildStStats build_st(sim::Network& net, graph::MarkedForest& forest,
   if (n == 0) return stats;
 
   const std::size_t graph_components = graph::components(g).second;
-  const std::size_t max_phases =
-      cfg.max_phases != 0 ? cfg.max_phases : paper_phase_budget(n, cfg.c);
+  const std::size_t max_phases = paper_phase_budget(n, cfg.c);
 
   FindAnyConfig fa;
   fa.c = cfg.c;
@@ -81,7 +80,7 @@ BuildStStats build_st(sim::Network& net, graph::MarkedForest& forest,
 
   for (std::size_t phase = 1; phase <= max_phases; ++phase) {
     auto [label, count] = forest.components();
-    if (cfg.stop_when_spanning && count == graph_components) {
+    if (count == graph_components) {
       stats.spanning = true;
       break;
     }

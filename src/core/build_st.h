@@ -24,12 +24,10 @@
 
 namespace kkt::core {
 
+// Runs phases until the forest spans, at most the paper's O(lg n) budget
+// (with FindAny-C's conservative 1/16 success constant).
 struct BuildStConfig {
   int c = 2;
-  bool stop_when_spanning = true;
-  // 0 selects the paper's O(lg n) budget (with FindAny-C's conservative
-  // 1/16 success constant).
-  std::size_t max_phases = 0;
 };
 
 struct StPhaseInfo {

@@ -110,7 +110,7 @@ FindAnyResult find_any(proto::TreeOps& ops, NodeId root,
   util::Rng& rng = ops.net().node_rng(root);
 
   // Step 2: the w.h.p. gate, which also reports the degree sum B.
-  const HpTestOutResult gate = hp_test_out(ops, root, cfg.range, cfg.p);
+  const HpTestOutResult gate = hp_test_out(ops, root, cfg.range);
   if (!gate.leaving) {
     res.stats.gate_empty = true;
     return res;

@@ -34,8 +34,6 @@ struct FindAnyConfig {
   // FindAny-C: a single isolation attempt (success probability >= 1/16,
   // worst-case O(1) broadcast-and-echoes).
   bool capped = false;
-  // Field modulus for the HP-TestOut gate.
-  std::uint64_t p = util::kPrimeBelow63;
   // Optional restriction of the search to a weight interval (the paper's
   // unweighted setting uses the full range; repair of an ST never needs it,
   // but the interval variant falls out for free and is tested).

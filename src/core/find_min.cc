@@ -50,8 +50,9 @@ int iteration_budget(const FindMinConfig& cfg, std::size_t n,
   const int narrowings = (range_bits + w_bits - 1) / w_bits;
   const double lg_n =
       std::log2(static_cast<double>(std::max<std::size_t>(n, 2)));
-  // Effective per-iteration success with amplified TestOut.
-  const double q = 1.0 - std::pow(1.0 - cfg.q, cfg.hash_reps);
+  // Effective per-iteration success with amplified TestOut, each hash
+  // assumed to succeed with probability 1/8.
+  const double q = 1.0 - std::pow(1.0 - 0.125, cfg.hash_reps);
   if (cfg.capped) {
     // FindMin-C: Count < (2c/q) * lg(maxWt) / lg(w).
     return static_cast<int>(std::ceil(2.0 * cfg.c / q * narrowings)) + 1;
@@ -88,7 +89,7 @@ FindMinResult find_min(proto::TreeOps& ops, NodeId root,
       // No slice tested positive. Verify w.h.p. that the whole range is
       // empty (the paper's TestLow over [0, j_min - 1] with min = w);
       // if HP disagrees, TestOut simply missed -- retry.
-      const auto low = hp_test_out(ops, root, Interval{0, range.hi}, cfg.p);
+      const auto low = hp_test_out(ops, root, Interval{0, range.hi});
       if (!low.leaving) return res;  // empty cut: return the empty answer
       continue;
     }
@@ -104,7 +105,7 @@ FindMinResult find_min(proto::TreeOps& ops, NodeId root,
     if (min_idx > 0 || !cfg.skip_certified_low_check) {
       const bool lighter_leaks =
           cand.lo > 0 &&
-          hp_test_out(ops, root, Interval{0, cand.lo - 1}, cfg.p).leaving;
+          hp_test_out(ops, root, Interval{0, cand.lo - 1}).leaving;
       if (lighter_leaks) continue;  // TestOut missed a lighter slice: retry
     }
 
@@ -115,7 +116,7 @@ FindMinResult find_min(proto::TreeOps& ops, NodeId root,
     // retry rather than return a wrong empty answer -- step 7(b)'s empty
     // return is for the no-bit case above.
     if (!cfg.skip_redundant_interval_check) {
-      const auto interval_check = hp_test_out(ops, root, cand, cfg.p);
+      const auto interval_check = hp_test_out(ops, root, cand);
       if (!interval_check.leaving) continue;
     }
 

@@ -24,7 +24,6 @@
 
 #include "core/wire.h"
 #include "proto/tree_ops.h"
-#include "util/modmath.h"
 
 namespace kkt::core {
 
@@ -38,16 +37,12 @@ struct FindMinConfig {
   int c = 2;
   // FindMin-C: cap iterations at twice the expected count.
   bool capped = false;
-  // Assumed TestOut success probability q (only used for the retry budget).
-  double q = 0.125;
   // Independent odd hashes evaluated per broadcast-and-echo (derived from a
   // single broadcast seed word; the echo carries one parity word each, so
-  // the message stays CONGEST-legal). A nonempty slice is missed with
-  // probability <= (1-q)^hash_reps. 1 reproduces the paper's single-hash
-  // TestOut.
+  // the message stays CONGEST-legal). Each hash finds a nonempty slice
+  // with probability q >= 1/8, so the slice is missed with probability
+  // <= (7/8)^hash_reps. 1 reproduces the paper's single-hash TestOut.
   int hash_reps = 8;
-  // Field modulus for the embedded HP-TestOuts.
-  std::uint64_t p = util::kPrimeBelow63;
   // Constant-factor refinements over the paper's literal steps 6-7. Both
   // exploit one-sided certainty and change no asymptotic or probabilistic
   // guarantee; set to false for the paper-faithful execution.

@@ -16,6 +16,8 @@ namespace kkt::core {
 namespace {
 
 constexpr int kChunkBits = 16;
+// Random pivots requested per Sample call.
+constexpr int kSamples = 4;
 constexpr std::uint64_t kChunkMask = (1u << kChunkBits) - 1;
 
 // Search coordinates: the augmented weight is viewed as `levels` chunks of
@@ -304,14 +306,13 @@ std::uint64_t test_out_pivots(proto::TreeOps& ops, NodeId root,
 
 FindMinResult sample_find_min(proto::TreeOps& ops, NodeId root,
                               const SampleFindMinConfig& cfg) {
-  assert(cfg.samples >= 1 && cfg.samples <= 6);
   assert(cfg.hash_reps >= 1 && cfg.hash_reps <= 8);
   FindMinResult res;
   util::Rng& rng = ops.net().node_rng(root);
   const graph::Graph& g = ops.graph();
 
   // Gate: any leaving edge at all? (Also bounds the failure probability.)
-  if (!hp_test_out_any(ops, root, cfg.p).leaving) return res;
+  if (!hp_test_out_any(ops, root).leaving) return res;
 
   // Bound the searched width from above (step 2 of FindMin): chunks above
   // the largest incident augmented weight are all zero and need no rounds.
@@ -332,7 +333,7 @@ FindMinResult sample_find_min(proto::TreeOps& ops, NodeId root,
 
     // Sample pivots from the matching non-tree incident edges.
     SampleProtocol sampler(ops.tree(), root, ss.current(), ss.shift(),
-                           cfg.samples);
+                           kSamples);
     const NodeId participants[] = {root};
     ops.net().run(sampler, participants);
     ops.net().metrics().broadcast_echoes += 2;  // two waves
@@ -361,7 +362,7 @@ FindMinResult sample_find_min(proto::TreeOps& ops, NodeId root,
 
     if (bits == 0) {
       // Verify the whole current range is empty (cf. FindMin's step 7b).
-      if (!hp_test_out(ops, root, ss.current(), cfg.p).leaving) {
+      if (!hp_test_out(ops, root, ss.current()).leaving) {
         // The invariant says the minimum lives here; an empty range means
         // the tree has no leaving edge after all (or an HP miss, covered
         // by the failure analysis).
@@ -379,8 +380,7 @@ FindMinResult sample_find_min(proto::TreeOps& ops, NodeId root,
 
     // TestLow: nothing lighter within the current chunk range.
     if (lo_chunk > ss.j &&
-        hp_test_out(ops, root, ss.interval(ss.j, lo_chunk - 1), cfg.p)
-            .leaving) {
+        hp_test_out(ops, root, ss.interval(ss.j, lo_chunk - 1)).leaving) {
       continue;
     }
 

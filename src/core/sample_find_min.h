@@ -29,11 +29,8 @@ namespace kkt::core {
 
 struct SampleFindMinConfig {
   int c = 2;
-  // Random pivots requested per Sample call.
-  int samples = 4;
   // Odd hashes per TestOut broadcast-and-echo (see FindMinConfig).
   int hash_reps = 4;
-  std::uint64_t p = util::kPrimeBelow63;
 };
 
 // Same contract as find_min: the minimum-weight edge leaving root's tree.

@@ -1,7 +1,8 @@
 // The .kkg on-disk graph store: a versioned binary header plus a CSR
 // payload, loaded with mmap so a multi-gigabyte graph costs page-cache
-// pages instead of heap. Packed by `pack_store` (and the kkt_graphstore
-// CLI); loaded read-only by `MappedStore::open` + `Graph::from_store`.
+// pages instead of heap. Packed by `pack_store` (CLI: `kkt_lab gen --out
+// FILE.kkg`); loaded read-only by `MappedStore::open` + `Graph::from_store`
+// (CLI: `kkt_lab build --in FILE.kkg`, `kkt_lab info FILE.kkg`).
 //
 // Layout (all integers little-endian; all sections 8-byte aligned):
 //

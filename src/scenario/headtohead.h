@@ -76,17 +76,6 @@ struct HeadToHeadConfig {
   // are unaffected either way (measurement brackets the run; it never
   // feeds it).
   bool measure = false;
-  // Repair-vs-recompute crossover (E18, ROADMAP item 4): at the largest
-  // grid size, sweep concurrent-deletion batch size k over the geometric
-  // grid {1, 2, 4, ..., n/4} and compare batch repair
-  // (MaintenanceSession::apply_batch -> DynamicForest::delete_batch)
-  // against deleting the same edges and rebuilding the MST from scratch.
-  // Cells land as "repair_batch/<algo>/n=<k>" -- the generic renderer's
-  // n column holds the batch size -- and the fitted crossover
-  // k* = (C_rebuild / C_repair)^(1 / (e_repair - e_rebuild)) is rendered
-  // into EXPERIMENTS.md ("where does impromptu repair stop beating
-  // recompute-from-scratch?").
-  bool repair_batch = true;
 };
 
 // One (task, algorithm, n) grid cell: per-seed means of the model costs.
@@ -136,7 +125,17 @@ struct HeadToHeadResult {
   report::ResultFile to_result_file() const;
 };
 
-// Runs the whole grid. Pure compute; no I/O.
+// Runs the whole grid. Pure compute; no I/O. The grid always includes the
+// repair-vs-recompute crossover (E18): at the largest grid size, sweep
+// concurrent-deletion batch size k over the geometric grid
+// {1, 2, 4, ..., n/4} and compare batch repair
+// (MaintenanceSession::apply_batch -> DynamicForest::delete_batch) against
+// deleting the same edges and rebuilding the MST from scratch. Cells land
+// as "repair_batch/<algo>/n=<k>" -- the generic renderer's n column holds
+// the batch size -- and the fitted crossover
+// k* = (C_rebuild / C_repair)^(1 / (e_repair - e_rebuild)) is rendered into
+// EXPERIMENTS.md ("where does impromptu repair stop beating
+// recompute-from-scratch?").
 HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg = {});
 
 }  // namespace kkt::scenario

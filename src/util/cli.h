@@ -1,8 +1,8 @@
-// Command-line options shared by the repo's CLIs (kkt_lab, kkt_report,
-// kkt_graphstore): `--key value` pairs and bare `--flag`s after the
-// subcommand. A flag followed by another `--` token (or by nothing) reads
-// as "1"; anything that does not start with `--` and is not a flag's value
-// is a positional argument.
+// Command-line options shared by the repo's CLIs (kkt_lab, kkt_report):
+// `--key value` pairs and bare `--flag`s after the subcommand. A flag
+// followed by another `--` token (or by nothing) reads as "1"; anything
+// that does not start with `--` and is not a flag's value is a positional
+// argument.
 //
 // Numeric accessors are strict: `--n abc`, `--n 12x` or `--n -3` is a usage
 // error, reported as an `error:` line on stderr with exit status 2 -- never
@@ -17,6 +17,7 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,16 +92,35 @@ class CliArgs {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // The first given key outside `known`, or nullopt when every key is
-  // known (for CLIs that reject unknown flags).
+  // The first given key outside `known` and `more`, or nullopt when every
+  // key is known.
   std::optional<std::string> unknown_key(
-      std::initializer_list<std::string_view> known) const {
+      std::initializer_list<std::string_view> known,
+      std::span<const std::string_view> more = {}) const {
     for (const auto& [key, value] : kv_) {
       bool ok = false;
       for (const std::string_view k : known) ok = ok || key == k;
+      for (const std::string_view k : more) ok = ok || key == k;
       if (!ok) return key;
     }
     return std::nullopt;
+  }
+
+  // Usage error unless every flag is in `known` or `more` and exactly
+  // `positionals` positional arguments were given: every subcommand of the
+  // repo's CLIs rejects what it does not read.
+  void expect_only(const std::string& cmd,
+                   std::initializer_list<std::string_view> known,
+                   std::span<const std::string_view> more = {},
+                   std::size_t positionals = 0) const {
+    if (const auto key = unknown_key(known, more)) {
+      usage_error(cmd + " does not take --" + *key);
+    }
+    if (positional_.size() != positionals) {
+      usage_error(cmd + " takes " + std::to_string(positionals) +
+                  " positional argument(s), got " +
+                  std::to_string(positional_.size()));
+    }
   }
 
  private:

@@ -78,7 +78,8 @@ struct FaultTrace {
 // framing -- both are stable across platforms.
 std::uint64_t fault_trace_digest(const FaultTrace& t) noexcept;
 
-// Text round-trip, extending the update-trace format with `F` records:
+// Text round-trip (codec in workload/trace.cc), extending the update-trace
+// format with `F` records:
 //   F <kind> <k>    -- fault event of <kind> with exactly <k> member op
 //                      lines following; bare op lines are kOp events
 // Guarantees mirror trace.h: read(write(t)) == t for every valid trace;
@@ -113,9 +114,7 @@ struct FaultSpec {
   int churn_ops = 4;
   // Weight range for churn inserts/reweighs.
   graph::Weight max_weight = 64;
-  // Emit a kHeal event restoring each damage event's edges (always on for
-  // kPartition -- heal is half the point of that model).
-  bool heal = true;
+  // Every damage event is followed by the kHeal event restoring its edges.
 };
 
 // Conventional fault-seed derivation from a scenario seed:

@@ -18,9 +18,12 @@
 // the 64-bit fingerprint tests pin to detect generator drift.
 //
 // Format spec with the validity rules and a round-trip example:
-// docs/TRACE_FORMAT.md. Guarantees: read_trace(write_trace(t)) == t for
-// every valid trace; malformed input parses to nullopt with a "line N:"
-// diagnostic, never to a partial trace. UpdateTrace is a plain value --
+// docs/TRACE_FORMAT.md. The format is the bare-op subset of the fault-trace
+// format (workload/faults.h); trace.cc holds the one codec for both, and
+// read_trace is read_fault_trace minus `F` events. Guarantees:
+// read_trace(write_trace(t)) == t for every valid trace; malformed input
+// parses to nullopt with a diagnostic ("line N: ..." for syntax errors),
+// never to a partial trace. UpdateTrace is a plain value --
 // thread-safe to copy and share by const reference.
 #pragma once
 

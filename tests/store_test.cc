@@ -195,18 +195,24 @@ TEST(Store, RemovedEdgesPackDenselyReindexed) {
   std::remove(path.c_str());
 }
 
-// Backend invisibility extends to the pack: the implicit family serves rows
-// in the same order as the materialised adjacency graph, so both produce
-// byte-identical .kkg files.
+// Backend invisibility extends to the pack: every implicit family serves
+// rows in the same order as the materialised adjacency graph, so both
+// produce byte-identical .kkg files (which is why `kkt_lab gen --out X.kkg`
+// packs the default backend as it is).
 TEST(Store, PackIsByteIdenticalAcrossBackends) {
-  ImplicitSpec spec;
-  spec.family = ImplicitFamily::kGridLong;
-  spec.n = 25;
-  spec.seed = 11;
-  spec.long_links = 2;
-  const Graph adj = materialize_implicit(spec);
-  const Graph imp = make_implicit_graph(spec);
-  EXPECT_EQ(pack_bytes(adj, "pk_adj"), pack_bytes(imp, "pk_imp"));
+  for (const ImplicitFamily family :
+       {ImplicitFamily::kGridLong, ImplicitFamily::kGeometric,
+        ImplicitFamily::kComplete}) {
+    ImplicitSpec spec;
+    spec.family = family;
+    spec.n = family == ImplicitFamily::kGeometric ? 64 : 25;
+    spec.seed = 11;
+    spec.long_links = 2;
+    const Graph adj = materialize_implicit(spec);
+    const Graph imp = make_implicit_graph(spec);
+    EXPECT_EQ(pack_bytes(adj, "pk_adj"), pack_bytes(imp, "pk_imp"))
+        << "family " << static_cast<int>(family);
+  }
 }
 
 // --- corruption policy -------------------------------------------------------

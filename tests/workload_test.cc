@@ -136,6 +136,7 @@ TEST(Trace, RejectsMalformedInput) {
   reject("t x 1 1\n+ 0 0 5\n");          // self loop
   reject("t x 1 1\n+ 0 1 0\n");          // zero weight
   reject("t x 1 1\nt y 2 1\n+ 0 1 5\n"); // duplicate header
+  reject("t x 1 1\nF batch 1\n- 0 1\n"); // fault event
 }
 
 TEST(FaultTraceIo, TextRoundTrip) {

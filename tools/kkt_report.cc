@@ -64,6 +64,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using Args = kkt::util::CliArgs;
+using kkt::util::usage_error;
 
 std::vector<std::size_t> parse_sizes(const std::string& csv) {
   std::vector<std::size_t> sizes;
@@ -72,7 +73,7 @@ std::vector<std::size_t> parse_sizes(const std::string& csv) {
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     const auto n = kkt::util::parse_u64(item);
-    if (!n) kkt::util::usage_error("bad size '" + item + "' in '" + csv + "'");
+    if (!n) usage_error("bad size '" + item + "' in '" + csv + "'");
     sizes.push_back(*n);
   }
   return sizes;
@@ -107,11 +108,7 @@ kkt::scenario::HeadToHeadConfig config_from(const Args& a) {
   }
   if (a.has("net")) {
     const auto kind = kkt::scenario::net_kind_from_name(a.get("net", "sync"));
-    if (!kind) {
-      std::fprintf(stderr, "error: unknown net kind '%s'\n",
-                   a.get("net", "").c_str());
-      std::exit(2);
-    }
+    if (!kind) usage_error("unknown net kind '" + a.get("net", "") + "'");
     cfg.net = *kind;
   }
   // --seed is accepted as an alias, matching the kkt_lab flag vocabulary.
@@ -129,23 +126,23 @@ kkt::scenario::HeadToHeadConfig config_from(const Args& a) {
 }
 
 int cmd_run(const Args& a) {
+  a.expect_only("run", {"out", "sizes", "seeds", "first-seed", "seed", "ops",
+                        "threads", "net", "gnm", "xl-sizes", "xl-links",
+                        "xl-ghs-cap", "measure"});
   const std::string out = a.get("out", "BENCH_headtohead.json");
   const kkt::scenario::HeadToHeadConfig cfg = config_from(a);
   if (cfg.sizes.size() < 2) {
-    std::fprintf(stderr, "error: need at least two --sizes to fit a slope\n");
-    return 2;
+    usage_error("need at least two --sizes to fit a slope");
   }
   for (const std::size_t n : cfg.sizes) {
     if (n < 2) {
-      std::fprintf(stderr,
-                   "error: every --sizes entry must be >= 2 (got %zu)\n", n);
-      return 2;
+      usage_error("every --sizes entry must be >= 2 (got " +
+                  std::to_string(n) + ")");
     }
   }
   if (cfg.xl_long_links > 64) {
-    std::fprintf(stderr, "error: --xl-links must be <= 64 (got %zu)\n",
-                 cfg.xl_long_links);
-    return 2;
+    usage_error("--xl-links must be <= 64 (got " +
+                std::to_string(cfg.xl_long_links) + ")");
   }
   const kkt::scenario::HeadToHeadResult result =
       kkt::scenario::run_headtohead(cfg);
@@ -211,6 +208,7 @@ std::optional<kkt::report::ResultFile> load_artifact(const Args& a) {
 }
 
 int cmd_gen(const Args& a) {
+  a.expect_only("gen", {"in", "docs", "experiments"});
   const auto file = load_artifact(a);
   if (!file) return 2;
   bool ok = true;
@@ -230,6 +228,7 @@ int cmd_gen(const Args& a) {
 }
 
 int cmd_check(const Args& a) {
+  a.expect_only("check", {"in", "docs", "experiments"});
   const auto file = load_artifact(a);
   if (!file) return 2;
   bool ok = true;
@@ -264,8 +263,7 @@ int cmd_check(const Args& a) {
 
 int cmd_bench(const Args& a) {
   if (const auto key = a.unknown_key({"out"})) {
-    kkt::util::usage_error("bench takes only --out FILE (got --" + *key +
-                           ")");
+    usage_error("bench takes only --out FILE (got --" + *key + ")");
   }
   const auto& pos = a.positional();
   const auto run = pos.size() == 1 ? kkt::bench::run_suite(pos[0])
@@ -273,8 +271,8 @@ int cmd_bench(const Args& a) {
   if (!run) {
     std::string got;
     for (const std::string& p : pos) got += (got.empty() ? "" : " ") + p;
-    kkt::util::usage_error("bench wants one suite of: " +
-                           kkt::bench::suite_names() + " (got '" + got + "')");
+    usage_error("bench wants one suite of: " + kkt::bench::suite_names() +
+                " (got '" + got + "')");
   }
   for (const kkt::report::RunRecord& rec : run->file.records) {
     std::printf("%s\n ", rec.name.c_str());
@@ -319,10 +317,7 @@ std::optional<kkt::report::ResultFile> load_named(const Args& a,
 }
 
 int cmd_perf(const Args& a) {
-  if (const auto key = a.unknown_key({"baseline", "current"})) {
-    kkt::util::usage_error("perf takes only --baseline and --current (got --" +
-                           *key + ")");
-  }
+  a.expect_only("perf", {"baseline", "current"});
   const auto baseline = load_named(a, "baseline");
   const auto current = load_named(a, "current");
   if (!baseline || !current) return 2;
