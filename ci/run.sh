@@ -116,9 +116,10 @@ run_faults() {
 # packed .kkg round-trips through the mmap backend end to end;
 # and the build_mst_xl grid completes a BuildMST point at n = 1048576 on
 # the implicit backend. The RSS gate is hard: the documented budget
-# (2 GiB, docs/GRAPH_STORE.md) is ~4x the measured 510 MiB footprint, so
+# (2 GiB, docs/GRAPH_STORE.md) is ~3x the measured 683 MiB footprint, so
 # tripping it means the O(n + m) stored-row footprint regressed, not
-# runner noise.
+# runner noise. Every build cell of the grid is checked against the oracle
+# MSF; a wrong cell fails the stage.
 # Wall/RSS telemetry lands in BENCH_bigraph.json via --measure, which is
 # why this artifact is advisory-only and never drift-checked against docs.
 run_bigraph() {

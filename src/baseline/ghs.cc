@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "graph/mst_oracle.h"
 #include "proto/broadcast.h"
@@ -140,13 +141,16 @@ class GhsSearch final : public sim::Protocol {
     st.pending = children;
     // Candidate probes: alive incident edges that are neither in the tree
     // nor already rejected, cheapest first (GHS probes sequentially and
-    // stops at the first accept). The graph's aug-sorted incidence index
-    // already walks in that order, so no per-node sort is needed.
-    for (const graph::SortedIncidence& si :
-         tree_.graph().sorted_incident(self)) {
-      if (tree_.contains(si.edge) || (*rejected_)[si.edge]) continue;
-      st.probes.push_back(si.edge);
+    // stops at the first accept). Each aug weight is computed once and the
+    // keyed candidates sorted; aug weights are unique, so the order is too.
+    const graph::Graph& g = tree_.graph();
+    keyed_.clear();
+    for (const graph::Incidence& inc : g.incident(self)) {
+      if (tree_.contains(inc.edge) || (*rejected_)[inc.edge]) continue;
+      keyed_.emplace_back(g.incident_aug(self, inc), inc.edge);
     }
+    std::sort(keyed_.begin(), keyed_.end());
+    for (const auto& key : keyed_) st.probes.push_back(key.second);
     (void)my_frag;
     continue_probing(net, self);
   }
@@ -183,6 +187,7 @@ class GhsSearch final : public sim::Protocol {
   const std::vector<std::uint64_t>* frag_id_;
   std::vector<char>* rejected_;
   std::vector<NodeState> state_;
+  std::vector<std::pair<AugWeight, EdgeIdx>> keyed_;  // begin()'s scratch
   bool done_ = false;
   AugWeight best_ = kInfAug;
   graph::EdgeNum best_num_ = 0;

@@ -28,10 +28,10 @@ std::uint64_t prefix_parities(proto::TreeOps& ops, NodeId root,
     const Interval rng{read_u128(p, 3), read_u128(p, 5)};
     const int en_bits = g.edge_num_bits();
     std::uint64_t bits = 0;
-    for (const graph::SortedIncidence& si :
+    for (const graph::AugWeight aug :
          g.sorted_incident_range(self, rng.lo, rng.hi)) {
       const std::uint64_t hv =
-          hash(graph::aug_weight_edge_num(si.aug, en_bits));
+          hash(graph::aug_weight_edge_num(aug, en_bits));
       // h(e) < 2^i holds for every i > floor_log2(hv); toggling the suffix
       // mask keeps the whole vector in one word.
       const int first = (hv == 0) ? 0 : util::floor_log2(hv) + 1;
@@ -64,9 +64,9 @@ std::uint64_t xor_below(proto::TreeOps& ops, NodeId root,
     const Interval rng{read_u128(p, 4), read_u128(p, 6)};
     const int en_bits = g.edge_num_bits();
     std::uint64_t acc = 0;
-    for (const graph::SortedIncidence& si :
+    for (const graph::AugWeight aug :
          g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      const graph::EdgeNum en = graph::aug_weight_edge_num(si.aug, en_bits);
+      const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
       if (hash(en) < bound) acc ^= en;
     }
     return Words{acc};
@@ -91,9 +91,9 @@ std::uint64_t incident_count(proto::TreeOps& ops, NodeId root,
     const Interval rng{read_u128(p, 1), read_u128(p, 3)};
     const int en_bits = g.edge_num_bits();
     std::uint64_t count = 0;
-    for (const graph::SortedIncidence& si :
+    for (const graph::AugWeight aug :
          g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      if (graph::aug_weight_edge_num(si.aug, en_bits) == p[0]) ++count;
+      if (graph::aug_weight_edge_num(aug, en_bits) == p[0]) ++count;
     }
     return Words{count};
   };

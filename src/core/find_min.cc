@@ -19,8 +19,8 @@ graph::AugWeight max_incident_aug(proto::TreeOps& ops, NodeId root) {
   const proto::LocalFn local = [&g](NodeId self,
                                     std::span<const std::uint64_t>) {
     // Largest incident aug weight == last entry of the sorted index.
-    const std::span<const graph::SortedIncidence> inc = g.sorted_incident(self);
-    const graph::AugWeight best = inc.empty() ? 0 : inc.back().aug;
+    const std::span<const graph::AugWeight> row = g.sorted_incident(self);
+    const graph::AugWeight best = row.empty() ? 0 : row.back();
     Words words;
     push_u128(words, best);
     return words;

@@ -27,6 +27,7 @@ HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
                                     std::span<const std::uint64_t> payload) {
     const hashing::SetPolynomial poly(payload[0], payload[1]);
     const Interval rng{read_u128(payload, 2), read_u128(payload, 4)};
+    const int id_bits = g.id_bits();
     const int en_bits = g.edge_num_bits();
     const graph::ExtId self_id = g.ext_id(self);
     std::uint64_t up = poly.identity();
@@ -35,12 +36,13 @@ HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
     // window of the sorted index yields the same values as the adjacency
     // scan; the degree sum counts all alive incidences either way.
     const auto degree_sum = static_cast<std::uint64_t>(g.degree(self));
-    for (const graph::SortedIncidence& si :
+    for (const graph::AugWeight aug :
          g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      const std::uint64_t term =
-          poly.term(graph::aug_weight_edge_num(si.aug, en_bits));
-      // Orientation: from smaller external ID to larger.
-      if (self_id < g.ext_id(si.peer)) {
+      const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
+      const std::uint64_t term = poly.term(en);
+      // Orientation: from smaller external ID to larger, i.e. up when self
+      // leads the edge number.
+      if (graph::edge_num_small_id(en, id_bits) == self_id) {
         up = poly.combine(up, term);
       } else {
         down = poly.combine(down, term);

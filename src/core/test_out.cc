@@ -40,12 +40,12 @@ std::uint64_t test_out_sliced(proto::TreeOps& ops, NodeId root,
     const util::Recip128 width(slice_width(rng, slices));
     const int en_bits = g.edge_num_bits();
     std::uint64_t bits = 0;
-    for (const graph::SortedIncidence& si :
+    for (const graph::AugWeight aug :
          g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      const auto idx = static_cast<unsigned>(width.div(si.aug - rng.lo));
+      const auto idx = static_cast<unsigned>(width.div(aug - rng.lo));
       assert(idx < static_cast<unsigned>(slices));
       bits ^= (std::uint64_t{1} << idx)
-              & hash.mask(graph::aug_weight_edge_num(si.aug, en_bits));
+              & hash.mask(graph::aug_weight_edge_num(aug, en_bits));
     }
     return Words{bits};
   };
@@ -87,12 +87,12 @@ std::uint64_t test_out_sliced_amplified(proto::TreeOps& ops, NodeId root,
       bank[r] = hashing::OddHash::from_seed(sd, r);
     }
     Words parities(repetitions, 0);
-    for (const graph::SortedIncidence& si :
+    for (const graph::AugWeight aug :
          g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      const auto idx = static_cast<unsigned>(width.div(si.aug - rng.lo));
+      const auto idx = static_cast<unsigned>(width.div(aug - rng.lo));
       assert(idx < static_cast<unsigned>(slices));
       const std::uint64_t bit = std::uint64_t{1} << idx;
-      const graph::EdgeNum en = graph::aug_weight_edge_num(si.aug, en_bits);
+      const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
       for (int r = 0; r < repetitions; ++r) {
         parities[r] ^= bit & bank[r].mask(en);
       }

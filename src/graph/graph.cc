@@ -31,7 +31,7 @@ std::vector<ExtId> random_ext_ids(std::size_t n, util::Rng& rng,
   return ids;
 }
 
-int Graph::infer_id_bits(const std::vector<ExtId>& ids) {
+int id_bits_of(std::span<const ExtId> ids) {
   ExtId mx = 1;
   for (ExtId id : ids) mx = std::max(mx, id);
   int bits = 1;
@@ -46,7 +46,7 @@ Graph::Graph(std::size_t n, util::Rng& rng, int id_bits)
       sorted_adj_(n),
       sorted_stale_(n, 1),
       row_version_(n, 0) {
-  id_bits_ = infer_id_bits(ext_ids_);
+  id_bits_ = id_bits_of(ext_ids_);
 }
 
 Graph::Graph(std::vector<ExtId> ext_ids)
@@ -56,7 +56,7 @@ Graph::Graph(std::vector<ExtId> ext_ids)
       sorted_adj_(ext_ids_.size()),
       sorted_stale_(ext_ids_.size(), 1),
       row_version_(ext_ids_.size(), 0) {
-  id_bits_ = infer_id_bits(ext_ids_);
+  id_bits_ = id_bits_of(ext_ids_);
 #ifndef NDEBUG
   std::unordered_set<ExtId> seen;
   for (ExtId id : ext_ids_) {
@@ -74,6 +74,11 @@ Graph::Graph(std::unique_ptr<ImplicitCore> core)
   id_bits_ = implicit_->id_bits();
   alive_edges_ = implicit_->edge_slots();
   edge_slots_ = implicit_->edge_slots();
+  complete_windows_ = implicit_->spec().family == ImplicitFamily::kComplete;
+  if (!complete_windows_) {
+    sorted_adj_.resize(n_);
+    sorted_stale_.assign(n_, 1);
+  }
   row_version_.assign(n_, 0);
 }
 
@@ -166,12 +171,12 @@ std::size_t Graph::implicit_degree(NodeId v) const {
   return implicit_->degree(v);
 }
 
-std::span<const SortedIncidence> Graph::implicit_sorted(NodeId v) const {
-  return implicit_->sorted_incident(v);
+Weight Graph::implicit_weight(NodeId u, NodeId v) const {
+  return implicit_->weight_of(u, v);
 }
 
-std::span<const SortedIncidence> Graph::implicit_sorted_range(
-    NodeId v, AugWeight lo, AugWeight hi) const {
+std::span<const AugWeight> Graph::implicit_window(NodeId v, AugWeight lo,
+                                                  AugWeight hi) const {
   return implicit_->sorted_incident_range(v, lo, hi);
 }
 
@@ -188,18 +193,13 @@ std::optional<EdgeIdx> Graph::find_edge_slow(NodeId u, NodeId v) const {
 }
 
 void Graph::rebuild_sorted(NodeId v) const {
-  std::vector<SortedIncidence>& out = sorted_adj_[v];
+  std::vector<AugWeight>& out = sorted_adj_[v];
   out.clear();
   const std::span<const Incidence> row = incident(v);
   out.reserve(row.size());
-  for (const Incidence& inc : row) {
-    out.push_back(SortedIncidence{aug_weight(inc.edge), inc.edge, inc.peer});
-  }
+  for (const Incidence& inc : row) out.push_back(incident_aug(v, inc));
   // Augmented weights are unique, so this order is total and deterministic.
-  std::sort(out.begin(), out.end(),
-            [](const SortedIncidence& a, const SortedIncidence& b) {
-              return a.aug < b.aug;
-            });
+  std::sort(out.begin(), out.end());
   sorted_stale_[v] = 0;
 }
 

@@ -104,9 +104,10 @@ class Graph {
 
   // Alive incident edges of v. The node's entire "local knowledge".
   // Implicit K_n rows are served from a small reusable buffer ring: the
-  // span stays valid across a handful of interleaved queries but not
-  // indefinitely. Implicit sparse rows are stored and stay valid for the
-  // graph's lifetime (see graph/implicit.h for the lifetime contract).
+  // span survives ImplicitCore::kIncSlots - 1 queries of other rows, not
+  // indefinitely. Every other row is stored (adjacency vectors, the mapped
+  // arena, the implicit sparse arena); its span stays valid until the next
+  // mutation of that row.
   std::span<const Incidence> incident(NodeId v) const {
     assert(v < n_);
     switch (backend_) {
@@ -181,37 +182,40 @@ class Graph {
     return find_edge_slow(u, v);
   }
 
-  // Alive incident edges of v sorted by augmented weight, lazily rebuilt
-  // per node after a mutation touching v (implicit backend: computed into
-  // a buffer ring, so a span lasts a handful of queries). The
-  // range-filtered walks of TestOut / HP-TestOut / FindAny and the GHS
-  // probe setup read this index instead of scanning (and re-deriving
-  // weights from) the adjacency list.
-  std::span<const SortedIncidence> sorted_incident(NodeId v) const {
+  // The augmented weight of the row entry `inc` of v, computed from the
+  // entry itself: the weight from the edge record, the edge number from
+  // the two external IDs. No edge decode (which on the implicit backend is
+  // a binary search).
+  AugWeight incident_aug(NodeId v, const Incidence& inc) const {
+    return make_aug_weight(
+        row_weight(v, inc),
+        make_edge_num(ext_ids_[v], ext_ids_[inc.peer], id_bits_),
+        edge_num_bits());
+  }
+
+  // The sorted row of v: the ascending augmented weights of v's alive
+  // incident edges. The low edge_num_bits() of each name its edge, which
+  // is all the range-filtered walks of TestOut / HP-TestOut / FindAny and
+  // FindMin's maxWt read. Stored rows (every backend but implicit K_n) are
+  // sorted lazily into one per-node cache and re-sorted after a mutation
+  // touching v; the span stays valid until then. Implicit K_n rows are the
+  // closed-form window [0, ~0] in ImplicitCore's window buffers, so the
+  // span survives a handful of window queries only.
+  std::span<const AugWeight> sorted_incident(NodeId v) const {
     assert(v < node_count());
-    if (backend_ == Backend::kImplicit) return implicit_sorted(v);
+    if (complete_windows_) return implicit_window(v, 0, ~AugWeight{0});
     if (sorted_stale_[v]) rebuild_sorted(v);
     return sorted_adj_[v];
   }
 
   // The window of sorted_incident(v) with aug weights in [lo, hi].
-  std::span<const SortedIncidence> sorted_incident_range(
-      NodeId v, AugWeight lo, AugWeight hi) const {
-    if (backend_ == Backend::kImplicit) {
-      return implicit_sorted_range(v, lo, hi);
-    }
-    const std::span<const SortedIncidence> s = sorted_incident(v);
-    const SortedIncidence* first =
-        std::lower_bound(s.data(), s.data() + s.size(), lo,
-                         [](const SortedIncidence& si, AugWeight x) {
-                           return si.aug < x;
-                         });
-    const SortedIncidence* last =
-        std::upper_bound(first, s.data() + s.size(), hi,
-                         [](AugWeight x, const SortedIncidence& si) {
-                           return x < si.aug;
-                         });
-    return {first, last};
+  std::span<const AugWeight> sorted_incident_range(NodeId v, AugWeight lo,
+                                                   AugWeight hi) const {
+    if (complete_windows_) return implicit_window(v, lo, hi);
+    const std::span<const AugWeight> s = sorted_incident(v);
+    const AugWeight* end = s.data() + s.size();
+    const AugWeight* first = std::lower_bound(s.data(), end, lo);
+    return {first, std::upper_bound(first, end, hi)};
   }
 
   // Largest raw weight / edge number over alive edges (0 if none).
@@ -232,6 +236,17 @@ class Graph {
   std::size_t mapped_degree(NodeId v) const {
     return mapped_offsets_[v + 1] - mapped_offsets_[v];
   }
+  Weight row_weight(NodeId v, const Incidence& inc) const {
+    switch (backend_) {
+      case Backend::kAdjacency:
+        return edges_[inc.edge].weight;
+      case Backend::kMapped:
+        return mapped_edges_[inc.edge].weight;
+      case Backend::kImplicit:
+        break;
+    }
+    return implicit_weight(v, inc.peer);
+  }
   void rebuild_sorted(NodeId v) const;  // slow path of sorted_incident
   void touch_sorted(NodeId u, NodeId v) {
     sorted_stale_[u] = 1;
@@ -241,17 +256,15 @@ class Graph {
     ++row_version_[u];
     ++row_version_[v];
   }
-  static int infer_id_bits(const std::vector<ExtId>& ids);
 
   // Out-of-line backend paths (graph.cc); keeps ImplicitCore an incomplete
   // type here.
   Edge edge_slow(EdgeIdx e) const;
   std::span<const Incidence> implicit_incident(NodeId v) const;
   std::size_t implicit_degree(NodeId v) const;
-  std::span<const SortedIncidence> implicit_sorted(NodeId v) const;
-  std::span<const SortedIncidence> implicit_sorted_range(NodeId v,
-                                                         AugWeight lo,
-                                                         AugWeight hi) const;
+  Weight implicit_weight(NodeId u, NodeId v) const;
+  std::span<const AugWeight> implicit_window(NodeId v, AugWeight lo,
+                                             AugWeight hi) const;
   std::optional<EdgeIdx> find_edge_slow(NodeId u, NodeId v) const;
 
   Backend backend_ = Backend::kAdjacency;
@@ -269,13 +282,14 @@ class Graph {
   std::span<const Incidence> mapped_arena_;
   std::span<const StoreEdge> mapped_edges_;
 
-  // kImplicit.
+  // kImplicit; K_n serves its sorted rows as closed-form windows.
   std::unique_ptr<ImplicitCore> implicit_;
+  bool complete_windows_ = false;
 
   std::vector<ExtId> ext_ids_;
-  // Aug-sorted incidence index; stale entries rebuilt on demand (all
-  // backends but kImplicit, which computes its own).
-  mutable std::vector<std::vector<SortedIncidence>> sorted_adj_;
+  // Sorted rows of every stored row; stale rows re-sorted on demand (empty
+  // for implicit K_n).
+  mutable std::vector<std::vector<AugWeight>> sorted_adj_;
   mutable std::vector<char> sorted_stale_;
   std::vector<std::uint32_t> row_version_;  // see row_version()
   int id_bits_ = kMaxIdBits;
@@ -287,5 +301,8 @@ class Graph {
 // selects the polynomial default (~n^3, at least 2n, at most 2^31).
 std::vector<ExtId> random_ext_ids(std::size_t n, util::Rng& rng,
                                   int id_bits = 0);
+
+// Width of the ID space of `ids`: the fewest bits b with every ID < 2^b.
+int id_bits_of(std::span<const ExtId> ids);
 
 }  // namespace kkt::graph

@@ -48,14 +48,6 @@ std::vector<ExtId> implicit_ext_ids(std::size_t n, std::uint64_t seed) {
   return ids;
 }
 
-int infer_bits(const std::vector<ExtId>& ids) {
-  ExtId mx = 1;
-  for (ExtId id : ids) mx = std::max(mx, id);
-  int bits = 1;
-  while ((ExtId{1} << bits) <= mx) ++bits;
-  return bits;
-}
-
 // K_n lexicographic rank base of node u: rank(u, u + 1).
 constexpr EdgeIdx complete_base(std::uint64_t u, std::uint64_t n) noexcept {
   return u * (2 * n - u - 1) / 2;
@@ -254,7 +246,7 @@ ImplicitCore::ImplicitCore(const ImplicitSpec& spec) : spec_(spec) {
       store_rows(geometric_edges(n_, spec_.target_degree, lseed, prefix_));
       break;
   }
-  id_bits_ = infer_bits(ext_ids_);
+  id_bits_ = id_bits_of(ext_ids_);
 }
 
 // Row v is v's peers below v, then its min-side peers, each ascending --
@@ -372,29 +364,10 @@ void ImplicitCore::gen_row(NodeId v, std::vector<Incidence>& out) const {
   }
 }
 
-void ImplicitCore::gen_sorted(NodeId v,
-                              std::vector<SortedIncidence>& out) const {
-  if (spec_.family == ImplicitFamily::kComplete) {
-    complete_window(v, 0, ~AugWeight{0}, out);
-    return;
-  }
-  const std::span<const Incidence> row = stored_row(v);
-  out.clear();
-  out.reserve(row.size());
-  for (const Incidence& inc : row) {
-    out.push_back(SortedIncidence{
-        aug_of(v, inc.peer, weight_of(v, inc.peer)), inc.edge, inc.peer});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SortedIncidence& a, const SortedIncidence& b) {
-              return a.aug < b.aug;
-            });
-}
-
 void ImplicitCore::complete_emit_keys(NodeId v, std::uint64_t key_lo,
                                       std::uint64_t key_hi, AugWeight lo,
                                       AugWeight hi,
-                                      std::vector<SortedIncidence>& out) const {
+                                      std::vector<AugWeight>& out) const {
   const auto first = std::lower_bound(
       order_.begin(), order_.end(), key_lo,
       [this](NodeId a, std::uint64_t k) { return keys_[a] < k; });
@@ -408,7 +381,7 @@ void ImplicitCore::complete_emit_keys(NodeId v, std::uint64_t key_lo,
     const Weight w = 1 + (keys_[u] + kv) % maxw_;
     const AugWeight aug = aug_of(u, v, w);
     if (aug < lo || aug > hi) continue;
-    out.push_back(SortedIncidence{aug, rank_of(u, v), u});
+    out.push_back(aug);
   }
 }
 
@@ -418,7 +391,7 @@ void ImplicitCore::complete_emit_keys(NodeId v, std::uint64_t key_lo,
 // either side of ext(v) preserves the comparison; see tests). Walking the
 // weight range therefore walks <= 2 contiguous cyclic segments of order_.
 void ImplicitCore::complete_window(NodeId v, AugWeight lo, AugWeight hi,
-                                   std::vector<SortedIncidence>& out) const {
+                                   std::vector<AugWeight>& out) const {
   out.clear();
   if (lo > hi) return;
   const int en_bits = 2 * id_bits_;
@@ -451,17 +424,6 @@ std::span<const Incidence> ImplicitCore::cached_row(NodeId v) const {
   return s.row;
 }
 
-std::span<const SortedIncidence> ImplicitCore::cached_sorted(NodeId v) const {
-  for (const SortSlot& s : sort_slots_) {
-    if (s.node == v) return s.row;
-  }
-  SortSlot& s = sort_slots_[sort_rr_];
-  sort_rr_ = (sort_rr_ + 1) % kSortSlots;
-  s.node = v;
-  gen_sorted(v, s.row);
-  return s.row;
-}
-
 // --- public queries ----------------------------------------------------------
 
 std::size_t ImplicitCore::degree(NodeId v) const {
@@ -475,28 +437,13 @@ std::span<const Incidence> ImplicitCore::incident(NodeId v) const {
   return stored_row(v);
 }
 
-std::span<const SortedIncidence> ImplicitCore::sorted_incident(
-    NodeId v) const {
-  assert(v < n_);
-  return cached_sorted(v);
-}
-
-std::span<const SortedIncidence> ImplicitCore::sorted_incident_range(
+std::span<const AugWeight> ImplicitCore::sorted_incident_range(
     NodeId v, AugWeight lo, AugWeight hi) const {
-  if (spec_.family == ImplicitFamily::kComplete) {
-    std::vector<SortedIncidence>& buf = win_bufs_[win_rr_];
-    win_rr_ = (win_rr_ + 1) % kWinBufs;
-    complete_window(v, lo, hi, buf);
-    return buf;
-  }
-  const std::span<const SortedIncidence> s = sorted_incident(v);
-  const SortedIncidence* first = std::lower_bound(
-      s.data(), s.data() + s.size(), lo,
-      [](const SortedIncidence& si, AugWeight x) { return si.aug < x; });
-  const SortedIncidence* last = std::upper_bound(
-      first, s.data() + s.size(), hi,
-      [](AugWeight x, const SortedIncidence& si) { return x < si.aug; });
-  return {first, last};
+  assert(v < n_ && spec_.family == ImplicitFamily::kComplete);
+  std::vector<AugWeight>& buf = win_bufs_[win_rr_];
+  win_rr_ = (win_rr_ + 1) % kWinBufs;
+  complete_window(v, lo, hi, buf);
+  return buf;
 }
 
 Weight ImplicitCore::max_weight() const {

@@ -7,6 +7,7 @@
 //                    global node order (sorted by (key, ext)); any
 //                    sorted_incident_range window is emitted from <= 2
 //                    contiguous segments of that order in O(log n + |out|).
+//                    The full sorted row is the window [0, ~0].
 //  * kGridLong    -- sqrt(n) x sqrt(n) grid plus `long_links` (<= 64)
 //                    random long links per node (small-world); m = Theta(n).
 //  * kGeometric   -- random points on the unit square (integer fixed-point
@@ -30,16 +31,16 @@
 // Resident state and span lifetime:
 //  * kComplete keeps O(n) state -- K_n at n = 10^6 has ~5*10^11 edges (8 TB
 //    materialised) -- and computes every row into a small ring of reusable
-//    buffers (incidence slots, sorted-row slots, window buffers). Steady-
+//    buffers: kIncSlots incidence rows and kWinBufs sorted windows. Steady-
 //    state queries allocate nothing once each buffer has grown to its
-//    high-water size; a span stays valid for the next few queries (>= 4
-//    interleaved rows) but is invalidated by eviction -- protocols hold at
-//    most one row span at a time plus nested oracle walks, which the slot
-//    counts cover.
+//    high-water size; an incident(v) span survives kIncSlots - 1 queries of
+//    other rows and a window survives kWinBufs - 1 further windows --
+//    protocols hold at most one row span at a time plus nested oracle
+//    walks, which the counts cover.
 //  * kGridLong / kGeometric keep O(n + m) stored rows: an incident(v) span
-//    points into the arena and stays valid for the core's lifetime. Sorted
-//    rows (and their windows) are computed from it per query into the same
-//    sorted-row ring as K_n.
+//    points into the arena and stays valid for the core's lifetime. The
+//    core serves no sorted rows for them: Graph sorts a stored row into
+//    its per-node cache like any other stored row (graph/graph.h).
 #pragma once
 
 #include <array>
@@ -80,10 +81,9 @@ class ImplicitCore {
 
   std::size_t degree(NodeId v) const;
   std::span<const Incidence> incident(NodeId v) const;
-  std::span<const SortedIncidence> sorted_incident(NodeId v) const;
-  std::span<const SortedIncidence> sorted_incident_range(NodeId v,
-                                                         AugWeight lo,
-                                                         AugWeight hi) const;
+  // kComplete only: the ascending aug weights of v's edges within [lo, hi].
+  std::span<const AugWeight> sorted_incident_range(NodeId v, AugWeight lo,
+                                                   AugWeight hi) const;
 
   Edge edge(EdgeIdx e) const;
   std::optional<EdgeIdx> find_edge(NodeId u, NodeId v) const;
@@ -107,10 +107,6 @@ class ImplicitCore {
     NodeId node = kNoNode;
     std::vector<Incidence> row;
   };
-  struct SortSlot {
-    NodeId node = kNoNode;
-    std::vector<SortedIncidence> row;
-  };
 
   // --- family math ---------------------------------------------------------
   Weight pair_weight(NodeId mn, NodeId mx) const;      // any family
@@ -124,18 +120,16 @@ class ImplicitCore {
   const Incidence* row_entry(NodeId u, NodeId v) const;
 
   void gen_row(NodeId v, std::vector<Incidence>& out) const;  // kComplete
-  void gen_sorted(NodeId v, std::vector<SortedIncidence>& out) const;
   // kComplete: emit the aug window [lo, hi] of v's row from the global
   // (key, ext) order in O(log n + |out|).
   void complete_window(NodeId v, AugWeight lo, AugWeight hi,
-                       std::vector<SortedIncidence>& out) const;
+                       std::vector<AugWeight>& out) const;
   void complete_emit_keys(NodeId v, std::uint64_t key_lo, std::uint64_t key_hi,
                           AugWeight lo, AugWeight hi,
-                          std::vector<SortedIncidence>& out) const;
+                          std::vector<AugWeight>& out) const;
 
   // --- row cache ---------------------------------------------------------
   std::span<const Incidence> cached_row(NodeId v) const;  // kComplete
-  std::span<const SortedIncidence> cached_sorted(NodeId v) const;
 
   ImplicitSpec spec_;
   std::size_t n_ = 0;
@@ -155,14 +149,12 @@ class ImplicitCore {
   std::vector<EdgeIdx> row_off_;
   std::unique_ptr<Incidence[]> rows_;
 
-  // Reusable query buffers (see header comment for the lifetime contract).
-  static constexpr std::size_t kSortSlots = 6;
+  // Reusable K_n query buffers (see header comment for the lifetime
+  // contract).
   static constexpr std::size_t kWinBufs = 4;
   mutable std::array<IncSlot, kIncSlots> inc_slots_;
-  mutable std::array<SortSlot, kSortSlots> sort_slots_;
-  mutable std::array<std::vector<SortedIncidence>, kWinBufs> win_bufs_;
+  mutable std::array<std::vector<AugWeight>, kWinBufs> win_bufs_;
   mutable std::size_t inc_rr_ = 0;
-  mutable std::size_t sort_rr_ = 0;
   mutable std::size_t win_rr_ = 0;
 };
 

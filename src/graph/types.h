@@ -97,14 +97,4 @@ struct Incidence {
   EdgeIdx edge;
 };
 
-// Entry of the per-node augmented-weight-sorted incidence index. The edge
-// number is recoverable from the low bits of `aug`, so a range-filtered
-// walk touches only this contiguous array -- no per-edge loads from the
-// edge table or the external-ID table.
-struct SortedIncidence {
-  AugWeight aug;
-  EdgeIdx edge;
-  NodeId peer;
-};
-
 }  // namespace kkt::graph

@@ -10,8 +10,10 @@
 #include "core/find_min.h"
 #include "core/session.h"
 #include "graph/forest.h"
+#include "graph/mst_oracle.h"
 #include "proto/tree_ops.h"
 #include "report/fit.h"
+#include "scenario/sweep.h"
 #include "util/rusage.h"
 
 namespace kkt::scenario {
@@ -144,22 +146,98 @@ struct SeriesSpec {
   // Per-seed metric totals divide by this before averaging (repair tasks
   // report per-operation means).
   double op_divisor = 1.0;
+  BuildCheck check = BuildCheck::kNone;
 };
+
+// Runs one cell: `seeds` worlds of `sc` with seeds first_seed,
+// first_seed + 1, ... on a SweepExecutor (a pinned net_seed stays pinned,
+// as in run_sweep). Averages their model costs into `cell` (per-seed
+// totals divided by op_divisor as well), stamps its observables under
+// cfg.measure and appends it to the result, with an error line when a
+// world fails `check`.
+void run_cell(const HeadToHeadConfig& cfg, HeadToHeadCell cell,
+              const Scenario& sc, int seeds, const ScenarioBody& body,
+              double op_divisor, BuildCheck check, HeadToHeadResult& result) {
+  struct Slot {
+    sim::Metrics metrics;
+    std::uint64_t wall_ns = 0;
+    std::uint64_t peak_rss_kb = 0;
+    bool ok = true;
+  };
+  const std::vector<Slot> slots =
+      SweepExecutor(cfg.threads).map(seeds, [&](int i) {
+        Scenario run = sc;
+        run.seed = cfg.first_seed + static_cast<std::uint64_t>(i);
+        Slot slot;
+        const std::uint64_t t0 = cfg.measure ? util::wall_now_ns() : 0;
+        World w = make_world(run);
+        body(w);
+        if (cfg.measure) {
+          slot.wall_ns = util::wall_now_ns() - t0;
+          slot.peak_rss_kb = util::peak_rss_kb();
+        }
+        slot.metrics = w.net->metrics();
+        slot.ok = build_cell_correct(w, check);
+        return slot;
+      });
+  int wrong = 0;
+  std::uint64_t wall_ns = 0;
+  cell.seeds = static_cast<int>(slots.size());
+  for (const Slot& slot : slots) {
+    cell.messages += static_cast<double>(slot.metrics.messages);
+    cell.bits += static_cast<double>(slot.metrics.message_bits);
+    cell.rounds += static_cast<double>(slot.metrics.rounds);
+    cell.bcast_echoes += static_cast<double>(slot.metrics.broadcast_echoes);
+    wall_ns += slot.wall_ns;
+    cell.peak_rss_kb = std::max(cell.peak_rss_kb, slot.peak_rss_kb);
+    if (!slot.ok) ++wrong;
+  }
+  const double denom =
+      static_cast<double>(slots.empty() ? 1 : slots.size()) * op_divisor;
+  cell.messages /= denom;
+  cell.bits /= denom;
+  cell.rounds /= denom;
+  cell.bcast_echoes /= denom;
+  if (!slots.empty()) cell.wall_ns = wall_ns / slots.size();
+  if (wrong > 0) {
+    result.errors.push_back(
+        cell.task + "/" + cell.algo + "/n=" + std::to_string(cell.n) + ": " +
+        std::to_string(wrong) + " of " + std::to_string(cell.seeds) +
+        (check == BuildCheck::kMsf ? " builds differ from the oracle MSF"
+                                   : " builds do not span"));
+  }
+  result.cells.push_back(std::move(cell));
+}
+
+// Fits the message series of the (task, algo) cells over their n.
+void fit_series(HeadToHeadResult& result, const std::string& task,
+                const std::string& algo) {
+  std::vector<double> xs, ys;
+  for (const HeadToHeadCell& c : result.cells) {
+    if (c.task != task || c.algo != algo) continue;
+    xs.push_back(static_cast<double>(c.n));
+    ys.push_back(c.messages);
+  }
+  if (const auto fit = report::fit_power_law(xs, ys)) {
+    result.fits.push_back(HeadToHeadFit{task, algo, fit->exponent, fit->coeff,
+                                        fit->r2, fit->points});
+  }
+}
 
 std::vector<SeriesSpec> make_series(const HeadToHeadConfig& cfg) {
   const int ops = cfg.ops > 0 ? cfg.ops : 1;
   std::vector<SeriesSpec> series;
   series.push_back({"build_mst", "kkt", false,
                     [](World& w) { core::build_mst(w.network(), w.trees()); },
-                    1.0});
+                    1.0, BuildCheck::kMsf});
   series.push_back(
       {"build_mst", "ghs", false,
        [](World& w) { baseline::ghs_build_mst(w.network(), w.trees()); },
-       1.0});
+       1.0, BuildCheck::kMsf});
   series.push_back(
       {"build_mst", "flood", false,
        [](World& w) { baseline::flood_build_st(w.network(), w.trees()); },
-       1.0});
+       1.0, BuildCheck::kSpanning});
   series.push_back({"find_min", "kkt", true,
                     [](World& w) {
                       const graph::NodeId root = sever_tree_edge(w);
@@ -201,6 +279,19 @@ std::vector<SeriesSpec> make_series(const HeadToHeadConfig& cfg) {
 
 }  // namespace
 
+bool build_cell_correct(const World& w, BuildCheck check) {
+  switch (check) {
+    case BuildCheck::kNone:
+      return true;
+    case BuildCheck::kMsf:
+      return graph::same_edge_set(w.forest->marked_edges(),
+                                  graph::kruskal_msf(*w.g));
+    case BuildCheck::kSpanning:
+      return w.forest->is_spanning_forest();
+  }
+  return false;
+}
+
 const HeadToHeadFit* HeadToHeadResult::fit(
     std::string_view task, std::string_view algo) const noexcept {
   for (const HeadToHeadFit& f : fits) {
@@ -234,47 +325,13 @@ HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg) {
   }
 
   for (const SeriesSpec& spec : make_series(cfg)) {
-    std::vector<double> xs, ys;
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-      const std::size_t n = sizes[i];
-      const Scenario sc = cell_scenario(cfg, n, spec.premark);
-      const std::uint64_t t0 = cfg.measure ? util::wall_now_ns() : 0;
-      const std::vector<sim::Metrics> runs =
-          run_sweep(sc, cfg.first_seed, cfg.seeds, spec.body, cfg.threads);
-      const std::uint64_t t1 = cfg.measure ? util::wall_now_ns() : 0;
-
-      HeadToHeadCell cell;
-      cell.task = spec.task;
-      cell.algo = spec.algo;
-      cell.n = n;
-      cell.m = edge_counts[i];
-      cell.seeds = static_cast<int>(runs.size());
-      for (const sim::Metrics& run : runs) {
-        cell.messages += static_cast<double>(run.messages);
-        cell.bits += static_cast<double>(run.message_bits);
-        cell.rounds += static_cast<double>(run.rounds);
-        cell.bcast_echoes += static_cast<double>(run.broadcast_echoes);
-      }
-      const double denom =
-          static_cast<double>(runs.empty() ? 1 : runs.size()) *
-          spec.op_divisor;
-      cell.messages /= denom;
-      cell.bits /= denom;
-      cell.rounds /= denom;
-      cell.bcast_echoes /= denom;
-      if (cfg.measure && !runs.empty()) {
-        cell.wall_ns = (t1 - t0) / runs.size();
-        cell.peak_rss_kb = util::peak_rss_kb();
-      }
-
-      xs.push_back(static_cast<double>(n));
-      ys.push_back(cell.messages);
-      result.cells.push_back(std::move(cell));
+      run_cell(cfg, {.task = spec.task, .algo = spec.algo, .n = sizes[i],
+                     .m = edge_counts[i]},
+               cell_scenario(cfg, sizes[i], spec.premark), cfg.seeds,
+               spec.body, spec.op_divisor, spec.check, result);
     }
-    if (const auto fit = report::fit_power_law(xs, ys)) {
-      result.fits.push_back(HeadToHeadFit{spec.task, spec.algo, fit->exponent,
-                                          fit->coeff, fit->r2, fit->points});
-    }
+    fit_series(result, spec.task, spec.algo);
   }
 
   // Repair-vs-recompute (E18): fixed instance (the largest grid size),
@@ -320,45 +377,13 @@ HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg) {
              }},
         };
     for (const auto& [algo, make_body] : batch_algos) {
-      std::vector<double> xs, ys;
       for (const std::size_t k : ks) {
-        const Scenario sc = cell_scenario(cfg, nb, /*premark=*/true);
-        const std::uint64_t t0 = cfg.measure ? util::wall_now_ns() : 0;
-        const std::vector<sim::Metrics> runs = run_sweep(
-            sc, cfg.first_seed, cfg.seeds, make_body(k), cfg.threads);
-        const std::uint64_t t1 = cfg.measure ? util::wall_now_ns() : 0;
-
-        HeadToHeadCell cell;
-        cell.task = "repair_batch";
-        cell.algo = algo;
-        cell.n = k;  // x axis: batch size, not node count
-        cell.m = mb;
-        cell.seeds = static_cast<int>(runs.size());
-        for (const sim::Metrics& run : runs) {
-          cell.messages += static_cast<double>(run.messages);
-          cell.bits += static_cast<double>(run.message_bits);
-          cell.rounds += static_cast<double>(run.rounds);
-          cell.bcast_echoes += static_cast<double>(run.broadcast_echoes);
-        }
-        const double denom = static_cast<double>(runs.empty() ? 1
-                                                              : runs.size());
-        cell.messages /= denom;
-        cell.bits /= denom;
-        cell.rounds /= denom;
-        cell.bcast_echoes /= denom;
-        if (cfg.measure && !runs.empty()) {
-          cell.wall_ns = (t1 - t0) / runs.size();
-          cell.peak_rss_kb = util::peak_rss_kb();
-        }
-        xs.push_back(static_cast<double>(k));
-        ys.push_back(cell.messages);
-        result.cells.push_back(std::move(cell));
+        // x axis: batch size, not node count.
+        run_cell(cfg, {.task = "repair_batch", .algo = algo, .n = k, .m = mb},
+                 cell_scenario(cfg, nb, /*premark=*/true), cfg.seeds,
+                 make_body(k), 1.0, BuildCheck::kNone, result);
       }
-      if (const auto fit = report::fit_power_law(xs, ys)) {
-        result.fits.push_back(HeadToHeadFit{"repair_batch", algo,
-                                            fit->exponent, fit->coeff,
-                                            fit->r2, fit->points});
-      }
+      fit_series(result, "repair_batch", algo);
     }
   }
 
@@ -386,41 +411,17 @@ HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg) {
     };
     for (const auto& [algo, body] : xl_algos) {
       const bool capped = std::string_view(algo) == "ghs";
-      std::vector<double> xs, ys;
       for (std::size_t i = 0; i < xl_sizes.size(); ++i) {
         const std::size_t n = xl_sizes[i];
         if (capped && cfg.xl_ghs_cap != 0 && n > cfg.xl_ghs_cap) continue;
         Scenario sc;
         sc.graph = xl_spec(n);
         sc.net.kind = cfg.net;
-        sc.seed = cfg.first_seed;
-        const std::uint64_t t0 = cfg.measure ? util::wall_now_ns() : 0;
-        const sim::Metrics run = run_scenario(sc, body);
-        const std::uint64_t t1 = cfg.measure ? util::wall_now_ns() : 0;
-
-        HeadToHeadCell cell;
-        cell.task = "build_mst_xl";
-        cell.algo = algo;
-        cell.n = n;
-        cell.m = xl_m[i];
-        cell.seeds = 1;
-        cell.messages = static_cast<double>(run.messages);
-        cell.bits = static_cast<double>(run.message_bits);
-        cell.rounds = static_cast<double>(run.rounds);
-        cell.bcast_echoes = static_cast<double>(run.broadcast_echoes);
-        if (cfg.measure) {
-          cell.wall_ns = t1 - t0;
-          cell.peak_rss_kb = util::peak_rss_kb();
-        }
-        xs.push_back(static_cast<double>(n));
-        ys.push_back(cell.messages);
-        result.cells.push_back(std::move(cell));
+        run_cell(cfg, {.task = "build_mst_xl", .algo = algo, .n = n,
+                       .m = xl_m[i]},
+                 sc, /*seeds=*/1, body, 1.0, BuildCheck::kMsf, result);
       }
-      if (const auto fit = report::fit_power_law(xs, ys)) {
-        result.fits.push_back(HeadToHeadFit{"build_mst_xl", algo,
-                                            fit->exponent, fit->coeff, fit->r2,
-                                            fit->points});
-      }
+      fit_series(result, "build_mst_xl", algo);
     }
   }
   return result;

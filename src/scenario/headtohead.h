@@ -11,15 +11,17 @@
 //                  core::MaintenanceSession (the churn dispatch path) vs
 //                  the naive probe-everything repair
 //
-// Per cell, `seeds` runs execute on a scenario::run_sweep grid (parallel
-// across seeds via SweepExecutor; results land in seed slots, so every
-// aggregate is bit-identical at any thread count) and the per-seed model
-// costs are averaged. Per (task, algorithm) series, the message counts are
-// reduced to a fitted power-law exponent (report::fit_power_law over the
-// size grid) -- "o(m) messages" becomes an asserted number: on complete
-// graphs the flooding exponent sits at ~2 (Theta(m) = Theta(n^2)) while
-// KKT BuildMST's stays near 1 (n polylog n). tests/headtohead_test.cc and
-// the CI report stage hold that gap.
+// Per cell, `seeds` runs execute on a SweepExecutor grid (parallel across
+// seeds; results land in seed slots, so every aggregate is bit-identical
+// at any thread count) and the per-seed model costs are averaged. Every
+// build cell (build_mst, build_mst_xl) checks each finished world with
+// build_cell_correct; a wrong world is a HeadToHeadResult error. Per
+// (task, algorithm) series, the message counts are reduced to a fitted
+// power-law exponent (report::fit_power_law over the size grid) -- "o(m)
+// messages" becomes an asserted number: on complete graphs the flooding
+// exponent sits at ~2 (Theta(m) = Theta(n^2)) while KKT BuildMST's stays
+// near 1 (n polylog n). tests/headtohead_test.cc and the CI report stage
+// hold that gap.
 //
 // Determinism: all inputs are seeds and counts; all outputs are model-cost
 // counters and arithmetic over them. Two runs of the same config produce
@@ -93,9 +95,10 @@ struct HeadToHeadCell {
   double bcast_echoes = 0.0;
   // Schema-v2 observables, stamped only under config.measure (zero
   // otherwise -- and then omitted from the serialized record): mean wall
-  // time of one run in this cell, and the process peak RSS observed after
-  // the cell finished (an upper bound on the cell's footprint; see
-  // util/rusage.h).
+  // time of one run in this cell (building the world and running the
+  // body; the correctness check is not timed), and the process peak RSS
+  // observed when the last run's body returned (an upper bound on the
+  // cell's footprint; see util/rusage.h).
   std::uint64_t wall_ns = 0;
   std::uint64_t peak_rss_kb = 0;
 };
@@ -114,6 +117,9 @@ struct HeadToHeadResult {
   HeadToHeadConfig config;
   std::vector<HeadToHeadCell> cells;  // grid order: task, algo, n ascending
   std::vector<HeadToHeadFit> fits;    // one per (task, algo) series
+  // One line per build cell with a world that failed its check; a result
+  // with errors must not be published.
+  std::vector<std::string> errors;
 
   const HeadToHeadFit* fit(std::string_view task,
                            std::string_view algo) const noexcept;
@@ -137,5 +143,12 @@ struct HeadToHeadResult {
 // EXPERIMENTS.md ("where does impromptu repair stop beating
 // recompute-from-scratch?").
 HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg = {});
+
+// What a build cell's finished world must satisfy: an MST build (kkt,
+// ghs) marks exactly the oracle forest graph::kruskal_msf; a spanning-tree
+// build (flood) marks a spanning forest. kNone (not a build cell) always
+// passes.
+enum class BuildCheck { kNone, kMsf, kSpanning };
+bool build_cell_correct(const World& w, BuildCheck check);
 
 }  // namespace kkt::scenario

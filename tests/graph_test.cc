@@ -96,6 +96,48 @@ TEST(Graph, SetWeight) {
   EXPECT_EQ(g.max_weight(), 9u);
 }
 
+// The sorted-row cache is re-sorted after every mutation touching a row:
+// after each add_edge, remove_edge and set_weight, both endpoints' sorted
+// rows equal their incident edges' aug weights, sorted.
+TEST(Graph, SortedRowsFollowMutation) {
+  util::Rng rng(5);
+  Graph g(8, rng);
+  const auto expect_row = [&g](NodeId v) {
+    std::vector<AugWeight> want;
+    for (const Incidence& inc : g.incident(v)) {
+      want.push_back(g.aug_weight(inc.edge));
+    }
+    std::sort(want.begin(), want.end());
+    const std::span<const AugWeight> got = g.sorted_incident(v);
+    EXPECT_EQ(std::vector<AugWeight>(got.begin(), got.end()), want)
+        << "v=" << v;
+  };
+  const auto expect_edge = [&](EdgeIdx e) {
+    expect_row(g.edge(e).u);
+    expect_row(g.edge(e).v);
+  };
+  // Read every row first so each mutation below has a cache to invalidate.
+  for (NodeId v = 0; v < 8; ++v) expect_row(v);
+  std::vector<EdgeIdx> es;
+  for (NodeId v = 1; v < 8; ++v) {
+    es.push_back(g.add_edge(0, v, 10 * v));
+    expect_edge(es.back());
+    es.push_back(g.add_edge(v, (v % 7) + 1, 5));
+    expect_edge(es.back());
+  }
+  for (std::size_t i = 0; i < es.size(); i += 3) {
+    g.set_weight(es[i], 1000 - i);
+    expect_edge(es[i]);
+  }
+  for (std::size_t i = 1; i < es.size(); i += 2) {
+    const Edge ed = g.edge(es[i]);
+    g.remove_edge(es[i]);
+    expect_row(ed.u);
+    expect_row(ed.v);
+  }
+  for (NodeId v = 0; v < 8; ++v) expect_row(v);
+}
+
 TEST(Dsu, UniteAndComponents) {
   Dsu dsu(6);
   EXPECT_EQ(dsu.components(), 6u);

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "core/build_mst.h"
 #include "report/render.h"
 #include "report/schema.h"
 #include "scenario/headtohead.h"
@@ -36,6 +38,7 @@ const HeadToHeadCell* cell(const HeadToHeadResult& r, std::string_view task,
 
 TEST(HeadToHead, GridCoversEverySeriesWithPositiveCosts) {
   const HeadToHeadResult r = run_headtohead(smoke_config());
+  EXPECT_TRUE(r.errors.empty()) << r.errors.front();
   const struct {
     const char* task;
     const char* algo;
@@ -89,6 +92,24 @@ TEST(HeadToHead, KktRepairBeatsNaiveProbe) {
   EXPECT_LT(kkt->messages, naive->messages);
   EXPECT_LT(r.fit("find_min", "kkt")->exponent,
             r.fit("find_min", "naive")->exponent);
+}
+
+// Every build cell is checked: a finished build passes, and the same world
+// with one tree edge cleared fails both the oracle-MSF and the spanning
+// check, so such a cell becomes a result error.
+TEST(HeadToHead, BuildCellCheckRejectsAClearedTreeEdge) {
+  Scenario sc;
+  sc.graph = GraphSpec::complete(32);
+  World w = make_world(sc);
+  core::build_mst(w.network(), w.trees());
+  EXPECT_TRUE(build_cell_correct(w, BuildCheck::kMsf));
+  EXPECT_TRUE(build_cell_correct(w, BuildCheck::kSpanning));
+  const std::vector<graph::EdgeIdx> tree = w.forest->marked_edges();
+  ASSERT_FALSE(tree.empty());
+  w.forest->clear_edge(tree[tree.size() / 2]);
+  EXPECT_FALSE(build_cell_correct(w, BuildCheck::kMsf));
+  EXPECT_FALSE(build_cell_correct(w, BuildCheck::kSpanning));
+  EXPECT_TRUE(build_cell_correct(w, BuildCheck::kNone));
 }
 
 // The golden-file property: at a fixed seed the artifact and the rendered

@@ -64,18 +64,20 @@ void expect_rows_match(const ImplicitCore& core, const Graph& mat,
   }
 }
 
-void expect_sorted_match(const ImplicitCore& core, const Graph& mat,
-                         const char* what) {
-  const auto n = static_cast<NodeId>(core.node_count());
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<const SortedIncidence> s = core.sorted_incident(v);
-    const std::span<const SortedIncidence> ms = mat.sorted_incident(v);
-    ASSERT_EQ(s.size(), ms.size()) << what << " v=" << v;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      EXPECT_EQ(s[i].aug, ms[i].aug) << what << " v=" << v << " i=" << i;
-      EXPECT_EQ(s[i].edge, ms[i].edge) << what << " v=" << v << " i=" << i;
-      EXPECT_EQ(s[i].peer, ms[i].peer) << what << " v=" << v << " i=" << i;
-    }
+void expect_same_augs(std::span<const AugWeight> got,
+                      std::span<const AugWeight> want, const char* what,
+                      NodeId v) {
+  ASSERT_EQ(got.size(), want.size()) << what << " v=" << v;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << " v=" << v << " i=" << i;
+  }
+}
+
+// Sorted rows are served by the implicit Graph: K_n's closed-form windows,
+// the sparse families' per-node cache.
+void expect_sorted_match(const Graph& g, const Graph& mat, const char* what) {
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    expect_same_augs(g.sorted_incident(v), mat.sorted_incident(v), what, v);
   }
 }
 
@@ -93,7 +95,8 @@ TEST_P(FamilyOracle, RowsAndSortedRowsMatchMaterialized) {
   }
   EXPECT_EQ(core.id_bits(), mat.id_bits());
   expect_rows_match(core, mat, implicit_family_name(fam));
-  expect_sorted_match(core, mat, implicit_family_name(fam));
+  expect_sorted_match(make_implicit_graph(spec), mat,
+                      implicit_family_name(fam));
 }
 
 TEST_P(FamilyOracle, EdgeDecodeAndFindEdgeMatch) {
@@ -128,12 +131,11 @@ TEST_P(FamilyOracle, RangeWindowsMatchMaterialized) {
   // A small weight range forces ties, wrap-around segments and partial
   // boundary weight classes through the analytic complete window.
   const ImplicitSpec spec = small_spec(fam, seed, /*maxw=*/7);
-  const ImplicitCore core(spec);
+  const Graph g = make_implicit_graph(spec);
   const Graph mat = materialize_implicit(spec);
-  const int en_bits = 2 * core.id_bits();
-  const auto n = static_cast<NodeId>(core.node_count());
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<const SortedIncidence> full = mat.sorted_incident(v);
+  const int en_bits = g.edge_num_bits();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const std::span<const AugWeight> full = mat.sorted_incident(v);
     // Windows: full range, each single weight class, straddling ranges,
     // empty range, and exact aug endpoints.
     std::vector<std::pair<AugWeight, AugWeight>> windows = {
@@ -146,22 +148,15 @@ TEST_P(FamilyOracle, RangeWindowsMatchMaterialized) {
                            make_aug_weight(w + 1, 0, en_bits) - 1);
     }
     if (!full.empty()) {
-      windows.emplace_back(full.front().aug, full.back().aug);
-      windows.emplace_back(full.front().aug + 1, full.back().aug - 1);
+      windows.emplace_back(full.front(), full.back());
+      windows.emplace_back(full.front() + 1, full.back() - 1);
       const std::size_t mid = full.size() / 2;
-      windows.emplace_back(full[mid].aug, full[mid].aug);
+      windows.emplace_back(full[mid], full[mid]);
     }
     for (const auto& [lo, hi] : windows) {
-      const std::span<const SortedIncidence> got =
-          core.sorted_incident_range(v, lo, hi);
-      const std::span<const SortedIncidence> want =
-          mat.sorted_incident_range(v, lo, hi);
-      ASSERT_EQ(got.size(), want.size()) << "v=" << v;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].aug, want[i].aug) << "v=" << v << " i=" << i;
-        EXPECT_EQ(got[i].edge, want[i].edge) << "v=" << v << " i=" << i;
-        EXPECT_EQ(got[i].peer, want[i].peer) << "v=" << v << " i=" << i;
-      }
+      expect_same_augs(g.sorted_incident_range(v, lo, hi),
+                       mat.sorted_incident_range(v, lo, hi),
+                       implicit_family_name(fam), v);
     }
   }
 }
@@ -225,28 +220,31 @@ TEST(ImplicitRows, AllPairsRoundTripMatchesMaterialized) {
   }
 }
 
-// Sparse rows are stored, not recycled: an incident(v) span stays
-// byte-identical while more other rows are queried than the K_n ring
-// (kIncSlots) holds.
+// Sparse rows are stored, not recycled: an incident(v) span and a sorted
+// row span of the implicit Graph stay put, byte-identical, while more other
+// rows are queried than the K_n ring (kIncSlots) holds.
 TEST(ImplicitRows, SparseIncidentSpansOutliveTheRing) {
   for (const ImplicitFamily fam :
        {ImplicitFamily::kGridLong, ImplicitFamily::kGeometric}) {
-    const ImplicitCore core(small_spec(fam, 3));
-    const auto n = static_cast<NodeId>(core.node_count());
-    const std::span<const Incidence> row = core.incident(0);
+    const Graph g = make_implicit_graph(small_spec(fam, 3));
+    const std::span<const Incidence> row = g.incident(0);
     const std::vector<Incidence> copy(row.begin(), row.end());
-    ASSERT_GT(n, 3 * ImplicitCore::kIncSlots);
+    const std::span<const AugWeight> sorted = g.sorted_incident(0);
+    const std::vector<AugWeight> sorted_copy(sorted.begin(), sorted.end());
+    ASSERT_GT(g.node_count(), 3 * ImplicitCore::kIncSlots);
     std::size_t queried = 0;
     for (NodeId v = 1; v <= 3 * ImplicitCore::kIncSlots; ++v) {
-      queried += core.incident(v).size() + core.sorted_incident(v).size();
+      queried += g.incident(v).size() + g.sorted_incident(v).size();
     }
     EXPECT_GT(queried, 0u);
-    EXPECT_EQ(core.incident(0).data(), row.data());
+    EXPECT_EQ(g.incident(0).data(), row.data());
+    EXPECT_EQ(g.sorted_incident(0).data(), sorted.data());
     ASSERT_EQ(row.size(), copy.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(row[i].peer, copy[i].peer) << implicit_family_name(fam);
       EXPECT_EQ(row[i].edge, copy[i].edge) << implicit_family_name(fam);
     }
+    expect_same_augs(sorted, sorted_copy, implicit_family_name(fam), 0);
   }
 }
 
@@ -266,19 +264,33 @@ TEST(ImplicitXL, CompleteMillionNodesAnalyticProbes) {
                          NodeId{999'999}}) {
     EXPECT_EQ(core.degree(v), spec.n - 1);
     // A one-weight-class window is answerable in O(log n + |out|); every
-    // returned entry must decode back to (v, peer) with the right weight.
+    // returned aug must name an edge (v, peer) of the right weight that
+    // decodes back from its rank.
     const AugWeight lo = make_aug_weight(100, 0, en_bits);
     const AugWeight hi = make_aug_weight(101, 0, en_bits) - 1;
-    const std::span<const SortedIncidence> win =
-        core.sorted_incident_range(v, lo, hi);
-    for (const SortedIncidence& si : win) {
-      EXPECT_GE(si.aug, lo);
-      EXPECT_LE(si.aug, hi);
-      EXPECT_EQ(core.weight_of(v, si.peer), 100u);
-      EXPECT_EQ(core.rank_of(v, si.peer), si.edge);
-      const Edge ed = core.edge(si.edge);
-      EXPECT_EQ(std::min(ed.u, ed.v), std::min(v, si.peer));
-      EXPECT_EQ(std::max(ed.u, ed.v), std::max(v, si.peer));
+    for (const AugWeight aug : core.sorted_incident_range(v, lo, hi)) {
+      EXPECT_GE(aug, lo);
+      EXPECT_LE(aug, hi);
+      const EdgeNum en = aug_weight_edge_num(aug, en_bits);
+      const ExtId self = core.ext_ids()[v];
+      const ExtId small = edge_num_small_id(en, core.id_bits());
+      const ExtId large = edge_num_large_id(en, core.id_bits());
+      ASSERT_TRUE(small == self || large == self);
+      const ExtId other = small == self ? large : small;
+      const auto it = std::find(core.ext_ids().begin(), core.ext_ids().end(),
+                                other);
+      ASSERT_NE(it, core.ext_ids().end());
+      const auto peer = static_cast<NodeId>(it - core.ext_ids().begin());
+      EXPECT_EQ(core.weight_of(v, peer), 100u);
+      const Edge ed = core.edge(core.rank_of(v, peer));
+      EXPECT_EQ(std::min(ed.u, ed.v), std::min(v, peer));
+      EXPECT_EQ(std::max(ed.u, ed.v), std::max(v, peer));
+      EXPECT_EQ(make_aug_weight(ed.weight,
+                                make_edge_num(core.ext_ids()[ed.u],
+                                              core.ext_ids()[ed.v],
+                                              core.id_bits()),
+                                en_bits),
+                aug);
     }
     // Decode round-trips on sampled ranks incident to v.
     const NodeId peer = v == 0 ? n - 1 : v - 1;
@@ -304,27 +316,26 @@ TEST(ImplicitXL, GridLongMillionNodesRowProbes) {
   spec.n = 1'048'576;  // 1024 x 1024
   spec.seed = 9;
   spec.long_links = 2;
-  const ImplicitCore core(spec);
-  EXPECT_EQ(core.node_count(), 1'048'576u);
-  EXPECT_GE(core.edge_slots(), EdgeIdx{2} * 1024 * 1023);  // grid edges alone
+  const Graph g = make_implicit_graph(spec);
+  EXPECT_EQ(g.node_count(), 1'048'576u);
+  EXPECT_GE(g.edge_slots(), EdgeIdx{2} * 1024 * 1023);  // grid edges alone
   util::Rng rng(11);
   for (int i = 0; i < 32; ++i) {
-    const auto v = static_cast<NodeId>(rng.below(core.node_count()));
-    const std::span<const Incidence> row = core.incident(v);
+    const auto v = static_cast<NodeId>(rng.below(g.node_count()));
+    const std::span<const Incidence> row = g.incident(v);
     ASSERT_GE(row.size(), 2u);   // at least the grid corner degree
     ASSERT_LE(row.size(), 4u + 2 * 2 * 64u);
+    std::vector<AugWeight> augs;
     for (const Incidence& inc : row) {
-      EXPECT_EQ(core.find_edge(v, inc.peer), std::optional<EdgeIdx>{inc.edge});
-      const Edge ed = core.edge(inc.edge);
+      EXPECT_EQ(g.find_edge(v, inc.peer), std::optional<EdgeIdx>{inc.edge});
+      const Edge ed = g.edge(inc.edge);
       EXPECT_TRUE((ed.u == v && ed.v == inc.peer) ||
                   (ed.v == v && ed.u == inc.peer));
+      augs.push_back(g.aug_weight(inc.edge));
     }
-    // Sorted row is the same edge set in strictly ascending aug order.
-    const std::span<const SortedIncidence> s = core.sorted_incident(v);
-    ASSERT_EQ(s.size(), row.size());
-    for (std::size_t j = 1; j < s.size(); ++j) {
-      EXPECT_LT(s[j - 1].aug, s[j].aug);
-    }
+    // Sorted row is the same edge set in ascending aug order.
+    std::sort(augs.begin(), augs.end());
+    expect_same_augs(g.sorted_incident(v), augs, "igridlong", v);
   }
 }
 

@@ -117,12 +117,11 @@ TEST(Store, RoundTripServesIdenticalRows) {
       EXPECT_EQ(row[i].peer, srow[i].peer) << "v=" << v << " i=" << i;
       EXPECT_EQ(row[i].edge, srow[i].edge) << "v=" << v << " i=" << i;
     }
-    const std::span<const SortedIncidence> s = g.sorted_incident(v);
-    const std::span<const SortedIncidence> ss = src->sorted_incident(v);
+    const std::span<const AugWeight> s = g.sorted_incident(v);
+    const std::span<const AugWeight> ss = src->sorted_incident(v);
     ASSERT_EQ(s.size(), ss.size()) << "v=" << v;
     for (std::size_t i = 0; i < s.size(); ++i) {
-      EXPECT_EQ(s[i].aug, ss[i].aug) << "v=" << v << " i=" << i;
-      EXPECT_EQ(s[i].edge, ss[i].edge) << "v=" << v << " i=" << i;
+      EXPECT_EQ(s[i], ss[i]) << "v=" << v << " i=" << i;
     }
   }
   for (EdgeIdx e = 0; e < g.edge_slots(); ++e) {

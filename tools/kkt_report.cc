@@ -8,7 +8,10 @@
 //       Runs the KKT-vs-baseline head-to-head grid
 //       (scenario::run_headtohead) and writes the unified artifact
 //       (default BENCH_headtohead.json). Deterministic: the same flags
-//       produce a byte-identical artifact on every run. --xl-sizes adds
+//       produce a byte-identical artifact on every run. Every build cell
+//       is checked (kkt and ghs against the oracle MSF, flood for
+//       spanning); a failed check prints an `error:` line per cell, writes
+//       nothing and exits 1. --xl-sizes adds
 //       the web-scale build_mst_xl task (implicit grid+long-links family,
 //       kkt vs ghs, one run per cell); --measure additionally stamps the
 //       schema-v2 wall_ns / peak_rss_kb observables onto every cell, which
@@ -146,6 +149,10 @@ int cmd_run(const Args& a) {
   }
   const kkt::scenario::HeadToHeadResult result =
       kkt::scenario::run_headtohead(cfg);
+  for (const std::string& err : result.errors) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+  }
+  if (!result.errors.empty()) return 1;
   const kkt::report::ResultFile file = result.to_result_file();
   if (!kkt::report::write_results_file(out, file)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
