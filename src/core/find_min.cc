@@ -26,8 +26,7 @@ graph::AugWeight max_incident_aug(proto::TreeOps& ops, NodeId root) {
     return words;
   };
   const proto::CombineFn combine =
-      [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-         std::span<const std::uint64_t> child) {
+      [](NodeId, NodeId, Words& acc, std::span<const std::uint64_t> child) {
         const util::u128 a = read_u128(acc, 0);
         const util::u128 c = read_u128(child, 0);
         if (c > a) {

@@ -9,24 +9,32 @@
 namespace kkt::core {
 namespace {
 
-// Payload: [alpha, p, lo.hi, lo.lo, hi.hi, hi.lo]; echo: [up, down,
-// degree_sum, tree_size].
-Words encode_payload(std::uint64_t alpha, std::uint64_t p,
-                     const Interval& range) {
-  Words words{alpha, p};
-  push_u128(words, range.lo);
-  push_u128(words, range.hi);
-  return words;
-}
+// One run's state, built once at the initiator (the Barrett reciprocal is
+// a 128-bit division). Nodes borrow it through one reference, which keeps
+// the closures in std::function's inline buffer.
+struct HpRun {
+  const graph::Graph& g;
+  Words payload;
+  hashing::SetPolynomial poly;
+  Interval range;
+};
 
 HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
                     std::uint64_t alpha, std::uint64_t p) {
-  const graph::Graph& g = ops.graph();
+  // Payload: [alpha, p, lo.hi, lo.lo, hi.hi, hi.lo]; echo: [up, down,
+  // degree_sum, tree_size].
+  HpRun run{ops.graph(), Words{alpha, p}, hashing::SetPolynomial(alpha, p),
+            range};
+  push_u128(run.payload, range.lo);
+  push_u128(run.payload, range.hi);
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> payload) {
-    const hashing::SetPolynomial poly(payload[0], payload[1]);
-    const Interval rng{read_u128(payload, 2), read_u128(payload, 4)};
+  const proto::LocalFn local = [&run](NodeId self,
+                                      std::span<const std::uint64_t> payload) {
+    assert(std::ranges::equal(payload, run.payload) &&
+           "per-run state is a function of the received payload");
+    (void)payload;
+    const graph::Graph& g = run.g;
+    const hashing::SetPolynomial& poly = run.poly;
     const int id_bits = g.id_bits();
     const int en_bits = g.edge_num_bits();
     const graph::ExtId self_id = g.ext_id(self);
@@ -37,7 +45,8 @@ HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
     // scan; the degree sum counts all alive incidences either way.
     const auto degree_sum = static_cast<std::uint64_t>(g.degree(self));
     for (const graph::AugWeight aug :
-         g.sorted_incident_range(self, rng.lo, rng.hi)) {
+         g.sorted_incident_from(self, run.range.lo, run.range.hi)) {
+      if (aug > run.range.hi) break;
       const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
       const std::uint64_t term = poly.term(en);
       // Orientation: from smaller external ID to larger, i.e. up when self
@@ -53,18 +62,16 @@ HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
 
   // The interior-node products run through the polynomial's Barrett
   // reciprocal too (identical values to mulmod).
-  const hashing::SetPolynomial combiner(alpha, p);
   const proto::CombineFn combine =
-      [combiner](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-                 std::span<const std::uint64_t> child) {
-        acc[0] = combiner.combine(acc[0], child[0]);
-        acc[1] = combiner.combine(acc[1], child[1]);
+      [&poly = run.poly](NodeId, NodeId, Words& acc,
+                         std::span<const std::uint64_t> child) {
+        acc[0] = poly.combine(acc[0], child[0]);
+        acc[1] = poly.combine(acc[1], child[1]);
         acc[2] += child[2];
         acc[3] += child[3];
       };
 
-  Words result =
-      ops.broadcast_echo(root, encode_payload(alpha, p, range), local, combine);
+  Words result = ops.broadcast_echo(root, run.payload, local, combine);
   return HpTestOutResult{result[0] != result[1], result[2], result[3]};
 }
 
@@ -100,8 +107,7 @@ HpTestOutResult hp_test_out_discover_prime(proto::TreeOps& ops, NodeId root,
     return Words{max_edge_num, degree};
   };
   const proto::CombineFn combine =
-      [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-         std::span<const std::uint64_t> child) {
+      [](NodeId, NodeId, Words& acc, std::span<const std::uint64_t> child) {
         acc[0] = std::max(acc[0], child[0]);
         acc[1] += child[1];
       };

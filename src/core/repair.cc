@@ -262,12 +262,14 @@ DynamicForest::PathQuery DynamicForest::path_query(NodeId root,
     return Words{is_target ? 1u : 0u, 0, 0, 0};
   };
   const proto::CombineFn combine =
-      [&g](NodeId, NodeId, graph::EdgeIdx edge, Words& acc,
+      [&g](NodeId self, NodeId child_node, Words& acc,
            std::span<const std::uint64_t> child) {
         if (child[0] == 0) return;  // target not in this child's subtree
         assert(acc[0] == 0 && "target found in two subtrees");
         acc[0] = 1;
-        // Extend the child's partial path with the connecting tree edge.
+        // Extend the child's partial path with the connecting tree edge,
+        // looked up only here: once per node on the target path.
+        const graph::EdgeIdx edge = *g.find_edge(self, child_node);
         util::u128 best = read_u128(child, 1);
         std::uint64_t best_edge = child[3];
         const util::u128 connecting = g.aug_weight(edge);
@@ -302,6 +304,11 @@ void DynamicForest::broadcast_drop(NodeId root, graph::EdgeNum edge_num) {
   ops.broadcast(root, Words{edge_num},
                 [&forest, &g](NodeId self,
                               std::span<const std::uint64_t> payload) {
+                  // Only the edge's two endpoints scan their rows.
+                  if (!graph::edge_num_names(payload[0], g.ext_id(self),
+                                             g.id_bits())) {
+                    return;
+                  }
                   for (const graph::Incidence& inc : g.incident(self)) {
                     if (g.edge_num(inc.edge) == payload[0]) {
                       forest.unmark_half(inc.edge, self);

@@ -1,22 +1,70 @@
 #include "core/test_out.h"
 
+#include <algorithm>
 #include <cassert>
-#include <limits>
-
-#include "util/modmath.h"
 
 namespace kkt::core {
+
+Words SlicedKernel::parities(std::span<const AugWeight> row,
+                             int en_bits) const {
+  // Fixed-capacity accumulators (reps <= kMaxMessageWords): no allocation,
+  // and the inner loop is a branch-free sweep of mask-and-xor updates over
+  // the bank. XOR order is immaterial.
+  assert(!bank.empty() && bank.size() <= sim::kMaxMessageWords);
+  std::uint64_t acc[sim::kMaxMessageWords] = {};
+  const util::u128 wd = width.divisor();
+  std::uint64_t bit = 1;  // slice 0 until an entry passes slice_end
+  AugWeight slice_end = std::min(range.lo + wd - 1, range.hi);
+  for (const AugWeight aug : row) {
+    assert(aug >= range.lo);
+    if (aug > slice_end) {
+      if (aug > range.hi) break;
+      const util::u128 idx = width.div(aug - range.lo);
+      assert(idx < 64);
+      bit = std::uint64_t{1} << static_cast<unsigned>(idx);
+      slice_end = std::min(range.lo + (idx + 1) * wd - 1, range.hi);
+    }
+    const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
+    for (std::size_t r = 0; r < bank.size(); ++r) {
+      acc[r] ^= bit & bank[r].mask(en);
+    }
+  }
+  return Words(std::span<const std::uint64_t>(acc, bank.size()));
+}
+
 namespace {
 
-// Broadcast payload layout: [multiplier, threshold, lo.hi, lo.lo, hi.hi,
-// hi.lo, w] -- 7 words, within the CONGEST budget.
-Words encode_payload(const hashing::OddHash& h, const Interval& range,
-                     int w) {
-  Words words{h.multiplier(), h.threshold()};
-  push_u128(words, range.lo);
-  push_u128(words, range.hi);
-  words.push_back(static_cast<std::uint64_t>(w));
-  return words;
+// One run's state, built once at the initiator. Nodes borrow it through
+// one reference, which keeps the closure in std::function's inline buffer.
+struct SlicedRun {
+  const graph::Graph& g;
+  Words payload;
+  SlicedKernel kernel;
+};
+
+// The broadcast-and-echo both variants share. Bit i of the result is set
+// iff any hash saw odd parity in slice i.
+std::uint64_t run_sliced(proto::TreeOps& ops, NodeId root, const Words& payload,
+                         Interval range, int w,
+                         std::span<const hashing::OddHash> bank) {
+  assert(w >= 1 && w <= 64);
+  const SlicedRun run{
+      ops.graph(), payload,
+      SlicedKernel{range, util::Recip128(slice_width(range, w)), bank}};
+  const proto::LocalFn local = [&run](NodeId self,
+                                      std::span<const std::uint64_t> received) {
+    assert(std::ranges::equal(received, run.payload) &&
+           "per-run state is a function of the received payload");
+    (void)received;
+    const Interval& rng = run.kernel.range;
+    return run.kernel.parities(run.g.sorted_incident_from(self, rng.lo, rng.hi),
+                               run.g.edge_num_bits());
+  };
+  const Words result =
+      ops.broadcast_echo(root, run.payload, local, proto::combine_xor());
+  std::uint64_t positive = 0;
+  for (std::uint64_t word : result) positive |= word;
+  return positive;
 }
 
 }  // namespace
@@ -24,87 +72,31 @@ Words encode_payload(const hashing::OddHash& h, const Interval& range,
 std::uint64_t test_out_sliced(proto::TreeOps& ops, NodeId root,
                               const hashing::OddHash& h, Interval range,
                               int w) {
-  assert(w >= 1 && w <= 64);
-  assert(!range.empty());
-  const graph::Graph& g = ops.graph();
-
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> payload) {
-    const hashing::OddHash hash(payload[0], payload[1]);
-    const Interval rng{read_u128(payload, 2), read_u128(payload, 4)};
-    const int slices = static_cast<int>(payload[6]);
-    // Slice geometry is loop-invariant: one reciprocal up front replaces a
-    // 128-bit division per in-range edge. The sorted index narrows the walk
-    // to the in-range window, and each entry carries its edge number in the
-    // low bits of the augmented weight. XOR order is immaterial.
-    const util::Recip128 width(slice_width(rng, slices));
-    const int en_bits = g.edge_num_bits();
-    std::uint64_t bits = 0;
-    for (const graph::AugWeight aug :
-         g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      const auto idx = static_cast<unsigned>(width.div(aug - rng.lo));
-      assert(idx < static_cast<unsigned>(slices));
-      bits ^= (std::uint64_t{1} << idx)
-              & hash.mask(graph::aug_weight_edge_num(aug, en_bits));
-    }
-    return Words{bits};
-  };
-
-  Words result = ops.broadcast_echo(root, encode_payload(h, range, w), local,
-                                    proto::combine_xor());
-  return result.at(0);
+  // Payload: [multiplier, threshold, lo.hi, lo.lo, hi.hi, hi.lo, w] -- 7
+  // words, within the CONGEST budget. A bank of one hash.
+  Words payload{h.multiplier(), h.threshold()};
+  push_u128(payload, range.lo);
+  push_u128(payload, range.hi);
+  payload.push_back(static_cast<std::uint64_t>(w));
+  return run_sliced(ops, root, payload, range, w, std::span(&h, 1));
 }
 
 std::uint64_t test_out_sliced_amplified(proto::TreeOps& ops, NodeId root,
                                         std::uint64_t seed, Interval range,
                                         int w, int reps) {
-  assert(w >= 1 && w <= 64);
   assert(reps >= 1 &&
          static_cast<std::size_t>(reps) <= sim::kMaxMessageWords);
-  assert(!range.empty());
-  const graph::Graph& g = ops.graph();
-
-  // Payload: [seed, lo.hi, lo.lo, hi.hi, hi.lo, w, reps].
+  // Payload: [seed, lo.hi, lo.lo, hi.hi, hi.lo, w, reps]; every node could
+  // expand the seed into the same bank, so the initiator does it once.
   Words payload{seed};
   push_u128(payload, range.lo);
   push_u128(payload, range.hi);
   payload.push_back(static_cast<std::uint64_t>(w));
   payload.push_back(static_cast<std::uint64_t>(reps));
-
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> p) {
-    const std::uint64_t sd = p[0];
-    const Interval rng{read_u128(p, 1), read_u128(p, 3)};
-    const int slices = static_cast<int>(p[5]);
-    const int repetitions = static_cast<int>(p[6]);
-    // Fixed-capacity hash bank (reps <= kMaxMessageWords by construction):
-    // no per-call allocation, and the inner loop is a branch-free sweep of
-    // mask-and-xor updates over the bank.
-    const util::Recip128 width(slice_width(rng, slices));
-    const int en_bits = g.edge_num_bits();
-    hashing::OddHash bank[sim::kMaxMessageWords];
-    for (int r = 0; r < repetitions; ++r) {
-      bank[r] = hashing::OddHash::from_seed(sd, r);
-    }
-    Words parities(repetitions, 0);
-    for (const graph::AugWeight aug :
-         g.sorted_incident_range(self, rng.lo, rng.hi)) {
-      const auto idx = static_cast<unsigned>(width.div(aug - rng.lo));
-      assert(idx < static_cast<unsigned>(slices));
-      const std::uint64_t bit = std::uint64_t{1} << idx;
-      const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
-      for (int r = 0; r < repetitions; ++r) {
-        parities[r] ^= bit & bank[r].mask(en);
-      }
-    }
-    return parities;
-  };
-
-  Words result =
-      ops.broadcast_echo(root, std::move(payload), local, proto::combine_xor());
-  std::uint64_t positive = 0;
-  for (std::uint64_t word : result) positive |= word;
-  return positive;
+  hashing::OddHash bank[sim::kMaxMessageWords];
+  for (int r = 0; r < reps; ++r) bank[r] = hashing::OddHash::from_seed(seed, r);
+  return run_sliced(ops, root, payload, range, w,
+                    std::span(bank, static_cast<std::size_t>(reps)));
 }
 
 bool test_out(proto::TreeOps& ops, NodeId root, const hashing::OddHash& h,

@@ -15,14 +15,30 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "core/wire.h"
 #include "hashing/odd_hash.h"
 #include "proto/tree_ops.h"
+#include "util/modmath.h"
 
 namespace kkt::core {
 
 using graph::NodeId;
+
+// The per-run state of a sliced TestOut, a pure function of its payload:
+// the slice width's reciprocal and a bank of 1..8 odd hashes (borrowed).
+// The initiator builds it once instead of every node re-deriving it.
+struct SlicedKernel {
+  Interval range;
+  util::Recip128 width;  // slice_width(range, w)
+  std::span<const hashing::OddHash> bank;
+
+  // Word r, bit i: parity of bank[r] over the entries of `row` in slice i.
+  // `row` ascends from range.lo or later; the walk stops past range.hi and
+  // divides only when an entry leaves the current slice.
+  Words parities(std::span<const AugWeight> row, int en_bits) const;
+};
 
 // One broadcast-and-echo; bit i of the result is TestOut over slice i of
 // `range` (i in [0, w)). All slices share the hash h, exactly as in the

@@ -166,8 +166,8 @@ class Graph {
   }
 
   // The alive edge {u, v}, if present.
-  // Inline: the broadcast-and-echo layer resolves {self, from} to an edge
-  // on every echo, so the adjacency-backend scan must not be a call.
+  // Inline: message handlers (flooding ST, cycle breaking, Add-Edge)
+  // resolve {self, from} per message; the adjacency scan must not be a call.
   std::optional<EdgeIdx> find_edge(NodeId u, NodeId v) const {
     assert(u < node_count() && v < node_count());
     if (backend_ == Backend::kAdjacency) {
@@ -208,14 +208,23 @@ class Graph {
     return sorted_adj_[v];
   }
 
+  // sorted_incident(v) from its first entry >= lo, for walks that stop at
+  // the first entry past hi. Implicit K_n rows end at hi (their tail is
+  // Theta(n)).
+  std::span<const AugWeight> sorted_incident_from(NodeId v, AugWeight lo,
+                                                  AugWeight hi) const {
+    if (complete_windows_) return implicit_window(v, lo, hi);
+    const std::span<const AugWeight> s = sorted_incident(v);
+    return s.subspan(static_cast<std::size_t>(
+        std::lower_bound(s.begin(), s.end(), lo) - s.begin()));
+  }
+
   // The window of sorted_incident(v) with aug weights in [lo, hi].
   std::span<const AugWeight> sorted_incident_range(NodeId v, AugWeight lo,
                                                    AugWeight hi) const {
-    if (complete_windows_) return implicit_window(v, lo, hi);
-    const std::span<const AugWeight> s = sorted_incident(v);
-    const AugWeight* end = s.data() + s.size();
-    const AugWeight* first = std::lower_bound(s.data(), end, lo);
-    return {first, std::upper_bound(first, end, hi)};
+    const std::span<const AugWeight> s = sorted_incident_from(v, lo, hi);
+    return s.first(static_cast<std::size_t>(
+        std::upper_bound(s.begin(), s.end(), hi) - s.begin()));
   }
 
   // Largest raw weight / edge number over alive edges (0 if none).

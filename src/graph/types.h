@@ -57,6 +57,12 @@ constexpr ExtId edge_num_large_id(EdgeNum e,
                                   int id_bits = kMaxIdBits) noexcept {
   return static_cast<ExtId>(e & ((ExtId{1} << id_bits) - 1));
 }
+// Whether `id` is one of the two endpoint IDs that `e` encodes.
+constexpr bool edge_num_names(EdgeNum e, ExtId id,
+                              int id_bits = kMaxIdBits) noexcept {
+  return id == edge_num_small_id(e, id_bits) ||
+         id == edge_num_large_id(e, id_bits);
+}
 
 // Augmented weight: raw weight concatenated in front of the edge number
 // (en_bits = 2 * id_bits).

@@ -36,8 +36,11 @@ namespace kkt::lint {
 // carry justified suppressions, the per-send reads must stay clean.
 // forest.h joined with the tree index: every TreeView walk reads it from
 // handlers, so it must stay allocation-free (slab growth lives in
-// forest.cc) and free of shared statics.
-inline constexpr std::array<std::string_view, 16> kHotPathFiles = {
+// forest.cc) and free of shared statics. The broadcast-and-echo hot path
+// joined last: the protocol (broadcast_echo.cc, tree_ops.cc) and the
+// TestOut / HP-TestOut kernels (test_out.cc, hp_test_out.cc) run once per
+// node per FindMin step, and a whole FindMin is pinned allocation-free.
+inline constexpr std::array<std::string_view, 20> kHotPathFiles = {
     "src/sim/inline_words.h", "src/sim/message.h", "src/sim/message.cc",
     "src/sim/network.h",      "src/sim/network.cc",
     "src/sim/link_state.h",   "src/sim/delivery_policy.h",
@@ -45,6 +48,8 @@ inline constexpr std::array<std::string_view, 16> kHotPathFiles = {
     "src/util/modmath.h",     "src/hashing/odd_hash.h",
     "src/hashing/pairwise_hash.h", "src/graph/graph.h",
     "src/graph/implicit.h",   "src/graph/forest.h",
+    "src/proto/broadcast_echo.cc", "src/proto/tree_ops.cc",
+    "src/core/test_out.cc",   "src/core/hp_test_out.cc",
 };
 
 // Rule classes for a repo-relative path ('/'-separated); nullopt when the

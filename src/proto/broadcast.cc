@@ -6,12 +6,12 @@
 namespace kkt::proto {
 
 Broadcast::Broadcast(const graph::TreeView& tree, NodeId root, Words payload,
-                     ReceiveFn on_receive, EpochSeen* seen)
+                     const ReceiveFn& on_receive, EpochSeen& seen)
     : tree_(tree),
       root_(root),
       payload_(std::move(payload)),
-      on_receive_(std::move(on_receive)),
-      seen_(seen != nullptr ? seen : &own_seen_) {
+      on_receive_(on_receive),
+      seen_(&seen) {
   seen_->ensure(tree.graph().node_count());
   seen_->next_run();
 }
@@ -46,13 +46,13 @@ void Broadcast::relay(sim::Network& net, NodeId self, NodeId from,
 AddEdgeHandshake::AddEdgeHandshake(graph::MarkedForest& forest,
                                    graph::TreeView tree, NodeId root,
                                    graph::EdgeNum edge_num,
-                                   std::uint32_t epoch, EpochSeen* seen)
+                                   std::uint32_t epoch, EpochSeen& seen)
     : forest_(&forest),
       tree_(std::move(tree)),
       root_(root),
       edge_num_(edge_num),
       epoch_(epoch),
-      seen_(seen != nullptr ? seen : &own_seen_) {
+      seen_(&seen) {
   seen_->ensure(tree_.graph().node_count());
   seen_->next_run();
 }
@@ -96,11 +96,7 @@ void AddEdgeHandshake::relay_and_check(sim::Network& net, NodeId self,
   // edge number is the endpoints' external IDs, so a node that is neither
   // skips the row scan.
   const graph::Graph& g = tree_.graph();
-  const graph::ExtId me = g.ext_id(self);
-  if (me != graph::edge_num_small_id(edge_num_, g.id_bits()) &&
-      me != graph::edge_num_large_id(edge_num_, g.id_bits())) {
-    return;
-  }
+  if (!graph::edge_num_names(edge_num_, g.ext_id(self), g.id_bits())) return;
   for (const graph::Incidence& inc : g.incident(self)) {
     if (g.edge_num(inc.edge) == edge_num_) {
       forest_->mark_half(inc.edge, self, epoch_);

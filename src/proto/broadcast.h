@@ -32,11 +32,11 @@ class Broadcast final : public sim::Protocol {
   using ReceiveFn =
       std::function<void(NodeId self, std::span<const std::uint64_t> payload)>;
 
-  // `seen` may be shared across broadcasts (see TreeOps): the membership
-  // stamps are reused, so a broadcast costs O(tree), not O(n). When null,
-  // a private arena is used.
+  // `on_receive` and `seen` are borrowed from TreeOps, the only caller: it
+  // runs the broadcast inside one call and shares the membership stamps
+  // across broadcasts, so a broadcast costs O(tree), not O(n).
   Broadcast(const graph::TreeView& tree, NodeId root, Words payload,
-            ReceiveFn on_receive = {}, EpochSeen* seen = nullptr);
+            const ReceiveFn& on_receive, EpochSeen& seen);
 
   void on_start(sim::Network& net, NodeId self) override;
   void on_message(sim::Network& net, NodeId self, NodeId from,
@@ -55,8 +55,7 @@ class Broadcast final : public sim::Protocol {
   graph::TreeView tree_;
   NodeId root_;
   Words payload_;
-  ReceiveFn on_receive_;
-  EpochSeen own_seen_;  // used only when no shared arena was provided
+  const ReceiveFn& on_receive_;
   EpochSeen* seen_;
 };
 
@@ -65,7 +64,7 @@ class AddEdgeHandshake final : public sim::Protocol {
   // Marks the alive edge with the given edge number; both marks get `epoch`.
   AddEdgeHandshake(graph::MarkedForest& forest, graph::TreeView tree,
                    NodeId root, graph::EdgeNum edge_num, std::uint32_t epoch,
-                   EpochSeen* seen = nullptr);
+                   EpochSeen& seen);
 
   void on_start(sim::Network& net, NodeId self) override;
   void on_message(sim::Network& net, NodeId self, NodeId from,
@@ -87,7 +86,6 @@ class AddEdgeHandshake final : public sim::Protocol {
   NodeId root_;
   graph::EdgeNum edge_num_;
   std::uint32_t epoch_;
-  EpochSeen own_seen_;  // used only when no shared arena was provided
   EpochSeen* seen_;
   bool completed_ = false;
 };

@@ -6,14 +6,14 @@
 namespace kkt::proto {
 
 BroadcastEcho::BroadcastEcho(const graph::TreeView& tree, NodeId root,
-                             Words payload, LocalFn local, CombineFn combine,
-                             EchoScratch* scratch)
+                             Words payload, const LocalFn& local,
+                             const CombineFn& combine, EchoScratch& scratch)
     : tree_(tree),
       root_(root),
       payload_(std::move(payload)),
-      local_(std::move(local)),
-      combine_(std::move(combine)),
-      scratch_(scratch != nullptr ? scratch : &own_scratch_) {
+      local_(local),
+      combine_(combine),
+      scratch_(&scratch) {
   scratch_->ensure(tree.graph().node_count());
   scratch_->next_run();
 }
@@ -54,17 +54,7 @@ void BroadcastEcho::on_message(sim::Network& net, NodeId self, NodeId from,
       break;
     case sim::Tag::kEcho: {
       assert(scratch_->started(self) && scratch_->pending(self) > 0);
-      // The child's tree edge, from the few tree-index entries rather than
-      // a scan of the full incidence row.
-      graph::EdgeIdx edge = graph::kNoEdge;
-      for (const graph::Incidence& inc : tree_.neighbors(self)) {
-        if (inc.peer == from) {
-          edge = inc.edge;
-          break;
-        }
-      }
-      assert(edge != graph::kNoEdge);
-      combine_(self, from, edge, scratch_->acc(self), msg.words);
+      combine_(self, from, scratch_->acc(self), msg.words);
       if (--scratch_->pending(self) == 0) absorb_and_maybe_echo(net, self);
       break;
     }

@@ -40,21 +40,21 @@ using graph::NodeId;
 
 // Local contribution of node `self` given the broadcast payload.
 using LocalFn = std::function<Words(NodeId self, std::span<const std::uint64_t> payload)>;
-// Fold a child's echoed value into the parent's accumulator. The parent
-// knows which tree edge the echo arrived on (`edge`), so aggregates may
-// incorporate edge attributes (e.g. the path-max query in Insert repair).
-// Must be insensitive to the order in which children are folded.
-using CombineFn =
-    std::function<void(NodeId self, NodeId child, graph::EdgeIdx edge,
-                       Words& acc, std::span<const std::uint64_t> child_val)>;
+// Fold a child's echoed value into the parent's accumulator; insensitive
+// to the order in which children are folded. There is no edge argument: a
+// combine that reads the connecting tree edge (Insert repair's path-max
+// query) looks it up as g.find_edge(self, child), on the echoes it uses.
+using CombineFn = std::function<void(NodeId self, NodeId child, Words& acc,
+                                     std::span<const std::uint64_t> child_val)>;
 
 class BroadcastEcho final : public sim::Protocol {
  public:
-  // `scratch` may be shared across runs (see TreeOps); when null, the
-  // protocol uses a private arena.
+  // `local`, `combine` and `scratch` are borrowed: TreeOps, the only
+  // caller, runs the protocol to quiescence inside one call and shares the
+  // arena across runs.
   BroadcastEcho(const graph::TreeView& tree, NodeId root, Words payload,
-                LocalFn local, CombineFn combine,
-                EchoScratch* scratch = nullptr);
+                const LocalFn& local, const CombineFn& combine,
+                EchoScratch& scratch);
 
   void on_start(sim::Network& net, NodeId self) override;
   void on_message(sim::Network& net, NodeId self, NodeId from,
@@ -78,10 +78,9 @@ class BroadcastEcho final : public sim::Protocol {
   graph::TreeView tree_;
   NodeId root_;
   Words payload_;
-  LocalFn local_;
-  CombineFn combine_;
+  const LocalFn& local_;
+  const CombineFn& combine_;
 
-  EchoScratch own_scratch_;  // used only when no shared arena was provided
   EchoScratch* scratch_;
   bool done_ = false;
   Words result_;

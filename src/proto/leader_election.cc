@@ -6,8 +6,8 @@
 namespace kkt::proto {
 
 LeaderElection::LeaderElection(const graph::TreeView& tree,
-                               ElectScratch* scratch)
-    : tree_(tree), scratch_(scratch != nullptr ? scratch : &own_scratch_) {
+                               ElectScratch& scratch)
+    : tree_(tree), scratch_(&scratch) {
   scratch_->ensure(tree.graph().node_count());
   scratch_->next_run();
 }

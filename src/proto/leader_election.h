@@ -38,11 +38,10 @@ struct CycleMember {
 
 class LeaderElection final : public sim::Protocol {
  public:
-  // `scratch` may be shared across elections (see TreeOps): a fresh
-  // election costs O(fragment), not O(n). When null, a private arena is
-  // used. Post-quiescence queries stay valid until the scratch's next run.
-  explicit LeaderElection(const graph::TreeView& tree,
-                          ElectScratch* scratch = nullptr);
+  // `scratch` is shared across elections (see TreeOps): a fresh election
+  // costs O(fragment), not O(n). Post-quiescence queries stay valid until
+  // the scratch's next run.
+  LeaderElection(const graph::TreeView& tree, ElectScratch& scratch);
 
   void on_start(sim::Network& net, NodeId self) override;
   void on_message(sim::Network& net, NodeId self, NodeId from,
@@ -74,7 +73,6 @@ class LeaderElection final : public sim::Protocol {
   bool heard_from(NodeId self, NodeId y) const;
 
   graph::TreeView tree_;
-  ElectScratch own_scratch_;  // used only when no shared arena was provided
   ElectScratch* scratch_;
   NodeId leader_ = graph::kNoNode;
 };

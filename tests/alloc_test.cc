@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/find_min.h"
 #include "graph/forest.h"
 #include "graph/implicit.h"
 #include "proto/tree_ops.h"
@@ -237,6 +238,35 @@ TEST(Allocation, BroadcastEchoOnIndexedForestIsAllocationFree) {
   // A spanning tree on 256 nodes: one broadcast and one echo per edge.
   EXPECT_EQ(w.net->metrics().messages - messages_before, 2u * 255u);
   EXPECT_GT(result.at(0), 0u);
+}
+
+TEST(Allocation, FindMinInnerLoopIsAllocationFree) {
+  KKT_SKIP_UNLESS_COUNTING();
+  // FindMin is a root-driven loop of TestOut and HP-TestOut
+  // broadcast-and-echoes. Their per-run state is built once at the root
+  // and borrowed by reference, so the closures stay inside std::function's
+  // inline buffer and BroadcastEcho borrows rather than copies them: once
+  // the arenas are warm, a whole FindMin allocates nothing. Both the
+  // default (amplified, shortcut) and the paper-faithful single-hash
+  // configurations run.
+  test::World w = test::make_gnm_world(64, 256, 11);
+  const std::vector<graph::EdgeIdx> msf = test::mark_msf(w);
+  const graph::EdgeIdx split = msf.front();
+  w.forest->clear_edge(split);
+  const NodeId root = w.g->edge(split).u;
+  proto::TreeOps ops(*w.net, graph::TreeView(*w.forest));
+  core::FindMinConfig faithful;
+  faithful.hash_reps = 1;
+  faithful.skip_redundant_interval_check = false;
+  faithful.skip_certified_low_check = false;
+  for (const core::FindMinConfig& cfg : {core::FindMinConfig{}, faithful}) {
+    ASSERT_TRUE(core::find_min(ops, root, cfg).found);  // warm
+    const std::uint64_t before = g_allocations.load();
+    const core::FindMinResult res = core::find_min(ops, root, cfg);
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_TRUE(res.found);
+    EXPECT_GT(res.stats.iterations, 1);
+  }
 }
 
 TEST(Allocation, ForestBytesAreLinearInNodesOnImplicitComplete) {

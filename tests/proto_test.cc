@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 
 #include "graph/generators.h"
 #include "proto/broadcast.h"
@@ -95,17 +96,20 @@ TEST(BroadcastEcho, PayloadReachesEveryNode) {
 }
 
 TEST(BroadcastEcho, CombineSeesConnectingEdge) {
-  // Count tree edges by having combine add 1 per child edge.
+  // Count tree edges by having combine add 1 per child edge. The combine
+  // gets no edge argument; the {self, child} edge it can look up is a
+  // marked tree edge.
   World w = make_gnm_world(30, 60, 4);
   mark_msf(w);
   TreeOps ops(*w.net, graph::TreeView(*w.forest));
   const LocalFn local = [](NodeId, std::span<const std::uint64_t>) {
     return Words{0};
   };
-  const CombineFn combine = [&w](NodeId, NodeId, EdgeIdx e, Words& acc,
-                                 std::span<const std::uint64_t> child) {
-    EXPECT_TRUE(w.forest->is_marked(e));
-    acc[0] += child[0] + 1;
+  const CombineFn combine = [&w](NodeId self, NodeId child, Words& acc,
+                                 std::span<const std::uint64_t> child_val) {
+    const std::optional<EdgeIdx> e = w.g->find_edge(self, child);
+    EXPECT_TRUE(e.has_value() && w.forest->is_marked(*e));
+    acc[0] += child_val[0] + 1;
   };
   const Words out = ops.broadcast_echo(0, Words{}, local, combine);
   EXPECT_EQ(out.at(0), 29u);
@@ -167,7 +171,8 @@ TEST_P(ElectionSweep, ElectsExactlyOneLeaderKnownToAll) {
                            seed);
   mark_msf(w);
   const graph::TreeView tree(*w.forest);
-  LeaderElection el(tree);
+  ElectScratch scratch;
+  LeaderElection el(tree, scratch);
   std::vector<NodeId> all(w.g->node_count());
   for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
   w.net->run(el, all);
@@ -196,7 +201,8 @@ TEST(LeaderElection, PathGraphPicksMedian) {
   World w = test::make_world(std::move(g), 8);
   for (EdgeIdx e : edges) w.forest->mark_edge(e);
 
-  LeaderElection el(graph::TreeView(*w.forest));
+  ElectScratch scratch;
+  LeaderElection el(graph::TreeView(*w.forest), scratch);
   std::vector<NodeId> all{0, 1, 2, 3, 4, 5, 6};
   w.net->run(el, all);
   EXPECT_EQ(el.leader(), 3u);
@@ -211,7 +217,8 @@ TEST(LeaderElection, EvenPathPicksHigherIdMedian) {
   World w = test::make_world(std::move(g), 9);
   for (EdgeIdx e : edges) w.forest->mark_edge(e);
 
-  LeaderElection el(graph::TreeView(*w.forest));
+  ElectScratch scratch;
+  LeaderElection el(graph::TreeView(*w.forest), scratch);
   std::vector<NodeId> all{0, 1, 2, 3, 4, 5};
   w.net->run(el, all);
   EXPECT_EQ(el.leader(), e2 > e3 ? 2u : 3u);
@@ -220,7 +227,8 @@ TEST(LeaderElection, EvenPathPicksHigherIdMedian) {
 TEST(LeaderElection, AsyncStillUnique) {
   World w = make_gnm_world(50, 120, 10, test::NetKind::kAsync);
   mark_msf(w);
-  LeaderElection el(graph::TreeView(*w.forest));
+  ElectScratch scratch;
+  LeaderElection el(graph::TreeView(*w.forest), scratch);
   std::vector<NodeId> all(w.g->node_count());
   for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
   w.net->run(el, all);
@@ -242,7 +250,8 @@ TEST(LeaderElection, DetectsCycleNodes) {
   w.forest->mark_edge(p1);
   w.forest->mark_edge(p2);
 
-  LeaderElection el(graph::TreeView(*w.forest));
+  ElectScratch scratch;
+  LeaderElection el(graph::TreeView(*w.forest), scratch);
   std::vector<NodeId> all{0, 1, 2, 3, 4, 5, 6, 7};
   w.net->run(el, all);
   EXPECT_EQ(el.leader(), graph::kNoNode);
@@ -273,7 +282,8 @@ TEST(CycleBreak, EventuallyBreaksCycle) {
 
   bool broken = false;
   for (int attempt = 0; attempt < 64 && !broken; ++attempt) {
-    LeaderElection el(graph::TreeView(*w.forest));
+    ElectScratch scratch;
+  LeaderElection el(graph::TreeView(*w.forest), scratch);
     w.net->run(el, all);
     if (el.leader() != graph::kNoNode) {
       broken = true;

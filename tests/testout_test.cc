@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "core/hp_test_out.h"
 #include "core/test_out.h"
 #include "core/wire.h"
@@ -10,6 +14,7 @@
 namespace kkt::core {
 namespace {
 
+using graph::AugWeight;
 using graph::EdgeIdx;
 using graph::NodeId;
 using test::make_gnm_world;
@@ -57,6 +62,94 @@ TEST(Intervals, U128Boundaries) {
   const util::u128 width = slice_width(range, 64);
   EXPECT_EQ(width, util::u128{1} << 94);
   EXPECT_EQ(slice(range, 64, 63).hi, range.hi);
+}
+
+// The sliced kernel against a per-entry reference: each in-range entry's
+// slice from slice_index, each hash expanded from the seed per node. The
+// kernel gets the row from its first entry >= range.lo, as the Graph walk
+// hands it over; entries below, inside and above the range are mixed in.
+void expect_kernel_matches_reference(const std::vector<AugWeight>& row,
+                                     const Interval& range, int w,
+                                     std::uint64_t seed, int reps) {
+  constexpr int kEnBits = 20;
+  std::vector<hashing::OddHash> bank;
+  for (int r = 0; r < reps; ++r) {
+    bank.push_back(hashing::OddHash::from_seed(seed, r));
+  }
+  Words expected(static_cast<std::size_t>(reps), 0);
+  for (const AugWeight aug : row) {
+    if (!range.contains(aug)) continue;
+    const std::uint64_t bit = std::uint64_t{1} << slice_index(range, w, aug);
+    const graph::EdgeNum en = graph::aug_weight_edge_num(aug, kEnBits);
+    for (int r = 0; r < reps; ++r) {
+      if (hashing::OddHash::from_seed(seed, r)(en)) expected[r] ^= bit;
+    }
+  }
+  const SlicedKernel kernel{range, util::Recip128(slice_width(range, w)),
+                            bank};
+  const auto first = std::lower_bound(row.begin(), row.end(), range.lo);
+  const Words got = kernel.parities(
+      std::span<const AugWeight>(row).subspan(
+          static_cast<std::size_t>(first - row.begin())),
+      kEnBits);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r], expected[r])
+        << "hash " << r << ", w=" << w << ", range size "
+        << static_cast<std::uint64_t>(range.size());
+  }
+}
+
+TEST(SlicedKernel, MatchesPerEntryReferenceOnRandomRows) {
+  util::Rng rng(2015);
+  const util::u128 base = util::u128{7} << 90;  // aug weights above 2^64
+  // Range sizes smaller than w, not divisible by w, and divisible by w.
+  const struct {
+    std::uint64_t size;
+    int w;
+  } shapes[] = {{3, 8},    {5, 64},    {1, 1},         {100, 7},
+                {1000, 64}, {640, 64}, {1u << 20, 13}, {999983, 64}};
+  for (const auto& shape : shapes) {
+    const Interval range{base, base + shape.size - 1};
+    for (int trial = 0; trial < 20; ++trial) {
+      // Entries spread over [lo - size/2, hi + size/2], ascending.
+      const std::size_t len = rng.below(80);
+      std::vector<AugWeight> row;
+      for (std::size_t i = 0; i < len; ++i) {
+        row.push_back(range.lo - shape.size / 2 +
+                      rng.below(2 * shape.size + 1));
+      }
+      row.push_back(range.lo);  // the lower_bound lands on lo exactly
+      std::sort(row.begin(), row.end());
+      const int reps = 1 + static_cast<int>(rng.below(8));
+      expect_kernel_matches_reference(row, range, shape.w, rng.next(), reps);
+    }
+  }
+}
+
+TEST(SlicedKernel, EntriesExactlyOnSliceBoundaries) {
+  // Every slice's first and last value, and the values just outside the
+  // range: the kernel divides only when an entry crosses a slice end, so
+  // these are the entries where an off-by-one would show.
+  const util::u128 base = util::u128{3} << 70;
+  for (const int w : {1, 2, 7, 64}) {
+    for (const std::uint64_t size : {std::uint64_t{5}, std::uint64_t{64},
+                                     std::uint64_t{1001}}) {
+      const Interval range{base, base + size - 1};
+      std::vector<AugWeight> row{range.lo - 1, range.hi + 1};
+      for (int i = 0; i < w; ++i) {
+        const Interval sl = slice(range, w, i);
+        if (sl.empty()) continue;
+        row.push_back(sl.lo);
+        row.push_back(sl.hi);
+      }
+      std::sort(row.begin(), row.end());
+      for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        expect_kernel_matches_reference(row, range, w, seed, 8);
+        expect_kernel_matches_reference(row, range, w, seed, 1);
+      }
+    }
+  }
 }
 
 TEST(TestOut, EmptyCutAlwaysFalse) {
