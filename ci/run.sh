@@ -25,8 +25,8 @@
 #                       # budget; archives BENCH_bigraph.json + the .kkg
 #                       # store
 #   ci/run.sh faults    # fault-injection gate (docs/FAULTS.md): the
-#                       # fault-labelled suite (loss, link outages, batch
-#                       # deletions, regional outages, partition-and-heal;
+#                       # fault-labelled suite (batch deletions, regional
+#                       # outages, partition-and-heal over reliable links;
 #                       # bit-identical metrics across reruns and with or
 #                       # without the sync send skip, oracle-clean heals)
 #                       # under the strict dev preset, then the full fault
@@ -92,8 +92,10 @@ run_lint() {
 # suite pins the deterministic fault matrix -- every model x transport x
 # seed with bit-identical metrics across reruns and between SyncNetwork and
 # a unit-delay AdversarialNetwork (the sync send skip vs per-send policy
-# calls), plus the loss-degrade and link-overlay semantics -- under the
-# strict dev build. The kkt_lab run then replays all three fault models through
+# calls), oracle-clean after every event -- under the strict dev build.
+# Faults are graph updates; links stay reliable, so the only undelivered
+# sends are max_rounds backstop leftovers (dropped_deliveries, 0 in a
+# correct run). The kkt_lab run then replays all three fault models through
 # MaintenanceSession::apply_batch and archives the counter-only artifact.
 run_faults() {
   echo "==> configure/build [dev]"

@@ -6,11 +6,11 @@
 //   kkt_lab info  FILE.kkg
 //   kkt_lab build --algo kkt-mst|kkt-st|ghs|flood
 //                 (--in FILE | --family F [graph flags]) [--seed S]
-//                 [--net sync|async|adversarial] [--loss P]
+//                 [--net sync|async|adversarial]
 //                 [--rss-budget-mb MB] [--csv]
 //   kkt_lab churn --workload uniform|hotspot|bridges|growth --ops K
 //                 [--family F [graph flags]] [--kind mst|st] [--seed S]
-//                 [--net sync|async|adversarial] [--loss P]
+//                 [--net sync|async|adversarial]
 //                 [--sweep N] [--threads T]
 //                 [--trace FILE] [--record FILE] [--csv]
 //   kkt_lab churn --faults batch|regional|partition[,MODEL...]
@@ -60,17 +60,16 @@
 // implicit`. `--rss-budget-mb MB` prints the process peak RSS after the
 // run and fails the exit code when it exceeds the budget -- the CI bigraph
 // stage's memory gate.
-// `--loss P` (adversarial networks only) drops each delivery independently
-// with probability P -- seeded, reproducible, and counted in the
-// dropped_deliveries metric. Only loss-safe protocols (flood) really lose
-// messages: every KKT, GHS and repair protocol declares loss_safe()==false
-// and gets the loss degraded to delay (docs/FAULTS.md); `build --loss` and
-// `churn --faults` print both counts. `churn --faults MODEL` swaps the
+// `--net` picks the delivery schedule: synchronous rounds, uniform random
+// delays, or the seeded adversary's per-edge bounds and reordering. Links
+// are reliable under all three, as in the paper: every message sent is
+// delivered exactly once (docs/FAULTS.md). `churn --faults MODEL` swaps the
 // workload generator for the fault generator (src/workload/faults.h): a
 // seeded stream of batch deletions, regional BFS-ball outages, or
 // partition-and-heal events runs through MaintenanceSession::apply_batch
-// with per-event oracle checks; `--record` writes the fault trace
-// (docs/TRACE_FORMAT.md F records) and `--out` writes the
+// with per-event oracle checks, and prints the max_rounds backstop's
+// dropped-delivery count (0 in a correct run); `--record` writes the fault
+// trace (docs/TRACE_FORMAT.md F records) and `--out` writes the
 // BENCH_faultmodel.json artifact the CI faults stage archives.
 // The KKT-vs-baseline head-to-head grid lives in `kkt_report run`
 // (tools/kkt_report.cc).
@@ -196,21 +195,6 @@ kkt::scenario::NetSpec make_net_spec(const Args& a,
   if (!kind) usage_error("unknown net kind '" + net + "'");
   kkt::scenario::NetSpec spec;
   spec.kind = *kind;
-  // --loss P: seeded per-delivery message loss. Loss is a property of the
-  // adversarial schedule, so it requires --net adversarial; the probability
-  // is quantized to /4096 so the drawn stream is exactly reproducible.
-  if (a.has("loss")) {
-    if (spec.kind != kkt::scenario::NetKind::kAdversarial) {
-      usage_error("--loss requires --net adversarial");
-    }
-    const double p = a.real("loss", 0.0);
-    if (p < 0.0 || p > 1.0) {
-      usage_error("--loss wants a probability in [0, 1]");
-    }
-    spec.adversarial_cfg.loss_den = 4096;
-    spec.adversarial_cfg.loss_num =
-        static_cast<std::uint64_t>(p * 4096.0 + 0.5);
-  }
   return spec;
 }
 
@@ -284,7 +268,7 @@ int cmd_info(const Args& a) {
 
 int cmd_build(const Args& a) {
   a.expect_only("build",
-                {"in", "seed", "algo", "net", "loss", "csv", "rss-budget-mb"},
+                {"in", "seed", "algo", "net", "csv", "rss-budget-mb"},
                 kSpecFlags);
   const std::string algo = a.get("algo", "kkt-mst");
   const bool csv = a.has("csv");
@@ -327,13 +311,6 @@ int cmd_build(const Args& a) {
   }
   print_metrics(before_verify, g.node_count(), g.edge_count(), csv,
                 algo.c_str());
-  // Loss reaches only loss-safe protocols; the rest run lossless and count
-  // each degraded drop (docs/FAULTS.md), so say which happened.
-  if (a.has("loss") && !csv) {
-    std::printf("dropped deliveries: %" PRIu64 ", loss degrades: %" PRIu64
-                "\n",
-                net.metrics().dropped_deliveries, net.loss_degrades());
-  }
   // Memory gate: always report peak RSS when a budget is set (the CI
   // bigraph stage greps this line); exceed it and the exit code trips.
   const std::uint64_t budget_mb = a.num("rss-budget-mb", 0);
@@ -420,9 +397,8 @@ int run_fault_model(const Args& a, const kkt::scenario::Scenario& sc,
                 kkt::workload::fault_trace_digest(trace));
     print_metrics(w.net->metrics(), w.g->node_count(), w.g->edge_count(),
                   false, "faults");
-    std::printf("dropped deliveries: %" PRIu64 ", loss degrades: %" PRIu64
-                "\nexactness: %s\n",
-                w.net->metrics().dropped_deliveries, w.net->loss_degrades(),
+    std::printf("dropped deliveries: %" PRIu64 "\nexactness: %s\n",
+                w.net->metrics().dropped_deliveries,
                 oracle_bad == 0 ? "oracle matched after every event"
                                 : "MISMATCHES detected");
   }
@@ -458,7 +434,6 @@ int run_fault_model(const Args& a, const kkt::scenario::Scenario& sc,
     total.counters["rounds"] = double(w.net->metrics().rounds);
     total.counters["dropped_deliveries"] =
         double(w.net->metrics().dropped_deliveries);
-    total.counters["loss_degrades"] = double(w.net->loss_degrades());
     total.counters["oracle_failures"] = double(oracle_bad);
     f.records.push_back(std::move(total));
   }
@@ -514,12 +489,12 @@ void print_cost_stats(const char* what, const kkt::workload::CostStats& s) {
 int cmd_churn(const Args& a) {
   if (a.has("faults")) {
     a.expect_only("churn --faults",
-                  {"seed", "csv", "net", "loss", "kind", "faults", "events",
+                  {"seed", "csv", "net", "kind", "faults", "events",
                    "batch-k", "churn-ops", "record", "out"},
                   kSpecFlags);
   } else {
     a.expect_only("churn",
-                  {"seed", "csv", "net", "loss", "kind", "workload", "ops",
+                  {"seed", "csv", "net", "kind", "workload", "ops",
                    "threads", "sweep", "trace", "record"},
                   kSpecFlags);
   }

@@ -34,15 +34,6 @@ class GhsSearch final : public sim::Protocol {
         rejected_(&rejected),
         state_(tree_.graph().node_count()) {}
 
-  // Opt out of message loss: the search is an interlocked request/reply
-  // chain (every Test expects exactly one Accept/Reject before the node
-  // probes its next candidate or echoes its minimum upward), so one dropped
-  // reply strands the whole fragment's convergecast and corrupts the phase.
-  // Under a lossy policy the network degrades loss to plain delay for this
-  // protocol (Network::loss_degrades counts it), keeping the baseline's
-  // pinned message counts bit-exact.
-  bool loss_safe() const override { return false; }
-
   void on_start(sim::Network& net, NodeId self) override {
     assert(self == root_);
     begin(net, self, graph::kNoNode);

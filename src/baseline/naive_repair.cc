@@ -39,10 +39,6 @@ class Membership final : public sim::Protocol {
     }
   }
 
-  // Echo barrier: a dropped echo leaves pending_ stuck and the membership
-  // bits incomplete for the probe stage. Loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
-
  private:
   void begin(sim::Network& net, NodeId self, NodeId parent) {
     (*in_tree_)[self] = 1;
@@ -83,10 +79,6 @@ class ProbeAndReport final : public sim::Protocol {
   void on_start(sim::Network& net, NodeId self) override {
     begin(net, self, graph::kNoNode);
   }
-
-  // Probe/reply plus a report convergecast: pending counters only reach
-  // zero if every reply arrives. Loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
 
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override {

@@ -32,11 +32,6 @@ class CrossMark final : public sim::Protocol {
     forest_->mark_half(edge_, self);
   }
 
-  // Two-party commit on the edge marks: losing the single message leaves a
-  // half-marked edge, corrupting the forest invariant rather than merely
-  // degrading a result. Loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
-
  private:
   graph::MarkedForest* forest_;
   EdgeIdx edge_;

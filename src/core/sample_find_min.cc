@@ -69,11 +69,6 @@ class SampleProtocol final : public sim::Protocol {
     begin(net, self, graph::kNoNode);
   }
 
-  // Two interlocked waves (counts up, sample requests down, chunks up):
-  // a dropped count leaves pending_counts stuck and the proportional split
-  // divides by a stale total. Loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
-
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override {
     switch (msg.tag) {

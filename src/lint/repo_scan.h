@@ -30,20 +30,19 @@ namespace kkt::lint {
 // (graph.h) and the implicit families (implicit.h) joined with the
 // web-scale backends PR: every protocol incidence read crosses them, and
 // the implicit query paths must stay allocation-free in steady state (the
-// slot rings recycle their buffers; see graph/implicit.h). The fault layer
-// added link_state.h (is_down sits on the send path) and delivery_policy.h
-// (delivery_time/drop run once per send) -- their config-time mutators
-// carry justified suppressions, the per-send reads must stay clean.
+// slot rings recycle their buffers; see graph/implicit.h).
+// delivery_policy.h joined because delivery_time runs once per send: its
+// config-time mutators may allocate, the per-send reads must stay clean.
 // forest.h joined with the tree index: every TreeView walk reads it from
 // handlers, so it must stay allocation-free (slab growth lives in
 // forest.cc) and free of shared statics. The broadcast-and-echo hot path
 // joined last: the protocol (broadcast_echo.cc, tree_ops.cc) and the
 // TestOut / HP-TestOut kernels (test_out.cc, hp_test_out.cc) run once per
 // node per FindMin step, and a whole FindMin is pinned allocation-free.
-inline constexpr std::array<std::string_view, 20> kHotPathFiles = {
+inline constexpr std::array<std::string_view, 19> kHotPathFiles = {
     "src/sim/inline_words.h", "src/sim/message.h", "src/sim/message.cc",
     "src/sim/network.h",      "src/sim/network.cc",
-    "src/sim/link_state.h",   "src/sim/delivery_policy.h",
+    "src/sim/delivery_policy.h",
     "src/proto/words.h",      "src/core/wire.h",   "src/proto/scratch.h",
     "src/util/modmath.h",     "src/hashing/odd_hash.h",
     "src/hashing/pairwise_hash.h", "src/graph/graph.h",

@@ -42,12 +42,6 @@ class Broadcast final : public sim::Protocol {
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override;
 
-  // One-way dissemination, but callers (TreeOps, MaintenanceSession) rely on
-  // *complete* delivery: a dropped relay leaves a subtree that never learns
-  // its fragment's leader or stop signal, and repair stops making progress.
-  // Loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
-
  private:
   void relay(sim::Network& net, NodeId self, NodeId from,
              std::span<const std::uint64_t> payload);
@@ -69,11 +63,6 @@ class AddEdgeHandshake final : public sim::Protocol {
   void on_start(sim::Network& net, NodeId self) override;
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override;
-
-  // The cross-edge hop is a two-party commit: losing it marks one half of
-  // the edge and strands the other, corrupting the forest invariant rather
-  // than merely degrading a result. Loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
 
   // True once the outside endpoint confirmed its half-mark.
   bool completed() const noexcept { return completed_; }

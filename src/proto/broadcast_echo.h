@@ -60,12 +60,6 @@ class BroadcastEcho final : public sim::Protocol {
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override;
 
-  // The echo convergecast is an aggregation: a dropped child echo leaves
-  // the parent's pending count nonzero forever and the partial result()
-  // feeds arithmetic in the callers (FindMin thresholds, subtree counts).
-  // The network degrades lossy schedules to plain delay for us.
-  bool loss_safe() const override { return false; }
-
   // Valid after the run reaches quiescence.
   bool done() const noexcept { return done_; }
   const Words& result() const noexcept { return result_; }

@@ -32,12 +32,6 @@ class CycleBreak final : public sim::Protocol {
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override;
 
-  // Interlocked pairwise agreement: each proposal expects its counterpart
-  // from across the picked edge, and the picked NodeId rides in the
-  // message. A dropped proposal would leave the cycle unbroken with half
-  // the state applied, so the network degrades lossy schedules for us.
-  bool loss_safe() const override { return false; }
-
   // Number of unmark decisions made (each counted once per endpoint).
   int half_unmarks() const noexcept { return half_unmarks_; }
 

@@ -47,11 +47,6 @@ class LeaderElection final : public sim::Protocol {
   void on_message(sim::Network& net, NodeId self, NodeId from,
                   const sim::Message& msg) override;
 
-  // Echo-style convergecast plus a leader announcement: a dropped echo
-  // stalls the election in a state indistinguishable from a genuine cycle
-  // (stalled_cycle would misreport), so loss degrades to delay for us.
-  bool loss_safe() const override { return false; }
-
   // --- post-quiescence inspection -----------------------------------------
   // The elected leader, or kNoNode if the election stalled (cycle present).
   NodeId leader() const noexcept { return leader_; }

@@ -1,7 +1,7 @@
 // Adversarial network: seeded-but-hostile delivery schedules for
 // schedule-diversity experiments. A thin AdversarialPolicy instantiation of
-// Network: per-edge delay bounds, bounded reordering jitter, and optional
-// duplicate delivery (see sim/delivery_policy.h for the knobs).
+// Network: per-edge delay bounds and bounded reordering jitter (see
+// sim/delivery_policy.h for the knobs). Every send is still delivered once.
 //
 // Everything stays deterministic given the seed, so a schedule that breaks
 // a protocol is a replayable counterexample, not a flake.

@@ -3,11 +3,13 @@
 // The Network owns the mechanism -- a timing wheel drained in (delivery
 // time, send sequence) order -- and delegates the *schedule* to a
 // DeliveryPolicy. The policy sees each send (endpoints and current virtual
-// time) and answers with a delivery timestamp, optionally scheduling
-// adversarial extras (duplicates). It also states its horizon, max_delay():
-// no timestamp it hands out lies more than that far after the send, which
-// sizes the wheel. This separates cost accounting, which is identical
-// across transports, from schedule shape, which is the experiment variable:
+// time) and answers with a delivery timestamp. It also states its horizon,
+// max_delay(): no timestamp it hands out lies more than that far after the
+// send, which sizes the wheel. Links are reliable under every policy: each
+// send is delivered exactly once, as in both of the paper's models, so a
+// policy chooses *when* a message arrives, never *whether*. This separates
+// cost accounting, which is identical across transports, from schedule
+// shape, which is the experiment variable:
 //
 //   FifoSyncPolicy    -- the synchronous CONGEST model: a global clock;
 //                        every message sent in round r arrives at r+1.
@@ -16,9 +18,8 @@
 //                        an independent uniform delay in [1, max_delay].
 //                        Horizon max_delay.
 //   AdversarialPolicy -- schedule-diversity experiments: per-edge delay
-//                        bounds, bounded reordering jitter, and seeded
-//                        duplicate delivery. Horizon: the widest delay
-//                        bound plus the jitter window.
+//                        bounds and bounded reordering jitter. Horizon:
+//                        the widest delay bound plus the jitter window.
 //
 // All policies are deterministic given their seed, so every schedule a test
 // or bench explores is replayable.
@@ -50,38 +51,15 @@ class DeliveryPolicy {
                                       std::uint64_t now) = 0;
 
   // The horizon: an upper bound on delivery_time(from, to, now) - now over
-  // every send, duplicates included, until the policy is next reconfigured.
-  // At least 1. Network::run reads it once, when the run starts, and sizes
-  // the timing wheel to bit_ceil(horizon + 1) buckets.
+  // every send until the policy is next reconfigured. At least 1.
+  // Network::run reads it once, when the run starts, and sizes the timing
+  // wheel to bit_ceil(horizon + 1) buckets.
   virtual std::uint64_t max_delay() const noexcept = 0;
 
-  // Number of adversarial duplicate deliveries of the message just
-  // scheduled (0 for honest transports). Each duplicate gets its own
-  // delivery_time call.
-  virtual unsigned duplicates(NodeId /*from*/, NodeId /*to*/) { return 0; }
-
   // True promises that delivery_time(from, to, now) == now + 1 for every
-  // send and that duplicates() always returns 0 (so max_delay() is 1). The
-  // Network then skips those two virtual calls on every send; the schedule
-  // is the one the calls would have produced.
+  // send (so max_delay() is 1). The Network then skips that virtual call on
+  // every send; the schedule is the one the calls would have produced.
   virtual bool unit_delay() const noexcept { return false; }
-
-  // Whether this policy's configuration can ever drop() a message. The
-  // Network consults this once per run: lossy schedules only apply to
-  // protocols that declare Protocol::loss_safe(); for the rest loss
-  // degrades to plain delay (drop() is never called, so the delay stream
-  // is untouched).
-  virtual bool lossy() const noexcept { return false; }
-
-  // Whether the message sent along {from, to} at virtual time `now` is
-  // lost in transit. Called once per send (before duplicates are drawn;
-  // a dropped send loses its duplicates too) and only when lossy() is
-  // true and the protocol is loss-safe. Loss draws must come from a
-  // stream independent of delivery_time's so that disabling loss leaves
-  // the delay schedule bit-identical.
-  virtual bool drop(NodeId /*from*/, NodeId /*to*/, std::uint64_t /*now*/) {
-    return false;
-  }
 };
 
 // Synchronous CONGEST rounds: arrive exactly one time unit after sending,
@@ -126,42 +104,14 @@ struct AdversarialConfig {
   // how far the adversary may reorder messages relative to their send
   // order. 0 disables the extra reordering.
   std::uint64_t reorder_window = 4;
-  // Bernoulli(duplicate_num / duplicate_den) chance that a message is
-  // delivered a second time (at an independently drawn timestamp). Off by
-  // default: most protocols assume at-most-once delivery, so duplication
-  // is an opt-in fault-injection experiment.
-  std::uint64_t duplicate_num = 0;
-  std::uint64_t duplicate_den = 1;
-  // Bernoulli(loss_num / loss_den) chance that a message is silently lost
-  // (counted in Metrics::dropped_deliveries, never delivered). Off by
-  // default; individual edges may override via set_edge_loss. Loss draws
-  // come from a stream separate from the delay stream, so turning loss on
-  // or off never perturbs the delivery schedule of surviving messages.
-  std::uint64_t loss_num = 0;
-  std::uint64_t loss_den = 1;
-  // Deterministic burst outages: every message sent during a window
-  //   [loss_burst_start + i * loss_burst_period,
-  //    loss_burst_start + i * loss_burst_period + loss_burst_len)
-  // of virtual time (i = 0, 1, ...) is dropped, no randomness involved.
-  // Disabled unless both loss_burst_len and loss_burst_period are nonzero;
-  // loss_burst_len >= loss_burst_period means a permanent blackout.
-  std::uint64_t loss_burst_start = 0;
-  std::uint64_t loss_burst_len = 0;
-  std::uint64_t loss_burst_period = 0;
-
-  bool loss_configured() const noexcept {
-    return loss_num != 0 || (loss_burst_len != 0 && loss_burst_period != 0);
-  }
 };
 
 // Adversarial (but seeded, hence replayable) schedules: per-edge delay
-// bounds, bounded reordering, duplicate delivery.
+// bounds and bounded reordering.
 class AdversarialPolicy final : public DeliveryPolicy {
  public:
   AdversarialPolicy(std::uint64_t seed, AdversarialConfig cfg = {})
-      : rng_(util::mix_seeds(seed, 0xadf5)),
-        loss_rng_(util::mix_seeds(seed, 0x1055)),
-        cfg_(cfg) {}
+      : rng_(util::mix_seeds(seed, 0xadf5)), cfg_(cfg) {}
 
   // Override the delay bounds of the single edge {u, v} (both directions).
   void set_edge_bounds(NodeId u, NodeId v, std::uint64_t min_delay,
@@ -213,67 +163,12 @@ class AdversarialPolicy final : public DeliveryPolicy {
     return hi + cfg_.reorder_window;
   }
 
-  unsigned duplicates(NodeId, NodeId) override {
-    if (cfg_.duplicate_num == 0) return 0;
-    return rng_.bernoulli(cfg_.duplicate_num, cfg_.duplicate_den) ? 1 : 0;
-  }
-
-  // Override the loss probability of the single edge {u, v} (both
-  // directions). A 0/1 override exempts the edge from the default rate.
-  void set_edge_loss(NodeId u, NodeId v, std::uint64_t loss_num,
-                     std::uint64_t loss_den) {
-    const std::uint64_t key = edge_key(u, v);
-    const auto it = std::lower_bound(
-        edge_loss_.begin(), edge_loss_.end(), key,
-        [](const auto& entry, std::uint64_t k) { return entry.first < k; });
-    if (it != edge_loss_.end() && it->first == key) {
-      it->second = {loss_num, loss_den};
-    } else {
-      edge_loss_.insert(it, {key, Loss{loss_num, loss_den}});
-    }
-  }
-
-  bool lossy() const noexcept override {
-    return cfg_.loss_configured() || !edge_loss_.empty();
-  }
-
-  bool drop(NodeId from, NodeId to, std::uint64_t now) override {
-    // Burst windows are pure functions of virtual time: no draw, so a
-    // schedule with bursts alone stays bit-identical to the lossless one.
-    if (cfg_.loss_burst_len != 0 && cfg_.loss_burst_period != 0 &&
-        now >= cfg_.loss_burst_start) {
-      const std::uint64_t phase =
-          (now - cfg_.loss_burst_start) % cfg_.loss_burst_period;
-      if (phase < cfg_.loss_burst_len) return true;
-    }
-    std::uint64_t num = cfg_.loss_num, den = cfg_.loss_den;
-    if (!edge_loss_.empty()) {
-      const std::uint64_t key = edge_key(from, to);
-      const auto it = std::lower_bound(
-          edge_loss_.begin(), edge_loss_.end(), key,
-          [](const auto& entry, std::uint64_t k) {
-            return entry.first < k;
-          });
-      if (it != edge_loss_.end() && it->first == key) {
-        num = it->second.num;
-        den = it->second.den;
-      }
-    }
-    if (num == 0) return false;
-    return loss_rng_.bernoulli(num, den);
-  }
-
   const AdversarialConfig& config() const noexcept { return cfg_; }
 
  private:
   struct Bounds {
     std::uint64_t min_delay;
     std::uint64_t max_delay;
-  };
-
-  struct Loss {
-    std::uint64_t num;
-    std::uint64_t den;
   };
 
   // The largest delay delivery_time draws from bounds [lo, hi].
@@ -291,16 +186,13 @@ class AdversarialPolicy final : public DeliveryPolicy {
     return (static_cast<std::uint64_t>(u) << 32) | v;
   }
 
-  util::Rng rng_;       // delay + reorder + duplicate draws
-  util::Rng loss_rng_;  // loss draws only (separate stream by design)
+  util::Rng rng_;  // delay + reorder draws
   AdversarialConfig cfg_;
   // Sorted flat map keyed by edge_key: lookup order (and, unlike a hash
   // map, iteration order -- should anyone add it) is value-determined,
   // never allocation- or implementation-determined. The override set is
   // tiny, so binary search beats hashing here anyway.
   std::vector<std::pair<std::uint64_t, Bounds>> edge_bounds_;
-  // Per-edge loss overrides, same sorted-flat-map discipline.
-  std::vector<std::pair<std::uint64_t, Loss>> edge_loss_;
 };
 
 }  // namespace kkt::sim

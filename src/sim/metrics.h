@@ -22,13 +22,11 @@ struct Metrics {
   std::uint64_t broadcast_echoes = 0;
   // Messages that exceeded the CONGEST word budget (0 in a correct run).
   std::uint64_t oversized_messages = 0;
-  // Adversarial duplicate deliveries injected by the transport (these are
-  // schedule faults, not protocol cost, so they are not part of `messages`).
-  std::uint64_t duplicate_deliveries = 0;
-  // Sent messages the transport never delivered: seeded loss draws, link-
-  // state outages, and the max_rounds backstop discarding leftovers. Like
-  // duplicates these are transport faults, counted separately -- the send
-  // still appears in `messages` because the protocol paid for it.
+  // Sends still pending when Network::run's max_rounds backstop stopped
+  // the operation, discarded undelivered. Links are reliable, so this is
+  // the only way a send goes undelivered: a nonzero count flags a protocol
+  // that did not reach quiescence within the bound. The sends still appear
+  // in `messages` because the protocol paid for them.
   std::uint64_t dropped_deliveries = 0;
   // High-water mark of per-node protocol scratch state, in bits, as
   // reported by protocols (audits the O(log(n+u)) memory claim).
@@ -57,7 +55,6 @@ struct Metrics {
     rounds += o.rounds;
     broadcast_echoes += o.broadcast_echoes;
     oversized_messages += o.oversized_messages;
-    duplicate_deliveries += o.duplicate_deliveries;
     dropped_deliveries += o.dropped_deliveries;
     if (o.peak_node_state_bits > peak_node_state_bits) {
       peak_node_state_bits = o.peak_node_state_bits;
@@ -81,8 +78,6 @@ struct Metrics {
     d.rounds = rounds - before.rounds;
     d.broadcast_echoes = broadcast_echoes - before.broadcast_echoes;
     d.oversized_messages = oversized_messages - before.oversized_messages;
-    d.duplicate_deliveries =
-        duplicate_deliveries - before.duplicate_deliveries;
     d.dropped_deliveries = dropped_deliveries - before.dropped_deliveries;
     d.peak_node_state_bits = peak_node_state_bits;
     for (std::size_t i = 0; i < per_tag.size(); ++i) {

@@ -54,16 +54,6 @@ constexpr std::uint64_t kMaxHorizon = std::uint64_t{1} << 20;
 
 }  // namespace
 
-void Network::schedule(const Envelope& env) {
-  const std::uint64_t at = policy_->delivery_time(env.from, env.to, now_);
-  // One unsigned compare covers both ends: at <= now_ wraps past horizon_.
-  if (at - now_ - 1 >= horizon_) [[unlikely]] {
-    bad_delivery_time(now_, at, horizon_);
-  }
-  wheel_[at & mask_].push_back(env);
-  ++pending_;
-}
-
 void Network::send(NodeId from, NodeId to, const Message& msg) {
   assert(active_ != nullptr && "send outside of Network::run");
   assert(from < graph_->node_count() && to < graph_->node_count());
@@ -78,34 +68,20 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
     ++metrics_.oversized_messages;
     assert(false && "CONGEST message budget exceeded");
   }
-  // Transport faults, checked in severity order: a down link swallows the
-  // send for every protocol (and spends no loss draw -- the link state is
-  // deterministic on its own); otherwise a lossy policy may drop it, which
-  // also forfeits the send's duplicates. The send was still counted above:
-  // the protocol paid for it, the network just never delivers it.
-  if (links_.is_down(from, to) ||
-      (loss_active_ && policy_->drop(from, to, now_))) {
-    ++metrics_.dropped_deliveries;
-    return;
-  }
-  const Envelope env{from, to, msg};
+  std::uint64_t at = now_ + 1;
   if (unit_delay_) {
-    // unit_delay() promises delivery at now + 1 with no duplicates, so the
-    // policy need not be asked.
-    assert(policy_->delivery_time(from, to, now_) == now_ + 1);
-    assert(policy_->duplicates(from, to) == 0);
-    wheel_[(now_ + 1) & mask_].push_back(env);
-    ++pending_;
-    return;
+    // unit_delay() promises delivery at now + 1, so the policy need not be
+    // asked.
+    assert(policy_->delivery_time(from, to, now_) == at);
+  } else {
+    at = policy_->delivery_time(from, to, now_);
+    // One unsigned compare covers both ends: at <= now_ wraps past horizon_.
+    if (at - now_ - 1 >= horizon_) [[unlikely]] {
+      bad_delivery_time(now_, at, horizon_);
+    }
   }
-  schedule(env);
-  // Adversarial duplicates: the same bits arrive again at an independently
-  // drawn time. They are transport faults, not protocol cost, so they are
-  // accounted separately from `messages`.
-  for (unsigned d = policy_->duplicates(from, to); d > 0; --d) {
-    ++metrics_.duplicate_deliveries;
-    schedule(env);
-  }
+  wheel_[at & mask_].push_back(Envelope{from, to, msg});
+  ++pending_;
 }
 
 std::uint64_t Network::drain(Protocol& proto, std::uint64_t max_rounds) {
@@ -114,7 +90,7 @@ std::uint64_t Network::drain(Protocol& proto, std::uint64_t max_rounds) {
     if (now_ - start == max_rounds) {
       // Backstop hit: everything still pending is due after the bound. Drop
       // it so the next operation starts from an empty wheel, and count the
-      // discards as transport drops (tests/sim_test.cc pins the count).
+      // leftovers (tests/sim_test.cc pins the count).
       metrics_.dropped_deliveries += pending_;
       for (std::vector<Envelope>& bucket : wheel_) bucket.clear();
       pending_ = 0;
@@ -140,14 +116,6 @@ std::uint64_t Network::run(Protocol& proto,
                            std::uint64_t max_rounds) {
   assert(active_ == nullptr && "nested Network::run");
   active_ = &proto;
-  // Loss engages only when the policy is lossy AND the protocol declares it
-  // can tolerate dropped messages; otherwise loss degrades to plain delay
-  // (drop() is never consulted, so the loss rng stream is never advanced
-  // and the schedule is bit-identical to the lossless configuration) and
-  // the downgrade is counted.
-  const bool lossy_policy = policy_->lossy();
-  loss_active_ = lossy_policy && proto.loss_safe();
-  if (lossy_policy && !loss_active_) ++loss_degrades_;
   unit_delay_ = policy_->unit_delay();
   horizon_ = policy_->max_delay();
   if (horizon_ == 0 || horizon_ > kMaxHorizon) bad_horizon(horizon_);
@@ -161,7 +129,6 @@ std::uint64_t Network::run(Protocol& proto,
   for (NodeId v : participants) proto.on_start(*this, v);
   const std::uint64_t elapsed = drain(proto, max_rounds);
   active_ = nullptr;
-  loss_active_ = false;
   metrics_.rounds += elapsed;
   return elapsed;
 }

@@ -6,6 +6,12 @@
 // messages. Node-local knowledge of the topology is exactly the node's
 // alive incident edges (Graph::incident) and its mark bits -- the KT1 model.
 //
+// Links are reliable: every send is counted once and delivered exactly once,
+// in both the synchronous and the asynchronous model, as the paper assumes.
+// Transport loss and duplication are outside the model (docs/FAULTS.md);
+// topology faults are Graph updates (workload/faults.h), not transport
+// events.
+//
 // Network::run executes one protocol instance to quiescence (no undelivered
 // messages) and adds its cost to the accumulated Metrics. Sequential
 // compositions (e.g. the loop inside FindMin) just call run repeatedly;
@@ -34,7 +40,7 @@
 //
 // Under a unit-delay policy (FifoSyncPolicy, horizon 1) the wheel is two
 // buckets, this round and the next, and send() skips the per-send
-// delivery_time and duplicates calls: every send lands at now + 1.
+// delivery_time call: every send lands at now + 1.
 //
 #pragma once
 
@@ -47,7 +53,6 @@
 
 #include "graph/graph.h"
 #include "sim/delivery_policy.h"
-#include "sim/link_state.h"
 #include "sim/message.h"
 #include "sim/metrics.h"
 #include "util/rng.h"
@@ -63,20 +68,11 @@ class Protocol {
   virtual ~Protocol() = default;
   // Called once per participant before any message flows.
   virtual void on_start(Network& net, NodeId self) = 0;
-  // Called on delivery of a message to `self` from neighbor `from`.
+  // Called once per message sent to `self` from neighbor `from`: handlers
+  // may rely on exactly-once delivery (only a run cut off by its max_rounds
+  // backstop leaves sends undelivered).
   virtual void on_message(Network& net, NodeId self, NodeId from,
                           const Message& msg) = 0;
-  // Whether the protocol tolerates seeded message *loss* (DeliveryPolicy::
-  // drop): every handler chain must still reach quiescence and leave the
-  // node-local state safe (possibly with a degraded result) when any subset
-  // of sends is never delivered. Protocols built on interlocked request/
-  // reply phases that deadlock-or-corrupt on a missing reply return false;
-  // the Network then degrades loss to plain delay for them (drop() is
-  // never consulted, the schedule is bit-identical to the lossless run)
-  // and counts the downgrade in Network::loss_degrades(). LinkState outages
-  // are exempt: they model topology-shaped faults and apply to every
-  // protocol.
-  virtual bool loss_safe() const { return true; }
 };
 
 class Network {
@@ -88,8 +84,9 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Sends msg from `from` to `to`. Precondition: an alive edge {from, to}
-  // exists (checked). Counted in Metrics.
+  // Sends msg from `from` to `to`: counted in Metrics, then delivered once,
+  // at the policy's timestamp. Precondition: an alive edge {from, to}
+  // exists (checked).
   void send(NodeId from, NodeId to, const Message& msg);
 
   // Runs `proto` with the given participants until quiescence; returns the
@@ -112,29 +109,6 @@ class Network {
   // Per-node random stream (deterministic given the network seed).
   util::Rng& node_rng(NodeId v) noexcept { return node_rngs_[v]; }
 
-  // --- fault injection ------------------------------------------------------
-  // Link outages (sim/link_state.h): sends along a down link are counted
-  // but never delivered, for every protocol and on every delivery path.
-  // Mutations are sequential-context only, hence the asserting forwarders.
-  const LinkState& links() const noexcept { return links_; }
-  void set_link_down(NodeId u, NodeId v) {
-    assert(active_ == nullptr && "link mutation during Network::run");
-    links_.set_down(u, v);
-  }
-  void set_link_up(NodeId u, NodeId v) {
-    assert(active_ == nullptr && "link mutation during Network::run");
-    links_.set_up(u, v);
-  }
-  void heal_all_links() {
-    assert(active_ == nullptr && "link mutation during Network::run");
-    links_.all_up();
-  }
-
-  // Number of runs in which a lossy policy was degraded to plain delay
-  // because the protocol declared loss_safe() == false (tests/fault_test.cc
-  // pins the behavior).
-  std::uint64_t loss_degrades() const noexcept { return loss_degrades_; }
-
   // Protocols report their peak per-node scratch footprint (bits) here.
   void report_node_state_bits(std::uint64_t bits) noexcept {
     if (bits > metrics_.peak_node_state_bits) {
@@ -152,8 +126,6 @@ class Network {
   };
   static_assert(std::is_trivially_copyable_v<Envelope>);
 
-  // Appends one copy of the envelope at the policy-chosen timestamp.
-  void schedule(const Envelope& env);
   // Delivers everything pending; returns the elapsed virtual time.
   std::uint64_t drain(Protocol& proto, std::uint64_t max_rounds);
 
@@ -168,10 +140,7 @@ class Network {
   std::uint64_t horizon_ = 0;         // this run's policy max_delay()
   std::size_t pending_ = 0;           // envelopes in the wheel
   std::uint64_t now_ = 0;             // virtual clock, per-operation
-  LinkState links_;                   // down/up overlay (fault injection)
-  std::uint64_t loss_degrades_ = 0;   // lossy runs degraded to delay
-  bool unit_delay_ = false;           // this run skips the policy calls
-  bool loss_active_ = false;          // this run consults policy drop()
+  bool unit_delay_ = false;           // this run skips the policy call
 };
 
 // Accounts elapsed time for operations that run conceptually in parallel

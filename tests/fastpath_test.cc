@@ -1,8 +1,8 @@
 // SyncNetwork skips its policy on every send: under a unit-delay policy a
-// send lands at now + 1 without a delivery_time or duplicates call. The
-// skip must be observationally identical to asking the policy. These pins
-// run whole protocols on SyncNetwork and on a per-send twin whose policy
-// produces the same schedule through those calls, and require the full
+// send lands at now + 1 without a delivery_time call. The skip must be
+// observationally identical to asking the policy. These pins run whole
+// protocols on SyncNetwork and on a per-send twin whose policy produces the
+// same schedule through those calls, and require the full
 // Metrics block (messages, bits, rounds, per-tag splits, state high-water)
 // to match bit for bit. Both drain the same timing wheel, so a divergence
 // means the skip moved a delivery, which would silently invalidate every
@@ -12,8 +12,8 @@
 // declare unit_delay():
 //   kSync        -- FifoSyncPolicy's schedule, asked per send;
 //   kAsync       -- AsyncNetwork with max_delay 1 (one delay draw per send);
-//   kAdversarial -- AdversarialNetwork with min = max = 1, no jitter and no
-//                   duplicates (test::unit_adversarial_net()).
+//   kAdversarial -- AdversarialNetwork with min = max = 1 and no jitter
+//                   (test::unit_adversarial_net()).
 #include <gtest/gtest.h>
 
 #include <memory>

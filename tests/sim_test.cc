@@ -226,33 +226,6 @@ TEST(AdversarialNetwork, EdgeBoundsAreInsertionOrderIndependent) {
   EXPECT_EQ(elapsed[0], 4 * 7u);
 }
 
-TEST(AdversarialNetwork, SeededDuplicatesAreCountedSeparately) {
-  // A sink that tolerates duplicate delivery (most protocols do not, which
-  // is exactly what this fault-injection knob is for).
-  class Sink final : public Protocol {
-   public:
-    void on_start(Network& net, NodeId self) override {
-      for (int i = 0; i < 100; ++i) net.send(self, 1, Message(Tag::kNone));
-    }
-    void on_message(Network&, NodeId, NodeId, const Message&) override {
-      ++deliveries;
-    }
-    int deliveries = 0;
-  };
-
-  auto g = path_graph(2, 17);
-  AdversarialNetwork::Config cfg;
-  cfg.duplicate_num = 1;
-  cfg.duplicate_den = 1;  // duplicate every message
-  AdversarialNetwork net(*g, 6, cfg);
-  Sink proto;
-  const NodeId participants[] = {0};
-  net.run(proto, participants);
-  EXPECT_EQ(net.metrics().messages, 100u);  // protocol cost is what was sent
-  EXPECT_EQ(net.metrics().duplicate_deliveries, 100u);
-  EXPECT_EQ(proto.deliveries, 200);
-}
-
 TEST(Tag, NameRoundTripCoversEveryEnumerator) {
   std::set<std::string> seen;
   for (std::uint16_t i = 0; i < static_cast<std::uint16_t>(Tag::kTagCount);
@@ -366,21 +339,18 @@ TEST(Metrics, PlusEquals) {
   a.rounds = 5;
   a.peak_node_state_bits = 100;
   a.per_tag_bits[1] = 64;
-  a.duplicate_deliveries = 2;
   a.dropped_deliveries = 4;
   Metrics b;
   b.messages = 3;
   b.rounds = 2;
   b.peak_node_state_bits = 50;
   b.per_tag_bits[1] = 16;
-  b.duplicate_deliveries = 1;
   b.dropped_deliveries = 2;
   a += b;
   EXPECT_EQ(a.messages, 13u);
   EXPECT_EQ(a.rounds, 7u);
   EXPECT_EQ(a.peak_node_state_bits, 100u);  // high-water mark, not a sum
   EXPECT_EQ(a.per_tag_bits[1], 80u);
-  EXPECT_EQ(a.duplicate_deliveries, 3u);
   EXPECT_EQ(a.dropped_deliveries, 6u);
   a.reset();
   EXPECT_EQ(a.messages, 0u);
@@ -460,19 +430,18 @@ TEST(AsyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
 TEST(AdversarialNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
   auto g = path_graph(3, 23);
   AdversarialNetwork::Config cfg;
-  cfg.duplicate_num = 1;
-  cfg.duplicate_den = 4;
+  cfg.min_delay = 1;
+  cfg.max_delay = 8;
+  cfg.reorder_window = 4;
   AdversarialNetwork net(*g, 7, cfg);
   Gossip proto;
   const NodeId participants[] = {1};
   const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/60);
   EXPECT_EQ(rounds, 60u);
   const Metrics& m = net.metrics();
-  EXPECT_EQ(m.messages + m.duplicate_deliveries,
-            proto.received + m.dropped_deliveries);
-  EXPECT_EQ(m.messages, 1127u);
-  EXPECT_EQ(m.duplicate_deliveries, 282u);
-  EXPECT_EQ(m.dropped_deliveries, 617u);
+  EXPECT_EQ(m.messages, proto.received + m.dropped_deliveries);
+  EXPECT_EQ(m.messages, 152u);
+  EXPECT_EQ(m.dropped_deliveries, 46u);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,8 +449,8 @@ TEST(AdversarialNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
 // ---------------------------------------------------------------------------
 
 // Wraps a policy and logs every timestamp it hands out, tagged with the
-// payload id the sender announced in `payload`: one entry per scheduled
-// copy, duplicates included, in send order.
+// payload id the sender announced in `payload`: one entry per send, in send
+// order.
 template <typename Inner>
 class LoggingPolicy final : public DeliveryPolicy {
  public:
@@ -492,9 +461,6 @@ class LoggingPolicy final : public DeliveryPolicy {
     const std::uint64_t at = inner_.delivery_time(from, to, now);
     log.emplace_back(at, payload);
     return at;
-  }
-  unsigned duplicates(NodeId from, NodeId to) override {
-    return inner_.duplicates(from, to);
   }
   std::uint64_t max_delay() const noexcept override {
     return inner_.max_delay();
@@ -566,8 +532,7 @@ void expect_stable_time_order(Inner inner) {
     ASSERT_EQ(proto.delivered[i], expected[i].second) << "delivery " << i;
   }
   EXPECT_EQ(net.metrics().messages, 4000u);
-  EXPECT_EQ(expected.size(),
-            net.metrics().messages + net.metrics().duplicate_deliveries);
+  EXPECT_EQ(expected.size(), net.metrics().messages);
 }
 
 TEST(DeliveryOrder, AdversarialMatchesStableSortByTimestamp) {
@@ -578,8 +543,6 @@ TEST(DeliveryOrder, AdversarialMatchesStableSortByTimestamp) {
   cfg.min_delay = 1;
   cfg.max_delay = 8;
   cfg.reorder_window = 4;
-  cfg.duplicate_num = 1;
-  cfg.duplicate_den = 3;
   AdversarialPolicy inner(11, cfg);
   inner.set_edge_bounds(0, 1, 11, 11);
   ASSERT_EQ(inner.max_delay(), 15u);

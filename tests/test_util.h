@@ -66,9 +66,9 @@ inline World make_gnm_world(std::size_t n, std::size_t m, std::uint64_t seed,
 }
 
 // The sync schedule on the per-send policy path: an AdversarialNetwork
-// whose every delay is exactly 1, with no jitter and no duplicates. It
-// delivers in SyncNetwork's order but asks its policy on every send, which
-// SyncNetwork's unit-delay skip does not; comparing the two pins the skip.
+// whose every delay is exactly 1, with no jitter. It delivers in
+// SyncNetwork's order but asks its policy on every send, which SyncNetwork's
+// unit-delay skip does not; comparing the two pins the skip.
 inline scenario::NetSpec unit_adversarial_net() {
   sim::AdversarialConfig cfg;
   cfg.min_delay = 1;
