@@ -16,14 +16,14 @@
 #                       # docs/LINT_RULES.md) + clang-tidy build when the
 #                       # binary is available; archives LINT_findings.json
 #   ci/run.sh bigraph   # web-scale backend gate (docs/GRAPH_STORE.md):
-#                       # backend-labelled tests (implicit/mmap equivalence
-#                       # + implicit oracles + store corruption matrix),
-#                       # pack/validate a .kkg store artifact, BuildMST
-#                       # from the mmap'd store, then the build_mst_xl
-#                       # grid up to n = 1048576 on the implicit backend --
-#                       # fails when peak RSS exceeds the documented 2 GiB
-#                       # budget; archives BENCH_bigraph.json + the .kkg
-#                       # store
+#                       # backend-labelled tests (own/clone/mmap
+#                       # equivalence + seeded-family oracles + store
+#                       # corruption matrix), pack/validate a .kkg store
+#                       # artifact, BuildMST from the mmap'd store, then
+#                       # the build_mst_xl grid up to n = 1048576 on the
+#                       # generated frozen CSR -- fails when peak RSS is
+#                       # missing or exceeds the documented 2 GiB budget;
+#                       # archives BENCH_bigraph.json + the .kkg store
 #   ci/run.sh faults    # fault-injection gate (docs/FAULTS.md): the
 #                       # fault-labelled suite (batch deletions, regional
 #                       # outages, partition-and-heal over reliable links;
@@ -112,42 +112,48 @@ run_faults() {
 }
 
 # Bigraph stage: the web-scale backend gate (docs/GRAPH_STORE.md). The
-# backend-labelled suite pins metric bit-identity across the adjacency,
-# implicit and mapped backends, the implicit family oracles and the store
-# corruption matrix; the kkt_lab gen -> info -> build --in chain proves a
-# packed .kkg round-trips through the mmap backend end to end;
+# backend-labelled suite pins metric bit-identity across each seeded
+# family's own backend (implicit K_n, frozen igridlong / igeo), its
+# adjacency clone and its mapped .kkg pack, the seeded-family oracles and
+# the store corruption matrix; the kkt_lab gen -> info -> build --in chain
+# proves a packed .kkg round-trips through the mmap backend end to end;
 # and the build_mst_xl grid completes a BuildMST point at n = 1048576 on
-# the implicit backend. The RSS gate is hard: the documented budget
-# (2 GiB, docs/GRAPH_STORE.md) is ~3x the measured 683 MiB footprint, so
-# tripping it means the O(n + m) stored-row footprint regressed, not
-# runner noise. Every build cell of the grid is checked against the oracle
-# MSF; a wrong cell fails the stage.
+# the frozen CSR igridlong generates in memory. The RSS gate is hard: the
+# documented budget (2 GiB, docs/GRAPH_STORE.md) is ~3x the measured
+# 739 MiB footprint, so tripping it means the O(n + m) frozen-layout
+# footprint regressed, not runner noise; a run log without the peak RSS
+# line fails too. Every build cell of the grid is checked against the
+# oracle MSF; a wrong cell fails the stage.
 # Wall/RSS telemetry lands in BENCH_bigraph.json via --measure, which is
 # why this artifact is advisory-only and never drift-checked against docs.
 run_bigraph() {
   build_release
-  echo "==> backend-labelled tests (equivalence, implicit oracles, store)"
+  echo "==> backend-labelled tests (equivalence, family oracles, store)"
   ctest --test-dir build/release -L backend --output-on-failure -j "$jobs"
   echo "==> pack + validate a .kkg store artifact"
   ./build/release/examples/kkt_lab gen --family igridlong --n 65536 \
     --links 2 --seed 1 --out STORE_igridlong_65536.kkg
   ./build/release/examples/kkt_lab info STORE_igridlong_65536.kkg
-  echo "==> BuildMST from the mmap'd store (read-only kMapped backend)"
+  echo "==> BuildMST from the mmap'd store (read-only kFrozen backend)"
   ./build/release/examples/kkt_lab build --algo kkt-mst \
     --in STORE_igridlong_65536.kkg --rss-budget-mb 2048
-  echo "==> web-scale grid: build_mst_xl up to n = 1048576 (implicit)"
+  echo "==> web-scale grid: build_mst_xl up to n = 1048576 (frozen CSR)"
   local run_log
   run_log=$(./build/release/tools/kkt_report run --sizes 64,128 --seeds 1 \
     --ops 2 --xl-sizes 65536,262144,1048576 --measure \
     --out BENCH_bigraph.json | tee /dev/stderr)
   local rss_kb budget_kb=$((2048 * 1024))
   rss_kb=$(sed -n 's/^peak_rss_kb=//p' <<<"$run_log")
-  if [ -n "$rss_kb" ] && [ "$rss_kb" -gt "$budget_kb" ]; then
+  if [ -z "$rss_kb" ]; then
+    echo "FAIL: the run log has no peak_rss_kb= line" >&2
+    exit 1
+  fi
+  if [ "$rss_kb" -gt "$budget_kb" ]; then
     echo "FAIL: peak RSS ${rss_kb} KiB exceeds the documented" \
          "$((budget_kb / 1024)) MiB budget (docs/GRAPH_STORE.md)" >&2
     exit 1
   fi
-  echo "==> peak RSS ${rss_kb:-unknown} KiB within the 2 GiB budget"
+  echo "==> peak RSS ${rss_kb} KiB within the 2 GiB budget"
   echo "==> archived BENCH_bigraph.json STORE_igridlong_65536.kkg"
 }
 

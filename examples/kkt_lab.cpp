@@ -30,9 +30,8 @@
 //   hier       [--levels L]   (default 8)
 //   igridlong  [--links K]    (default 2, at most 64)
 //   igeo       [--degree D]   (default 8)
-// plus, for every family, [--n N] (default 128), [--maxw W] and
-// [--backend auto|adjacency|implicit]. A family flag given to another
-// family is a usage error.
+// plus, for every family, [--n N] (default 128) and [--maxw W]. A family
+// flag given to another family is a usage error.
 //
 // `gen` writes the graph to FILE: a packed `.kkg` mmap store
 // (docs/GRAPH_STORE.md) when FILE ends in `.kkg`, the text format
@@ -52,14 +51,14 @@
 // Every subcommand rejects a flag it does not read; that, a malformed
 // number and a family size below a generator's minimum are usage errors
 // (an `error:` line, exit 2).
-// `--backend` picks the graph storage backend: auto resolves to implicit
-// for the icomplete/igridlong/igeo families, so `build --family igridlong
-// --n 1048576` runs at web scale in O(n + m) stored rows (K_n: O(n)
-// state). The implicit backend is read-only, so `churn` (with or without
-// --faults) resolves auto to adjacency and rejects an explicit `--backend
-// implicit`. `--rss-budget-mb MB` prints the process peak RSS after the
-// run and fails the exit code when it exceeds the budget -- the CI bigraph
-// stage's memory gate.
+// Each family keeps its generator's storage: icomplete is implicit K_n in
+// O(n) state, igridlong / igeo are generated into the read-only frozen CSR
+// layout, so `build --family igridlong --n 1048576` runs at web scale.
+// `churn` (with or without --faults) mutates the graph, so it runs every
+// family on the adjacency backend (a clone of the seeded families).
+// `--rss-budget-mb MB` prints the process peak RSS after the run and fails
+// the exit code when it exceeds the budget -- the CI bigraph stage's
+// memory gate.
 // `--net` picks the delivery schedule: synchronous rounds, uniform random
 // delays, or the seeded adversary's per-edge bounds and reordering. Links
 // are reliable under all three, as in the paper: every message sent is
@@ -109,9 +108,9 @@ using kkt::util::usage_error;
 // Every flag make_graph_spec reads. From "cols" on they are the family
 // flags, each read by one family only.
 constexpr std::string_view kSpecFlags[] = {
-    "family", "n", "m", "maxw", "backend", "cols", "path", "k", "levels",
+    "family", "n", "m", "maxw", "cols", "path", "k", "levels",
     "p", "radius", "links", "degree"};
-constexpr auto kFamilyFlags = std::span(kSpecFlags).subspan<5>();
+constexpr auto kFamilyFlags = std::span(kSpecFlags).subspan<4>();
 
 kkt::scenario::GraphSpec make_graph_spec(const Args& a) {
   const std::string family = a.get("family", "gnm");
@@ -151,10 +150,6 @@ kkt::scenario::GraphSpec make_graph_spec(const Args& a) {
                   family);
     }
   }
-  const std::string backend = a.get("backend", "auto");
-  const auto b = kkt::scenario::backend_from_name(backend);
-  if (!b) usage_error("unknown backend '" + backend + "'");
-  spec.backend = *b;
   if (const auto err = kkt::scenario::graph_spec_error(spec)) {
     usage_error(*err);
   }
@@ -177,7 +172,7 @@ kkt::graph::Graph make_graph(const Args& a) {
   const std::string path = a.get("in", "");
   std::string err;
   if (path.ends_with(".kkg")) {
-    auto store = kkt::graph::MappedStore::open(path, &err);
+    auto store = kkt::graph::FrozenStore::open(path, &err);
     if (store == nullptr) usage_error(err);
     return kkt::graph::Graph::from_store(std::move(store));
   }
@@ -256,7 +251,7 @@ int cmd_info(const Args& a) {
   const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
   if (!ec) std::printf("bytes:   %ju\n", bytes);
   std::string err;
-  const auto store = kkt::graph::MappedStore::open(path, &err);
+  const auto store = kkt::graph::FrozenStore::open(path, &err);
   if (store == nullptr) {
     std::printf("valid:   NO -- %s\n", err.c_str());
     return 1;
@@ -503,9 +498,7 @@ int cmd_churn(const Args& a) {
 
   kkt::scenario::Scenario sc;
   sc.graph = make_graph_spec(a);
-  if (const auto err = kkt::scenario::use_mutable_backend(sc.graph)) {
-    usage_error(*err);
-  }
+  kkt::scenario::use_mutable_backend(sc.graph);
   sc.net = make_net_spec(a, kkt::scenario::NetKind::kAsync);
   sc.seed = seed;
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "graph/graph.h"
 
@@ -59,5 +60,26 @@ Graph preferential_attachment(std::size_t n, std::size_t k, WeightSpec ws,
 // edges before reaching an outgoing one, so nearly every one of the
 // ~n^2/2 edges costs two Test/Reject messages.
 Graph hierarchical_complete(int levels, util::Rng& rng);
+
+// Seeded sparse families: hashed from (n, seed) alone, with no Rng stream,
+// and built straight into the read-only frozen CSR layout a .kkg file holds
+// (graph/store.h, Graph::Backend::kFrozen). External IDs are
+// implicit_ext_ids(n, seed) and the weight of {u, v} is a hash of (seed, u,
+// v) in [1, max_weight], max_weight <= 2^31. Edge indices are the
+// lexicographic rank of the endpoint pair (min, max); row v lists v's peers
+// below v, then above v, each ascending -- the order inserting the edges
+// by rank with add_edge gives, so clone() is the same graph, edge for edge.
+
+// side x side grid, side = floor(sqrt(n)) >= 2 (n clamps to the largest
+// square), plus long_links <= 64 random long links per node (small world;
+// m = Theta(n)).
+Graph igridlong(std::size_t n, std::size_t long_links, std::uint64_t seed,
+                Weight max_weight = 1u << 20);
+
+// n >= 2 random points on the unit square (integer fixed-point
+// coordinates), adjacent below a radius derived from `target_degree`, the
+// expected mean degree. Possibly disconnected.
+Graph igeo(std::size_t n, double target_degree, std::uint64_t seed,
+           Weight max_weight = 1u << 20);
 
 }  // namespace kkt::graph

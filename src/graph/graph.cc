@@ -74,26 +74,21 @@ Graph::Graph(std::unique_ptr<ImplicitCore> core)
   id_bits_ = implicit_->id_bits();
   alive_edges_ = implicit_->edge_slots();
   edge_slots_ = implicit_->edge_slots();
-  complete_windows_ = implicit_->spec().family == ImplicitFamily::kComplete;
-  if (!complete_windows_) {
-    sorted_adj_.resize(n_);
-    sorted_stale_.assign(n_, 1);
-  }
   row_version_.assign(n_, 0);
 }
 
-Graph Graph::from_store(std::shared_ptr<const MappedStore> store) {
+Graph Graph::from_store(std::shared_ptr<const FrozenStore> store) {
   assert(store != nullptr);
   Graph g{Raw{}};
-  g.backend_ = Backend::kMapped;
+  g.backend_ = Backend::kFrozen;
   g.n_ = store->node_count();
   g.id_bits_ = store->id_bits();
   g.alive_edges_ = store->edge_count();
   g.edge_slots_ = store->edge_count();
   g.ext_ids_.assign(store->ext_ids().begin(), store->ext_ids().end());
-  g.mapped_offsets_ = store->offsets();
-  g.mapped_arena_ = store->arena();
-  g.mapped_edges_ = store->edges();
+  g.frozen_offsets_ = store->offsets();
+  g.frozen_arena_ = store->arena();
+  g.frozen_edges_ = store->edges();
   g.sorted_adj_.resize(g.n_);
   g.sorted_stale_.assign(g.n_, 1);
   g.row_version_.assign(g.n_, 0);
@@ -102,11 +97,16 @@ Graph Graph::from_store(std::shared_ptr<const MappedStore> store) {
 }
 
 Graph Graph::clone() const {
-  assert(backend_ == Backend::kAdjacency && "only adjacency graphs clone");
   Graph g{Raw{}};
   g.n_ = n_;
-  g.edges_ = edges_;
-  g.adjacency_ = adjacency_;
+  const std::size_t slots = edge_slots();
+  g.edges_.reserve(slots);
+  for (EdgeIdx e = 0; e < slots; ++e) g.edges_.push_back(edge(e));
+  g.adjacency_.resize(n_);
+  for (NodeId v = 0; v < n_; ++v) {
+    const std::span<const Incidence> row = incident(v);
+    g.adjacency_[v].assign(row.begin(), row.end());
+  }
   g.ext_ids_ = ext_ids_;
   g.sorted_adj_.resize(n_);
   g.sorted_stale_.assign(n_, 1);
@@ -116,7 +116,7 @@ Graph Graph::clone() const {
   return g;
 }
 
-// Out-of-line: ImplicitCore / MappedStore are incomplete in graph.h.
+// Out-of-line: ImplicitCore / FrozenStore are incomplete in graph.h.
 Graph::Graph(Raw) {}
 Graph::Graph(Graph&&) noexcept = default;
 Graph& Graph::operator=(Graph&&) noexcept = default;
@@ -156,8 +156,8 @@ void Graph::set_weight(EdgeIdx e, Weight w) {
 }
 
 Edge Graph::edge_slow(EdgeIdx e) const {
-  if (backend_ == Backend::kMapped) {
-    const StoreEdge ed = mapped_edges_[e];
+  if (backend_ == Backend::kFrozen) {
+    const StoreEdge ed = frozen_edges_[e];
     return Edge{ed.u, ed.v, ed.weight, /*alive=*/true};
   }
   return implicit_->edge(e);
@@ -165,10 +165,6 @@ Edge Graph::edge_slow(EdgeIdx e) const {
 
 std::span<const Incidence> Graph::implicit_incident(NodeId v) const {
   return implicit_->incident(v);
-}
-
-std::size_t Graph::implicit_degree(NodeId v) const {
-  return implicit_->degree(v);
 }
 
 Weight Graph::implicit_weight(NodeId u, NodeId v) const {
@@ -182,8 +178,8 @@ std::span<const AugWeight> Graph::implicit_window(NodeId v, AugWeight lo,
 
 std::optional<EdgeIdx> Graph::find_edge_slow(NodeId u, NodeId v) const {
   if (backend_ == Backend::kImplicit) return implicit_->find_edge(u, v);
-  // Mapped: scan the shorter row, same as the adjacency fast path.
-  const bool u_smaller = mapped_degree(u) <= mapped_degree(v);
+  // Frozen: scan the shorter row, same as the adjacency fast path.
+  const bool u_smaller = frozen_degree(u) <= frozen_degree(v);
   const std::span<const Incidence> row = incident(u_smaller ? u : v);
   const NodeId target = u_smaller ? v : u;
   for (const Incidence& inc : row) {
@@ -210,13 +206,6 @@ void Graph::unlink_from_adjacency(NodeId v, EdgeIdx e) {
   assert(it != adj.end());
   *it = adj.back();
   adj.pop_back();
-}
-
-std::optional<NodeId> Graph::node_of_ext(ExtId id) const {
-  for (NodeId v = 0; v < node_count(); ++v) {
-    if (ext_ids_[v] == id) return v;
-  }
-  return std::nullopt;
 }
 
 Weight Graph::max_weight() const {

@@ -4,19 +4,21 @@
 // One read API, three storage backends (see docs/ARCHITECTURE.md):
 //
 //  * kAdjacency -- per-node vectors + growable edge table. Used by the
-//    generators, the text loader and every workload that changes topology.
-//  * kImplicit  -- families generated from (n, seed) by ImplicitCore
-//    (graph/implicit.h): K_n computed on demand in O(n) resident state
-//    even at n = 10^6; igridlong / igeo rows written once into O(n + m)
-//    stored rows.
-//  * kMapped    -- CSR payload mmap'd from a .kkg file (graph/store.h).
+//    classic generators, the text loader, clone() and every workload that
+//    changes topology.
+//  * kFrozen    -- read-only CSR sections (graph/store.h): a .kkg file
+//    mmap'd by FrozenStore::open, or the in-memory sections the seeded
+//    igridlong / igeo generators build (graph/generators.h).
+//  * kImplicit  -- K_n computed on demand by ImplicitCore
+//    (graph/implicit.h) in O(n) resident state, even at n = 10^6.
 //
-// Mutation is adjacency-only: add_edge, remove_edge, set_weight and clone
-// accept only kAdjacency; kImplicit and kMapped are read-only, so every one
-// of their edges is alive. A workload that mutates an implicit family runs
-// on its materialised twin (materialize_implicit). Removed adjacency slots
-// stay allocated but are marked dead, so EdgeIdx values held by callers
-// remain stable; node count is fixed on every backend.
+// Mutation is adjacency-only: add_edge, remove_edge and set_weight accept
+// only kAdjacency; kFrozen and kImplicit are read-only, so every one of
+// their edges is alive. clone() copies any backend into adjacency, which
+// is how a workload that mutates a frozen or implicit graph gets its
+// mutable twin. Removed adjacency slots stay allocated but are marked
+// dead, so EdgeIdx values held by callers remain stable; node count is
+// fixed on every backend.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +39,7 @@ class ImplicitCore;
 
 class Graph {
  public:
-  enum class Backend { kAdjacency, kImplicit, kMapped };
+  enum class Backend { kAdjacency, kImplicit, kFrozen };
 
   // Creates a graph on n isolated nodes with distinct random external IDs
   // drawn from [1, 2^id_bits). id_bits == 0 selects the polynomial default
@@ -51,11 +53,12 @@ class Graph {
   // in [1, kMaxExtId]).
   Graph(std::vector<ExtId> ext_ids);
 
-  // Wraps an implicit edge family (usually via make_implicit_graph).
+  // Wraps implicit K_n (usually via make_implicit_graph).
   explicit Graph(std::unique_ptr<ImplicitCore> core);
 
-  // Adopts an open, validated .kkg mapping as a read-only graph.
-  static Graph from_store(std::shared_ptr<const MappedStore> store);
+  // Serves frozen CSR sections (a .kkg mapping or generated ones) as a
+  // read-only graph.
+  static Graph from_store(std::shared_ptr<const FrozenStore> store);
 
   Graph(Graph&&) noexcept;
   Graph& operator=(Graph&&) noexcept;
@@ -63,7 +66,9 @@ class Graph {
   Graph& operator=(const Graph&) = delete;
   ~Graph();
 
-  // Deep copy (kAdjacency only).
+  // Adjacency copy of any backend: the edge table by index (dead slots
+  // included) and every incident(v) row verbatim, so every protocol runs
+  // bit-identically on the copy.
   Graph clone() const;
 
   Backend backend() const noexcept { return backend_; }
@@ -90,7 +95,7 @@ class Graph {
     return backend_ == Backend::kAdjacency ? edges_.size() : edge_slots_;
   }
 
-  // By value: the mapped and implicit backends synthesise the record (there
+  // By value: the frozen and implicit backends synthesise the record (there
   // is no resident Edge array to reference into).
   Edge edge(EdgeIdx e) const {
     assert(e < edge_slots());
@@ -103,18 +108,17 @@ class Graph {
   }
 
   // Alive incident edges of v. The node's entire "local knowledge".
-  // Implicit K_n rows are served from a small reusable buffer ring: the
-  // span survives ImplicitCore::kIncSlots - 1 queries of other rows, not
-  // indefinitely. Every other row is stored (adjacency vectors, the mapped
-  // arena, the implicit sparse arena); its span stays valid until the next
-  // mutation of that row.
+  // Span lifetime: an adjacency row stays valid until the next mutation of
+  // that row; a frozen row (the CSR arena) for the graph's lifetime. An
+  // implicit K_n row is computed into a small reusable buffer ring, so its
+  // span survives ImplicitCore::kIncSlots - 1 queries of other rows only.
   std::span<const Incidence> incident(NodeId v) const {
     assert(v < n_);
     switch (backend_) {
       case Backend::kAdjacency:
         return adjacency_[v];
-      case Backend::kMapped:
-        return mapped_arena_.subspan(mapped_offsets_[v], mapped_degree(v));
+      case Backend::kFrozen:
+        return frozen_arena_.subspan(frozen_offsets_[v], frozen_degree(v));
       case Backend::kImplicit:
         break;
     }
@@ -125,12 +129,12 @@ class Graph {
     switch (backend_) {
       case Backend::kAdjacency:
         return adjacency_[v].size();
-      case Backend::kMapped:
-        return mapped_degree(v);
+      case Backend::kFrozen:
+        return frozen_degree(v);
       case Backend::kImplicit:
         break;
     }
-    return implicit_degree(v);
+    return n_ - 1;  // K_n
   }
 
   // Bumped whenever v's incidence row changes: add_edge and remove_edge
@@ -146,9 +150,6 @@ class Graph {
   // Width of the ID space (IDs < 2^id_bits) and of edge numbers.
   int id_bits() const noexcept { return id_bits_; }
   int edge_num_bits() const noexcept { return 2 * id_bits_; }
-
-  // Internal node for an external ID, if any.
-  std::optional<NodeId> node_of_ext(ExtId id) const;
 
   EdgeNum edge_num(EdgeIdx e) const {
     const Edge ed = edge(e);
@@ -184,8 +185,8 @@ class Graph {
 
   // The augmented weight of the row entry `inc` of v, computed from the
   // entry itself: the weight from the edge record, the edge number from
-  // the two external IDs. No edge decode (which on the implicit backend is
-  // a binary search).
+  // the two external IDs. No edge decode (which on implicit K_n is a
+  // binary search).
   AugWeight incident_aug(NodeId v, const Incidence& inc) const {
     return make_aug_weight(
         row_weight(v, inc),
@@ -196,14 +197,16 @@ class Graph {
   // The sorted row of v: the ascending augmented weights of v's alive
   // incident edges. The low edge_num_bits() of each name its edge, which
   // is all the range-filtered walks of TestOut / HP-TestOut / FindAny and
-  // FindMin's maxWt read. Stored rows (every backend but implicit K_n) are
-  // sorted lazily into one per-node cache and re-sorted after a mutation
-  // touching v; the span stays valid until then. Implicit K_n rows are the
+  // FindMin's maxWt read. Stored rows (adjacency and frozen) are sorted
+  // lazily into one per-node cache and re-sorted after a mutation touching
+  // v; the span stays valid until then. Implicit K_n rows are the
   // closed-form window [0, ~0] in ImplicitCore's window buffers, so the
   // span survives a handful of window queries only.
   std::span<const AugWeight> sorted_incident(NodeId v) const {
     assert(v < node_count());
-    if (complete_windows_) return implicit_window(v, 0, ~AugWeight{0});
+    if (backend_ == Backend::kImplicit) {
+      return implicit_window(v, 0, ~AugWeight{0});
+    }
     if (sorted_stale_[v]) rebuild_sorted(v);
     return sorted_adj_[v];
   }
@@ -213,7 +216,7 @@ class Graph {
   // Theta(n)).
   std::span<const AugWeight> sorted_incident_from(NodeId v, AugWeight lo,
                                                   AugWeight hi) const {
-    if (complete_windows_) return implicit_window(v, lo, hi);
+    if (backend_ == Backend::kImplicit) return implicit_window(v, lo, hi);
     const std::span<const AugWeight> s = sorted_incident(v);
     return s.subspan(static_cast<std::size_t>(
         std::lower_bound(s.begin(), s.end(), lo) - s.begin()));
@@ -242,15 +245,15 @@ class Graph {
   explicit Graph(Raw);  // out-of-line: members need complete types
 
   void unlink_from_adjacency(NodeId v, EdgeIdx e);
-  std::size_t mapped_degree(NodeId v) const {
-    return mapped_offsets_[v + 1] - mapped_offsets_[v];
+  std::size_t frozen_degree(NodeId v) const {
+    return frozen_offsets_[v + 1] - frozen_offsets_[v];
   }
   Weight row_weight(NodeId v, const Incidence& inc) const {
     switch (backend_) {
       case Backend::kAdjacency:
         return edges_[inc.edge].weight;
-      case Backend::kMapped:
-        return mapped_edges_[inc.edge].weight;
+      case Backend::kFrozen:
+        return frozen_edges_[inc.edge].weight;
       case Backend::kImplicit:
         break;
     }
@@ -270,7 +273,6 @@ class Graph {
   // type here.
   Edge edge_slow(EdgeIdx e) const;
   std::span<const Incidence> implicit_incident(NodeId v) const;
-  std::size_t implicit_degree(NodeId v) const;
   Weight implicit_weight(NodeId u, NodeId v) const;
   std::span<const AugWeight> implicit_window(NodeId v, AugWeight lo,
                                              AugWeight hi) const;
@@ -284,16 +286,15 @@ class Graph {
   std::vector<Edge> edges_;
   std::vector<std::vector<Incidence>> adjacency_;
 
-  // kMapped: keeps the mapping alive; rows and edge records are served
-  // from the file.
-  std::shared_ptr<const MappedStore> store_;
-  std::span<const std::uint64_t> mapped_offsets_;
-  std::span<const Incidence> mapped_arena_;
-  std::span<const StoreEdge> mapped_edges_;
+  // kFrozen: keeps the sections alive; rows and edge records are served
+  // from them.
+  std::shared_ptr<const FrozenStore> store_;
+  std::span<const std::uint64_t> frozen_offsets_;
+  std::span<const Incidence> frozen_arena_;
+  std::span<const StoreEdge> frozen_edges_;
 
-  // kImplicit; K_n serves its sorted rows as closed-form windows.
+  // kImplicit: K_n, which serves its sorted rows as closed-form windows.
   std::unique_ptr<ImplicitCore> implicit_;
-  bool complete_windows_ = false;
 
   std::vector<ExtId> ext_ids_;
   // Sorted rows of every stored row; stale rows re-sorted on demand (empty
@@ -303,7 +304,7 @@ class Graph {
   std::vector<std::uint32_t> row_version_;  // see row_version()
   int id_bits_ = kMaxIdBits;
   std::size_t alive_edges_ = 0;
-  std::size_t edge_slots_ = 0;  // kImplicit / kMapped (else edges_.size())
+  std::size_t edge_slots_ = 0;  // kFrozen / kImplicit (else edges_.size())
 };
 
 // Draws n distinct external IDs uniformly from [1, 2^id_bits); id_bits == 0

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -41,7 +41,7 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-std::shared_ptr<const MappedStore> reject(std::string* error,
+std::shared_ptr<const FrozenStore> reject(std::string* error,
                                           const std::string& msg) {
   if (error != nullptr) *error = msg;
   return nullptr;
@@ -49,13 +49,13 @@ std::shared_ptr<const MappedStore> reject(std::string* error,
 
 }  // namespace
 
-MappedStore::~MappedStore() {
+FrozenStore::~FrozenStore() {
 #ifndef _WIN32
   if (map_ != nullptr) ::munmap(map_, map_len_);
 #endif
 }
 
-std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path,
+std::shared_ptr<const FrozenStore> FrozenStore::open(const std::string& path,
                                                      std::string* error) {
 #ifdef _WIN32
   return reject(error, "kkg store: mmap is not supported on this platform");
@@ -77,8 +77,7 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path,
   if (map == MAP_FAILED) return reject(error, "kkg store: mmap failed");
 
   // From here on the mapping must be released on any rejection.
-  auto store = std::shared_ptr<MappedStore>(new MappedStore());
-  store->path_ = path;
+  auto store = std::shared_ptr<FrozenStore>(new FrozenStore());
   store->map_ = map;
   store->map_len_ = size;
 
@@ -205,6 +204,21 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path,
   }
   return store;
 #endif
+}
+
+std::shared_ptr<const FrozenStore> FrozenStore::adopt(
+    FrozenSections sections) {
+  auto store = std::shared_ptr<FrozenStore>(new FrozenStore());
+  store->owned_ = std::move(sections);
+  const FrozenSections& s = store->owned_;
+  store->n_ = s.ext_ids.size();
+  store->m_ = s.offsets.back() / 2;
+  store->id_bits_ = s.id_bits;
+  store->ext_ = s.ext_ids;
+  store->off_ = s.offsets;
+  store->arena_ = {s.arena.get(), 2 * store->m_};
+  store->edges_ = {s.edges.get(), store->m_};
+  return store;
 }
 
 bool pack_store(const std::string& path, const Graph& g, std::string* error) {

@@ -1,8 +1,14 @@
-// The .kkg on-disk graph store: a versioned binary header plus a CSR
-// payload, loaded with mmap so a multi-gigabyte graph costs page-cache
-// pages instead of heap. Packed by `pack_store` (CLI: `kkt_lab gen --out
-// FILE.kkg`); loaded read-only by `MappedStore::open` + `Graph::from_store`
-// (CLI: `kkt_lab build --in FILE.kkg`, `kkt_lab info FILE.kkg`).
+// The frozen-graph layout: the CSR sections of a read-only graph, and the
+// .kkg on-disk store that holds them behind a versioned binary header.
+// A FrozenStore serves the sections to Graph::from_store (the kFrozen
+// backend) and has one of two owners:
+//  * FrozenStore::open maps a .kkg file, so a multi-gigabyte graph costs
+//    page-cache pages instead of heap (CLI: `kkt_lab build --in FILE.kkg`,
+//    `kkt_lab info FILE.kkg`);
+//  * FrozenStore::adopt takes sections a generator built in memory
+//    (igridlong / igeo, graph/generators.h) without copying them.
+// `pack_store` writes any graph's sections to a file (CLI: `kkt_lab gen
+// --out FILE.kkg`).
 //
 // Layout (all integers little-endian; all sections 8-byte aligned):
 //
@@ -33,6 +39,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "graph/types.h"
 
@@ -44,8 +51,8 @@ inline constexpr std::uint32_t kStoreMagic = 0x4754'4b4bu;  // "KKTG"
 inline constexpr std::uint32_t kStoreVersion = 1;
 inline constexpr std::size_t kStoreHeaderBytes = 80;
 
-// On-disk edge record. Mapped in place; Edge (with its alive flag) is
-// synthesized on access -- a mapped store is immutable, so every edge is
+// Frozen edge record. Served in place; Edge (with its alive flag) is
+// synthesized on access -- a frozen store is immutable, so every edge is
 // alive.
 struct StoreEdge {
   NodeId u;
@@ -55,22 +62,35 @@ struct StoreEdge {
 static_assert(sizeof(StoreEdge) == 16);
 static_assert(sizeof(Incidence) == 16 && alignof(Incidence) == 8);
 
-// An open, validated, read-only mapping of a .kkg file.
-class MappedStore {
+// The four sections of a .kkg payload, held in memory.
+struct FrozenSections {
+  int id_bits = 0;
+  std::vector<ExtId> ext_ids;          // n
+  std::vector<std::uint64_t> offsets;  // n + 1 row offsets, offsets[n] == 2m
+  std::unique_ptr<Incidence[]> arena;  // 2m
+  std::unique_ptr<StoreEdge[]> edges;  // m
+};
+
+// Read-only CSR sections: a validated .kkg mapping or adopted generator
+// output.
+class FrozenStore {
  public:
   // Maps and fully validates `path`. Returns null (with a diagnostic in
   // *error when non-null) on any I/O or validation failure.
-  static std::shared_ptr<const MappedStore> open(const std::string& path,
+  static std::shared_ptr<const FrozenStore> open(const std::string& path,
                                                  std::string* error = nullptr);
 
-  ~MappedStore();
-  MappedStore(const MappedStore&) = delete;
-  MappedStore& operator=(const MappedStore&) = delete;
+  // Serves generated sections, moved in (no copy). The generator is trusted:
+  // nothing is validated.
+  static std::shared_ptr<const FrozenStore> adopt(FrozenSections sections);
+
+  ~FrozenStore();
+  FrozenStore(const FrozenStore&) = delete;
+  FrozenStore& operator=(const FrozenStore&) = delete;
 
   std::size_t node_count() const noexcept { return n_; }
   std::size_t edge_count() const noexcept { return m_; }
   int id_bits() const noexcept { return id_bits_; }
-  const std::string& path() const noexcept { return path_; }
 
   std::span<const ExtId> ext_ids() const noexcept { return ext_; }
   std::span<const std::uint64_t> offsets() const noexcept { return off_; }
@@ -78,10 +98,10 @@ class MappedStore {
   std::span<const StoreEdge> edges() const noexcept { return edges_; }
 
  private:
-  MappedStore() = default;
+  FrozenStore() = default;
 
-  std::string path_;
-  void* map_ = nullptr;
+  FrozenSections owned_;  // adopt(): the spans below point into it
+  void* map_ = nullptr;   // open(): the mapping they point into
   std::size_t map_len_ = 0;
   std::size_t n_ = 0;
   std::size_t m_ = 0;
@@ -95,7 +115,7 @@ class MappedStore {
 // Packs the alive edges of `g` (any backend) into `path`, reindexed densely
 // in ascending original index so a fresh graph round-trips with identical
 // edge indices. Adjacency row order is preserved verbatim -- protocols run
-// bit-identically on the mapped copy. Returns false with a diagnostic on
+// bit-identically on the frozen copy. Returns false with a diagnostic on
 // I/O failure. The graph must be enumerable (see alive_edge_indices).
 bool pack_store(const std::string& path, const Graph& g,
                 std::string* error = nullptr);

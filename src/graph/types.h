@@ -12,8 +12,8 @@
 //    FindMin searches over augmented weights, so the minimum is unique and
 //    identifies its edge.
 //
-// EdgeIdx is 64-bit: implicit edge families (graph/implicit.h) address the
-// edges of K_n at n = 10^6 by lexicographic rank, and n(n-1)/2 ~ 5*10^11
+// EdgeIdx is 64-bit: the implicit K_n family (graph/implicit.h) addresses
+// the edges of K_n at n = 10^6 by lexicographic rank, and n(n-1)/2 ~ 5*10^11
 // overflows 32 bits. Edge indices never cross the wire (messages carry edge
 // *numbers*), so only in-memory tables pay for the width.
 #pragma once
@@ -82,7 +82,7 @@ constexpr EdgeNum aug_weight_edge_num(
 
 // --- shared storage-entry PODs ---------------------------------------------
 // These live here (not graph.h) so every backend -- per-node adjacency
-// vectors, the mmap'd store's CSR arena, and the implicit families --
+// vectors, the frozen store's CSR arena, and implicit K_n's row ring --
 // shares one entry layout and Graph can hand out spans over any of them.
 
 struct Edge {
@@ -97,7 +97,7 @@ struct Edge {
   }
 };
 
-// Entry of a node's adjacency list (or of one mapped CSR arena row).
+// Entry of a node's adjacency list (or of one frozen CSR arena row).
 struct Incidence {
   NodeId peer;
   EdgeIdx edge;

@@ -27,10 +27,10 @@ namespace kkt::lint {
 // Barrett/hash inner loops -- all steady-state allocation-free, so they
 // ride the same rule. Hot files also get the shared-static rule: their code
 // runs in every world a SweepExecutor drives concurrently. The backend facade
-// (graph.h) and the implicit families (implicit.h) joined with the
-// web-scale backends PR: every protocol incidence read crosses them, and
-// the implicit query paths must stay allocation-free in steady state (the
-// slot rings recycle their buffers; see graph/implicit.h).
+// (graph.h) and implicit K_n (implicit.h) joined with the web-scale
+// backends: every protocol incidence read crosses them, and the implicit
+// query paths must stay allocation-free in steady state (the slot rings
+// recycle their buffers; see graph/implicit.h).
 // delivery_policy.h joined because delivery_time runs once per send: its
 // config-time mutators may allocate, the per-send reads must stay clean.
 // forest.h joined with the tree index: every TreeView walk reads it from

@@ -387,7 +387,7 @@ HeadToHeadResult run_headtohead(const HeadToHeadConfig& cfg) {
     }
   }
 
-  // The web-scale task: BuildMST only, implicit grid+long-links family,
+  // The web-scale task: BuildMST only, the igridlong grid+long-links family,
   // kkt vs ghs, one run per cell (rationale on HeadToHeadConfig::xl_sizes).
   std::vector<std::size_t> xl_sizes;
   for (const std::size_t n : cfg.xl_sizes) {

@@ -57,10 +57,10 @@ struct HeadToHeadConfig {
   // SweepExecutor threads for the per-cell seed sweeps (<= 0: hardware).
   int threads = 1;
   // Web-scale extension of the BuildMST comparison: each entry runs as task
-  // "build_mst_xl" on the implicit grid+long-links family
-  // (GraphSpec::igridlong with xl_long_links <= 64, implicit backend --
-  // O(n + m) stored rows, so n = 10^6 fits a laptop) with the kkt and ghs
-  // competitors only. Flooding is Theta(m) by construction and the
+  // "build_mst_xl" on the igridlong grid+long-links family
+  // (GraphSpec::igridlong with xl_long_links <= 64, generated into the
+  // frozen CSR layout -- O(n + m), so n = 10^6 fits a laptop) with the kkt
+  // and ghs competitors only. Flooding is Theta(m) by construction and the
   // materialised families would defeat the point. One run per cell at
   // first_seed: at these sizes a seed sweep multiplies hours of wall time
   // without moving the fit. Empty (the default) disables the task, so the

@@ -43,26 +43,12 @@ std::optional<GraphFamily> family_from_name(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-bool family_is_implicit(GraphFamily f) noexcept {
-  return f == GraphFamily::kIComplete || f == GraphFamily::kIGridLong ||
-         f == GraphFamily::kIGeometric;
-}
-
 const char* backend_name(GraphBackend b) noexcept {
   switch (b) {
     case GraphBackend::kAuto: return "auto";
     case GraphBackend::kAdjacency: return "adjacency";
-    case GraphBackend::kImplicit: return "implicit";
   }
   return "?";
-}
-
-std::optional<GraphBackend> backend_from_name(std::string_view name) noexcept {
-  for (const GraphBackend b : {GraphBackend::kAuto, GraphBackend::kAdjacency,
-                               GraphBackend::kImplicit}) {
-    if (name == backend_name(b)) return b;
-  }
-  return std::nullopt;
 }
 
 const char* net_kind_name(NetKind k) noexcept {
@@ -84,39 +70,10 @@ std::optional<NetKind> net_kind_from_name(std::string_view name) noexcept {
 
 namespace {
 
-graph::ImplicitSpec implicit_spec_of(const GraphSpec& spec,
-                                     std::uint64_t seed) {
-  graph::ImplicitSpec is;
-  switch (spec.family) {
-    case GraphFamily::kIComplete:
-      is.family = graph::ImplicitFamily::kComplete;
-      break;
-    case GraphFamily::kIGridLong:
-      is.family = graph::ImplicitFamily::kGridLong;
-      is.long_links = spec.aux > 0 ? spec.aux : 2;
-      break;
-    case GraphFamily::kIGeometric:
-      is.family = graph::ImplicitFamily::kGeometric;
-      is.target_degree = spec.param > 0.0 ? spec.param : 8.0;
-      break;
-    default:
-      assert(false && "not an implicit family");
-  }
-  is.n = spec.n;
-  is.seed = seed;
-  is.max_weight = spec.weights.max_weight;
-  return is;
-}
-
-graph::Graph build_implicit(const GraphSpec& spec, std::uint64_t seed) {
-  const graph::ImplicitSpec is = implicit_spec_of(spec, seed);
-  if (spec.backend == GraphBackend::kAdjacency) {
-    return graph::materialize_implicit(is);
-  }
-  return graph::make_implicit_graph(is);
-}
-
-graph::Graph build_classic(const GraphSpec& spec, util::Rng& rng) {
+// The family's own generator, on its own backend.
+graph::Graph generate(const GraphSpec& spec, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const graph::Weight maxw = spec.weights.max_weight;
   switch (spec.family) {
     case GraphFamily::kGnm: {
       std::size_t m = spec.m;
@@ -146,9 +103,12 @@ graph::Graph build_classic(const GraphSpec& spec, util::Rng& rng) {
     case GraphFamily::kHierarchical:
       return graph::hierarchical_complete(static_cast<int>(spec.aux), rng);
     case GraphFamily::kIComplete:
+      return graph::make_implicit_graph({spec.n, seed, maxw});
     case GraphFamily::kIGridLong:
+      return graph::igridlong(spec.n, spec.aux > 0 ? spec.aux : 2, seed, maxw);
     case GraphFamily::kIGeometric:
-      break;  // handled by build_implicit
+      return graph::igeo(spec.n, spec.param > 0.0 ? spec.param : 8.0, seed,
+                         maxw);
   }
   assert(false && "unknown graph family");
   return graph::complete(1, spec.weights, rng);
@@ -164,10 +124,6 @@ std::optional<std::string> graph_spec_error(const GraphSpec& spec) {
     return family + " needs " + what + " >= " + std::to_string(min) +
            " (got " + std::to_string(got) + ")";
   };
-  if (spec.backend == GraphBackend::kImplicit &&
-      !family_is_implicit(spec.family)) {
-    return family + " has no implicit backend";
-  }
   if (spec.weights.max_weight < 1) return "max weight must be >= 1";
   switch (spec.family) {
     case GraphFamily::kGnm: {
@@ -222,21 +178,17 @@ std::optional<std::string> graph_spec_error(const GraphSpec& spec) {
   return family + " is not a known family";
 }
 
-std::optional<std::string> use_mutable_backend(GraphSpec& spec) {
-  if (spec.backend == GraphBackend::kImplicit) {
-    return "the implicit backend is read-only, but churn and fault runs "
-           "mutate the graph; use the adjacency backend";
-  }
+void use_mutable_backend(GraphSpec& spec) {
   spec.backend = GraphBackend::kAdjacency;
-  return std::nullopt;
 }
 
 graph::Graph build_graph(const GraphSpec& spec, std::uint64_t seed) {
-  if (family_is_implicit(spec.family)) return build_implicit(spec, seed);
-  assert(spec.backend != GraphBackend::kImplicit &&
-         "only the implicit families support the implicit backend");
-  util::Rng rng(seed);
-  return build_classic(spec, rng);
+  graph::Graph g = generate(spec, seed);
+  if (spec.backend == GraphBackend::kAdjacency &&
+      g.backend() != graph::Graph::Backend::kAdjacency) {
+    return g.clone();
+  }
+  return g;
 }
 
 std::unique_ptr<sim::Network> make_network(const graph::Graph& g,

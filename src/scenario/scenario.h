@@ -69,35 +69,31 @@ enum class GraphFamily {
   kPreferential,  // Barabasi-Albert                   (n, aux = attach k)
   kRandomTree,    // uniform random tree               (n)
   kHierarchical,  // GHS worst case, n = 2^aux         (aux = levels)
-  // Implicit families (graph/implicit.h): hash-defined topologies whose
-  // incidence is computable from (n, seed), so the implicit backend runs
-  // them at web scale (K_n in O(n) resident state, the sparse families in
-  // O(n + m) stored rows). The same spec materialises exactly (backend
-  // adjacency) for equivalence testing and for workloads that mutate the
-  // graph. igridlong takes at most 64 long links per node.
+  // Seeded families: hash-defined topologies computable from (n, seed)
+  // alone, so they run at web scale -- K_n computed on demand in O(n)
+  // resident state (graph/implicit.h), igridlong / igeo generated straight
+  // into the frozen CSR layout (graph/generators.h). clone() turns each
+  // into an identical adjacency graph for workloads that mutate it.
+  // igridlong takes at most 64 long links per node.
   kIComplete,     // implicit K_n, latin-square weights (n)
-  kIGridLong,     // implicit grid + long links         (n ~ side^2, aux = links)
-  kIGeometric,    // implicit random geometric          (n, param = mean degree)
+  kIGridLong,     // grid + long links                  (n ~ side^2, aux = links)
+  kIGeometric,    // random geometric by mean degree    (n, param = mean degree)
 };
 
 // Family name for descriptors/CLIs ("gnm", "complete", ...).
 const char* family_name(GraphFamily f) noexcept;
 std::optional<GraphFamily> family_from_name(std::string_view name) noexcept;
 
-// Whether the family is defined by an ImplicitSpec (and so supports the
-// implicit backend).
-bool family_is_implicit(GraphFamily f) noexcept;
-
-// Storage backend requested of build_graph. kAuto picks kImplicit for the
-// implicit families and kAdjacency otherwise; kImplicit is only valid for
-// implicit families, and it is read-only (see use_mutable_backend). The
-// mmap'd store backend is not a GraphSpec concern -- load a .kkg with
-// graph::MappedStore + Graph::from_store and hand it to make_world's
-// custom-topology overload.
-enum class GraphBackend { kAuto, kAdjacency, kImplicit };
+// Storage backend requested of build_graph. kAuto keeps each generator's
+// own: implicit K_n for icomplete, the read-only frozen CSR for igridlong /
+// igeo, adjacency for the rest. kAdjacency asks for the mutable backend,
+// which for the seeded families is the generated graph's clone() (see
+// use_mutable_backend). A .kkg file is not a GraphSpec concern -- open it
+// with graph::FrozenStore::open + Graph::from_store and hand it to
+// make_world's custom-topology overload.
+enum class GraphBackend { kAuto, kAdjacency };
 
 const char* backend_name(GraphBackend b) noexcept;
-std::optional<GraphBackend> backend_from_name(std::string_view name) noexcept;
 
 struct GraphSpec {
   GraphFamily family = GraphFamily::kGnm;
@@ -170,9 +166,8 @@ struct GraphSpec {
 std::optional<std::string> graph_spec_error(const GraphSpec& spec);
 
 // Resolves the backend of a graph a workload will mutate (churn, fault
-// injection): kAuto becomes kAdjacency, the only mutable backend. Returns
-// why it cannot -- an explicit read-only backend -- or nullopt.
-std::optional<std::string> use_mutable_backend(GraphSpec& spec);
+// injection) to kAdjacency, the only mutable backend.
+void use_mutable_backend(GraphSpec& spec);
 
 // Generates the described topology from `seed` (one Rng, one pass -- the
 // same bytes the legacy helpers produced for kGnm). `spec` must pass

@@ -14,8 +14,8 @@
 // ChurnSweepResult is bit-identical regardless of thread count.
 //
 // Preconditions: sc.graph must describe a connected topology (the session
-// starts from the premarked oracle MSF) on a mutable backend -- kAuto
-// resolves to adjacency (scenario::use_mutable_backend); a non-null
+// starts from the premarked oracle MSF); run_churn resolves it to the
+// mutable adjacency backend (scenario::use_mutable_backend). A non-null
 // `replay` trace must have been generated for a world of the same node
 // count -- ops that no longer resolve are tolerated (applied == false, zero
 // cost), per-op records always line up 1:1 with the trace. Thread-safety:

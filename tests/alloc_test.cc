@@ -277,10 +277,7 @@ TEST(Allocation, ForestBytesAreLinearInNodesOnImplicitComplete) {
   // entries of pool space for its <= 2 path edges (slabs and pool segments
   // both grow by doubling).
   constexpr std::size_t kNodes = 4096;
-  graph::ImplicitSpec spec;
-  spec.n = kNodes;
-  spec.seed = 1;
-  const graph::Graph g = graph::make_implicit_graph(spec);
+  const graph::Graph g = graph::make_implicit_graph({kNodes, /*seed=*/1});
   const std::uint64_t before = g_bytes.load();
   graph::MarkedForest forest(g);
   for (NodeId v = 0; v + 1 < kNodes; ++v) {

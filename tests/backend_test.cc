@@ -1,18 +1,18 @@
 // Backend-equivalence pins: the storage backend behind the Graph read API
-// must be invisible to every protocol. The implicit families materialise
-// exactly (materialize_implicit inserts edges in lexicographic rank order,
-// so edge indices coincide across backends), and packing that adjacency
-// twin into a .kkg store keeps rows and indices verbatim. That lets us run
-// whole protocols -- BuildMST, BuildST, FindMin, GHS -- on the same
-// topology served by the adjacency, implicit and mapped backends and
-// require the full sim::Metrics block to be bit-identical, under every
-// transport (sync / async / adversarial).
+// must be invisible to every protocol. A seeded family's own backend
+// (implicit K_n, frozen igridlong / igeo), its adjacency clone() and its
+// .kkg pack mapped back all serve the same rows and edge indices verbatim.
+// That lets us run whole protocols -- BuildMST, BuildST, FindMin, GHS -- on
+// the same topology served by every backend and require the full
+// sim::Metrics block to be bit-identical, under every transport (sync /
+// async / adversarial).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/ghs.h"
@@ -29,7 +29,7 @@ namespace {
 using test::NetKind;
 using test::World;
 
-// Small instances of each implicit family; every (family, seed) topology is
+// Small instances of each seeded family; every (family, seed) topology is
 // identical across backends by construction.
 GraphSpec family_spec(GraphFamily fam) {
   switch (fam) {
@@ -55,53 +55,54 @@ Scenario scenario_of(GraphFamily fam, GraphBackend backend,
 }
 
 // Packs `sc`'s graph into a per-test .kkg and maps it back read-only.
-std::shared_ptr<const graph::MappedStore> pack_and_map(const Scenario& sc) {
+std::shared_ptr<const graph::FrozenStore> pack_and_map(const Scenario& sc) {
   const std::string path = test::temp_store_path("mapped");
   std::string error;
   EXPECT_TRUE(graph::pack_store(path, build_graph(sc.graph, sc.seed), &error))
       << error;
-  auto store = graph::MappedStore::open(path, &error);
+  auto store = graph::FrozenStore::open(path, &error);
   EXPECT_NE(store, nullptr) << error;
   std::remove(path.c_str());  // the mapping outlives the directory entry
   return store;
 }
 
 // run_scenario(sc, body) with the graph served by `store`: the same world
-// make_world(sc) builds, on the mapped backend.
+// make_world(sc) builds, served from the mapped file.
 sim::Metrics run_mapped(const Scenario& sc,
-                        std::shared_ptr<const graph::MappedStore> store,
+                        std::shared_ptr<const graph::FrozenStore> store,
                         const ScenarioBody& body) {
   auto g = std::make_unique<graph::Graph>(
       graph::Graph::from_store(std::move(store)));
   World w = make_world(std::move(g), sc.net,
                        sc.net_seed.value_or(sc.seed ^ kNetSeedSalt));
-  EXPECT_EQ(w.g->backend(), graph::Graph::Backend::kMapped);
+  EXPECT_EQ(w.g->backend(), graph::Graph::Backend::kFrozen);
   if (sc.premark_msf) w.mark_msf();
   body(w);
   return w.net->metrics();
 }
 
-// Runs `body` on all three backends under every transport; the adjacency
-// backend is the reference block, and the mapped one serves its pack.
+// Runs `body` on the family's own backend (auto), its adjacency clone and
+// the mapped pack of the auto graph under every transport; auto is the
+// reference block.
 void expect_backends_agree(GraphFamily fam, std::uint64_t seed, bool premark,
                            const ScenarioBody& body) {
-  const auto store = pack_and_map(scenario_of(fam, GraphBackend::kAdjacency,
-                                              seed, NetKind::kSync, premark));
+  const auto store = pack_and_map(
+      scenario_of(fam, GraphBackend::kAuto, seed, NetKind::kSync, premark));
   ASSERT_NE(store, nullptr);
   for (const NetKind kind :
        {NetKind::kSync, NetKind::kAsync, NetKind::kAdversarial}) {
-    const Scenario adj =
-        scenario_of(fam, GraphBackend::kAdjacency, seed, kind, premark);
-    const sim::Metrics base = run_scenario(adj, body);
+    const Scenario own =
+        scenario_of(fam, GraphBackend::kAuto, seed, kind, premark);
+    const sim::Metrics base = run_scenario(own, body);
     EXPECT_GT(base.messages, 0u);
     const std::string where = std::string(family_name(fam)) +
                               " net=" + net_kind_name(kind) +
                               " seed=" + std::to_string(seed);
-    EXPECT_EQ(base, run_scenario(scenario_of(fam, GraphBackend::kImplicit,
+    EXPECT_EQ(base, run_scenario(scenario_of(fam, GraphBackend::kAdjacency,
                                              seed, kind, premark),
                                  body))
-        << where << " backend=implicit";
-    EXPECT_EQ(base, run_mapped(adj, store, body)) << where << " backend=mapped";
+        << where << " backend=clone";
+    EXPECT_EQ(base, run_mapped(own, store, body)) << where << " backend=mapped";
   }
 }
 
@@ -173,7 +174,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The mapped store must also pin classic (non-implicit) families against
+// The mapped store must also pin classic (non-seeded) families against
 // adjacency: the pack copies rows verbatim, so a whole protocol sees
 // identical order.
 TEST(BackendClassic, MappedMatchesAdjacencyOnGnm) {
@@ -189,34 +190,37 @@ TEST(BackendClassic, MappedMatchesAdjacencyOnGnm) {
   }
 }
 
-// The auto backend resolves to implicit for implicit families; an explicit
-// request must be the same world.
+// The auto backend keeps each seeded generator's own: implicit for
+// icomplete, frozen for igridlong / igeo. An explicit adjacency request must
+// be the same world.
 TEST(BackendClassic, AutoResolvesToImplicit) {
-  Scenario sc;
-  sc.graph = GraphSpec::icomplete(16);
-  sc.seed = 3;
-  World a = make_world(sc);
-  EXPECT_EQ(a.g->backend(), graph::Graph::Backend::kImplicit);
-  sc.graph.backend = GraphBackend::kAdjacency;
-  World b = make_world(sc);
-  EXPECT_EQ(b.g->backend(), graph::Graph::Backend::kAdjacency);
-  ASSERT_EQ(a.g->edge_slots(), b.g->edge_slots());
-  for (graph::EdgeIdx e = 0; e < a.g->edge_slots(); ++e) {
-    EXPECT_EQ(a.g->aug_weight(e), b.g->aug_weight(e)) << "e=" << e;
+  for (const auto& [spec, own] :
+       {std::pair(GraphSpec::icomplete(16), graph::Graph::Backend::kImplicit),
+        std::pair(GraphSpec::igridlong(16), graph::Graph::Backend::kFrozen),
+        std::pair(GraphSpec::igeo(16), graph::Graph::Backend::kFrozen)}) {
+    Scenario sc;
+    sc.graph = spec;
+    sc.seed = 3;
+    World a = make_world(sc);
+    EXPECT_EQ(a.g->backend(), own) << family_name(spec.family);
+    sc.graph.backend = GraphBackend::kAdjacency;
+    World b = make_world(sc);
+    EXPECT_EQ(b.g->backend(), graph::Graph::Backend::kAdjacency);
+    ASSERT_EQ(a.g->edge_slots(), b.g->edge_slots());
+    for (graph::EdgeIdx e = 0; e < a.g->edge_slots(); ++e) {
+      EXPECT_EQ(a.g->aug_weight(e), b.g->aug_weight(e)) << "e=" << e;
+    }
   }
 }
 
 // Workloads that mutate the graph (churn, fault injection) resolve auto to
-// the adjacency backend, the only mutable one, and reject a read-only one.
+// the adjacency backend, the only mutable one.
 TEST(BackendClassic, MutableWorkloadsResolveToAdjacency) {
   GraphSpec spec = GraphSpec::igridlong(64);
-  EXPECT_FALSE(use_mutable_backend(spec).has_value());
+  use_mutable_backend(spec);
   EXPECT_EQ(spec.backend, GraphBackend::kAdjacency);
   EXPECT_EQ(build_graph(spec, 1).backend(),
             graph::Graph::Backend::kAdjacency);
-  spec.backend = GraphBackend::kImplicit;
-  EXPECT_TRUE(use_mutable_backend(spec).has_value());
-  EXPECT_EQ(spec.backend, GraphBackend::kImplicit);
 }
 
 }  // namespace

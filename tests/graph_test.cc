@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core/build_mst.h"
 #include "graph/dsu.h"
 #include "graph/forest.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/implicit.h"
 #include "graph/mst_oracle.h"
+#include "graph/store.h"
+#include "scenario/scenario.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace kkt::graph {
@@ -69,9 +77,7 @@ TEST(Graph, ExternalIdsDistinctAndMapped) {
     EXPECT_GE(id, 1u);
     EXPECT_LE(id, kMaxExtId);
     EXPECT_TRUE(ids.insert(id).second);
-    EXPECT_EQ(g.node_of_ext(id), v);
   }
-  EXPECT_FALSE(g.node_of_ext(0).has_value());
 }
 
 TEST(Graph, AugWeightsUniqueEvenWithEqualRawWeights) {
@@ -136,6 +142,60 @@ TEST(Graph, SortedRowsFollowMutation) {
     expect_row(ed.v);
   }
   for (NodeId v = 0; v < 8; ++v) expect_row(v);
+}
+
+sim::Metrics build_mst_cost(const Graph& g) {
+  MarkedForest forest(g);
+  const auto net = scenario::make_network(g, scenario::NetSpec::sync(), 5);
+  core::build_mst(*net, forest);
+  return net->metrics();
+}
+
+// clone() copies every backend into adjacency verbatim: the edge table by
+// index (dead slots included) and every row in order, so a whole BuildMST
+// run on the copy is bit-identical.
+TEST(Graph, CloneOfEveryBackendIsVerbatim) {
+  util::Rng rng(21);
+  Graph gnm = random_connected_gnm(40, 150, {1u << 12}, rng);
+  for (const EdgeIdx e : {EdgeIdx{3}, EdgeIdx{50}, EdgeIdx{77}}) {
+    gnm.remove_edge(e);
+  }
+  const std::string path = test::temp_store_path("clone");
+  std::string error;
+  ASSERT_TRUE(pack_store(path, gnm, &error)) << error;
+  auto store = FrozenStore::open(path, &error);
+  ASSERT_NE(store, nullptr) << error;
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+
+  std::vector<Graph> graphs;
+  graphs.push_back(make_implicit_graph({24, 1}));
+  graphs.push_back(igridlong(64, 2, 1));
+  graphs.push_back(igeo(64, 8.0, 1));
+  graphs.push_back(Graph::from_store(std::move(store)));
+  graphs.push_back(std::move(gnm));
+  for (const Graph& g : graphs) {
+    const Graph c = g.clone();
+    const int b = static_cast<int>(g.backend());
+    EXPECT_EQ(c.backend(), Graph::Backend::kAdjacency);
+    ASSERT_EQ(c.edge_slots(), g.edge_slots()) << "backend " << b;
+    EXPECT_EQ(c.edge_count(), g.edge_count()) << "backend " << b;
+    for (EdgeIdx e = 0; e < g.edge_slots(); ++e) {
+      const Edge x = g.edge(e), y = c.edge(e);
+      EXPECT_TRUE(x.u == y.u && x.v == y.v && x.weight == y.weight &&
+                  x.alive == y.alive)
+          << "backend " << b << " e=" << e;
+    }
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const std::span<const Incidence> row = g.incident(v);
+      const std::span<const Incidence> crow = c.incident(v);
+      ASSERT_EQ(row.size(), crow.size()) << "backend " << b << " v=" << v;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        EXPECT_TRUE(row[i].peer == crow[i].peer && row[i].edge == crow[i].edge)
+            << "backend " << b << " v=" << v << " i=" << i;
+      }
+    }
+    EXPECT_EQ(build_mst_cost(g), build_mst_cost(c)) << "backend " << b;
+  }
 }
 
 TEST(Dsu, UniteAndComponents) {

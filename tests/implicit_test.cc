@@ -1,22 +1,26 @@
-// Implicit-family neighbor oracles: every answer an ImplicitCore computes
-// (degrees, incidence rows, aug-sorted rows, range windows, edge decodes,
-// find_edge, max weight) must match the same family materialised into the
-// adjacency backend edge by edge. materialize_implicit inserts edges in
-// lexicographic (min, max) order, so edge indices coincide with implicit
-// ranks and the comparison is exact, not just up to relabeling.
+// Seeded-family oracles: every answer a generated graph serves -- implicit
+// K_n (ImplicitCore) and the frozen igridlong / igeo CSR -- must match its
+// clone() on the adjacency backend, which holds the same edge table and
+// rows: degrees, incidence rows, aug-sorted rows, range windows, edge
+// records, find_edge, max weight. The rows must also be exactly what
+// inserting the edges with add_edge in index order builds, and the indices
+// exactly the lexicographic ranks of the endpoint pairs, so a seeded graph
+// is the same graph on every backend, not just up to relabeling.
 //
 // The XL smokes construct icomplete at n = 10^6 (edge ranks ~5*10^11, far
 // beyond anything materialisable) and igridlong at n = 1048576, then probe
-// sampled nodes through the analytic paths -- degree, windows, decode
-// round-trips -- without ever enumerating an edge set.
+// sampled nodes -- degree, windows, decode round-trips -- without ever
+// enumerating an edge set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/forest.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/implicit.h"
 #include "test_util.h"
@@ -25,36 +29,37 @@
 namespace kkt::graph {
 namespace {
 
-ImplicitSpec small_spec(ImplicitFamily fam, std::uint64_t seed,
-                        Weight maxw = 1u << 20) {
-  ImplicitSpec spec;
-  spec.family = fam;
-  spec.seed = seed;
-  spec.max_weight = maxw;
+// The families under test; the order fixes the parameterised test names.
+enum class Family { kComplete, kGridLong, kGeometric };
+
+const char* name_of(Family fam) {
   switch (fam) {
-    case ImplicitFamily::kComplete:
-      spec.n = 24;
-      break;
-    case ImplicitFamily::kGridLong:
-      spec.n = 36;
-      spec.long_links = 3;
-      break;
-    case ImplicitFamily::kGeometric:
-      spec.n = 40;
-      spec.target_degree = 6.0;
-      break;
+    case Family::kComplete: return "icomplete";
+    case Family::kGridLong: return "igridlong";
+    case Family::kGeometric: return "igeo";
   }
-  return spec;
+  return "?";
 }
 
-void expect_rows_match(const ImplicitCore& core, const Graph& mat,
-                       const char* what) {
-  ASSERT_EQ(core.node_count(), mat.node_count()) << what;
-  ASSERT_EQ(core.edge_slots(), mat.edge_slots()) << what;
-  const auto n = static_cast<NodeId>(core.node_count());
+Graph small_graph(Family fam, std::uint64_t seed, Weight maxw = 1u << 20) {
+  switch (fam) {
+    case Family::kComplete:
+      return make_implicit_graph({24, seed, maxw});
+    case Family::kGridLong:
+      return igridlong(36, 3, seed, maxw);
+    case Family::kGeometric:
+      break;
+  }
+  return igeo(40, 6.0, seed, maxw);
+}
+
+void expect_rows_match(const Graph& g, const Graph& mat, const char* what) {
+  ASSERT_EQ(g.node_count(), mat.node_count()) << what;
+  ASSERT_EQ(g.edge_slots(), mat.edge_slots()) << what;
+  const auto n = static_cast<NodeId>(g.node_count());
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(core.degree(v), mat.degree(v)) << what << " v=" << v;
-    const std::span<const Incidence> row = core.incident(v);
+    EXPECT_EQ(g.degree(v), mat.degree(v)) << what << " v=" << v;
+    const std::span<const Incidence> row = g.incident(v);
     const std::span<const Incidence> mrow = mat.incident(v);
     ASSERT_EQ(row.size(), mrow.size()) << what << " v=" << v;
     for (std::size_t i = 0; i < row.size(); ++i) {
@@ -73,66 +78,90 @@ void expect_same_augs(std::span<const AugWeight> got,
   }
 }
 
-// Sorted rows are served by the implicit Graph: K_n's closed-form windows,
-// the sparse families' per-node cache.
+// Sorted rows: K_n's closed-form windows, the frozen rows' per-node cache.
 void expect_sorted_match(const Graph& g, const Graph& mat, const char* what) {
   for (NodeId v = 0; v < g.node_count(); ++v) {
     expect_same_augs(g.sorted_incident(v), mat.sorted_incident(v), what, v);
   }
 }
 
+// g's edges inserted with add_edge in index order; each must get its own
+// index back.
+Graph inserted_in_index_order(const Graph& g) {
+  std::vector<ExtId> ids(g.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) ids[v] = g.ext_id(v);
+  Graph h(std::move(ids));
+  for (EdgeIdx e = 0; e < g.edge_slots(); ++e) {
+    const Edge ed = g.edge(e);
+    EXPECT_EQ(h.add_edge(ed.u, ed.v, ed.weight), e);
+  }
+  return h;
+}
+
+// Edge indices are the lexicographic ranks of the pairs (min, max).
+void expect_lexicographic_ranks(const Graph& g, const char* what) {
+  for (EdgeIdx e = 1; e < g.edge_slots(); ++e) {
+    const Edge a = g.edge(e - 1), b = g.edge(e);
+    EXPECT_LT(std::pair(std::min(a.u, a.v), std::max(a.u, a.v)),
+              std::pair(std::min(b.u, b.v), std::max(b.u, b.v)))
+        << what << " e=" << e;
+  }
+}
+
 class FamilyOracle
-    : public ::testing::TestWithParam<std::tuple<ImplicitFamily,
-                                                 std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<Family, std::uint64_t>> {};
 
 TEST_P(FamilyOracle, RowsAndSortedRowsMatchMaterialized) {
   const auto [fam, seed] = GetParam();
-  const ImplicitSpec spec = small_spec(fam, seed);
-  const ImplicitCore core(spec);
-  const Graph mat = materialize_implicit(spec);
-  for (NodeId v = 0; v < core.node_count(); ++v) {
-    EXPECT_EQ(core.ext_ids()[v], mat.ext_id(v));
+  const Graph g = small_graph(fam, seed);
+  const Graph mat = g.clone();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(g.ext_id(v), mat.ext_id(v));
   }
-  EXPECT_EQ(core.id_bits(), mat.id_bits());
-  expect_rows_match(core, mat, implicit_family_name(fam));
-  expect_sorted_match(make_implicit_graph(spec), mat,
-                      implicit_family_name(fam));
+  EXPECT_EQ(g.id_bits(), mat.id_bits());
+  expect_rows_match(g, mat, name_of(fam));
+  expect_rows_match(g, inserted_in_index_order(g), name_of(fam));
+  expect_sorted_match(g, mat, name_of(fam));
 }
 
 TEST_P(FamilyOracle, EdgeDecodeAndFindEdgeMatch) {
   const auto [fam, seed] = GetParam();
-  const ImplicitSpec spec = small_spec(fam, seed);
-  const ImplicitCore core(spec);
-  const Graph mat = materialize_implicit(spec);
-  for (EdgeIdx e = 0; e < core.edge_slots(); ++e) {
-    const Edge ce = core.edge(e);
+  const Graph g = small_graph(fam, seed);
+  const Graph mat = g.clone();
+  expect_lexicographic_ranks(g, name_of(fam));
+  for (EdgeIdx e = 0; e < g.edge_slots(); ++e) {
+    const Edge ge = g.edge(e);
     const Edge me = mat.edge(e);
-    EXPECT_EQ(std::min(ce.u, ce.v), std::min(me.u, me.v)) << "e=" << e;
-    EXPECT_EQ(std::max(ce.u, ce.v), std::max(me.u, me.v)) << "e=" << e;
-    EXPECT_EQ(ce.weight, me.weight) << "e=" << e;
-    EXPECT_TRUE(ce.alive) << "e=" << e;
-    EXPECT_EQ(core.rank_of(ce.u, ce.v), e);
+    EXPECT_EQ(ge.u, me.u) << "e=" << e;
+    EXPECT_EQ(ge.v, me.v) << "e=" << e;
+    EXPECT_EQ(ge.weight, me.weight) << "e=" << e;
+    EXPECT_TRUE(ge.alive) << "e=" << e;
   }
-  const auto n = static_cast<NodeId>(core.node_count());
+  if (fam == Family::kComplete) {
+    const ImplicitCore core({24, seed});
+    for (EdgeIdx e = 0; e < core.edge_slots(); ++e) {
+      const Edge ce = core.edge(e);
+      EXPECT_EQ(core.rank_of(ce.u, ce.v), e);
+    }
+  }
+  const auto n = static_cast<NodeId>(g.node_count());
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(core.find_edge(u, v), mat.find_edge(u, v))
+      EXPECT_EQ(g.find_edge(u, v), mat.find_edge(u, v))
           << "u=" << u << " v=" << v;
     }
   }
-  EXPECT_EQ(core.max_weight(), mat.max_weight());
-  EXPECT_EQ(core.max_edge_num(), mat.max_edge_num());
-  EXPECT_EQ(make_implicit_graph(spec).alive_edge_indices(),
-            mat.alive_edge_indices());
+  EXPECT_EQ(g.max_weight(), mat.max_weight());
+  EXPECT_EQ(g.max_edge_num(), mat.max_edge_num());
+  EXPECT_EQ(g.alive_edge_indices(), mat.alive_edge_indices());
 }
 
 TEST_P(FamilyOracle, RangeWindowsMatchMaterialized) {
   const auto [fam, seed] = GetParam();
   // A small weight range forces ties, wrap-around segments and partial
   // boundary weight classes through the analytic complete window.
-  const ImplicitSpec spec = small_spec(fam, seed, /*maxw=*/7);
-  const Graph g = make_implicit_graph(spec);
-  const Graph mat = materialize_implicit(spec);
+  const Graph g = small_graph(fam, seed, /*maxw=*/7);
+  const Graph mat = g.clone();
   const int en_bits = g.edge_num_bits();
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const std::span<const AugWeight> full = mat.sorted_incident(v);
@@ -155,78 +184,62 @@ TEST_P(FamilyOracle, RangeWindowsMatchMaterialized) {
     }
     for (const auto& [lo, hi] : windows) {
       expect_same_augs(g.sorted_incident_range(v, lo, hi),
-                       mat.sorted_incident_range(v, lo, hi),
-                       implicit_family_name(fam), v);
+                       mat.sorted_incident_range(v, lo, hi), name_of(fam),
+                       v);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Families, FamilyOracle,
-    ::testing::Combine(::testing::Values(ImplicitFamily::kComplete,
-                                         ImplicitFamily::kGridLong,
-                                         ImplicitFamily::kGeometric),
+    ::testing::Combine(::testing::Values(Family::kComplete, Family::kGridLong,
+                                         Family::kGeometric),
                        ::testing::Values(1u, 7u, 1234u)));
 
-// Grid size clamps to the largest square; the clamp must be visible in the
-// spec the core reports.
+// Grid size clamps to the largest square.
 TEST(Implicit, GridClampsToSquare) {
-  ImplicitSpec spec;
-  spec.family = ImplicitFamily::kGridLong;
-  spec.n = 40;  // not a square
-  spec.seed = 3;
-  const ImplicitCore core(spec);
-  EXPECT_EQ(core.node_count(), 36u);
-  EXPECT_EQ(core.spec().n, 36u);
+  const Graph g = igridlong(/*n=*/40, 2, /*seed=*/3);  // 40 is not a square
+  EXPECT_EQ(g.backend(), Graph::Backend::kFrozen);
+  EXPECT_EQ(g.node_count(), 36u);
 }
 
-// --- Stored sparse rows ------------------------------------------------------
+// --- Frozen sparse rows ------------------------------------------------------
 
-// Every pair's find_edge / rank_of / edge round-trip, against the
-// materialised twin. igridlong n=64 with 64 long links saturates: each node
-// draws every peer that is not a grid neighbour, so every long link is
-// drawn from both ends (u -> t and t -> u) and must appear once in both
-// rows -- the family is exactly K_64.
+// Every pair's find_edge / edge round-trip, against the clone. igridlong
+// n=64 with 64 long links saturates: each node draws every peer that is not
+// a grid neighbour, so every long link is drawn from both ends (u -> t and
+// t -> u) and must appear once in both rows -- the family is exactly K_64.
 TEST(ImplicitRows, AllPairsRoundTripMatchesMaterialized) {
-  ImplicitSpec grid;
-  grid.family = ImplicitFamily::kGridLong;
-  grid.n = 64;
-  grid.long_links = 64;
-  grid.seed = 5;
-  ImplicitSpec geo;
-  geo.family = ImplicitFamily::kGeometric;
-  geo.n = 96;
-  geo.target_degree = 10.0;
-  geo.seed = 5;
-  EXPECT_EQ(ImplicitCore(grid).edge_slots(), 64u * 63u / 2u);
-  for (const ImplicitSpec& spec : {grid, geo}) {
-    const char* what = implicit_family_name(spec.family);
-    const ImplicitCore core(spec);
-    const Graph mat = materialize_implicit(spec);
-    expect_rows_match(core, mat, what);
-    const auto n = static_cast<NodeId>(core.node_count());
+  const Graph grid = igridlong(64, 64, 5);
+  const Graph geo = igeo(96, 10.0, 5);
+  EXPECT_EQ(grid.edge_slots(), 64u * 63u / 2u);
+  for (const Graph* g : {&grid, &geo}) {
+    const char* what = g == &grid ? "igridlong" : "igeo";
+    const Graph mat = g->clone();
+    expect_rows_match(*g, mat, what);
+    expect_lexicographic_ranks(*g, what);
+    const auto n = static_cast<NodeId>(g->node_count());
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = 0; v < n; ++v) {
-        const std::optional<EdgeIdx> e = core.find_edge(u, v);
+        const std::optional<EdgeIdx> e = g->find_edge(u, v);
         ASSERT_EQ(e, mat.find_edge(u, v)) << what << " u=" << u << " v=" << v;
         if (!e) continue;
-        EXPECT_EQ(core.rank_of(u, v), *e) << what;
-        const Edge ce = core.edge(*e);
-        EXPECT_EQ(std::min(ce.u, ce.v), std::min(u, v)) << what << " e=" << *e;
-        EXPECT_EQ(std::max(ce.u, ce.v), std::max(u, v)) << what << " e=" << *e;
-        EXPECT_EQ(ce.weight, mat.edge(*e).weight) << what << " e=" << *e;
+        const Edge ge = g->edge(*e);
+        EXPECT_EQ(std::min(ge.u, ge.v), std::min(u, v)) << what << " e=" << *e;
+        EXPECT_EQ(std::max(ge.u, ge.v), std::max(u, v)) << what << " e=" << *e;
+        EXPECT_EQ(ge.weight, mat.edge(*e).weight) << what << " e=" << *e;
       }
     }
   }
 }
 
-// Sparse rows are stored, not recycled: an incident(v) span and a sorted
-// row span of the implicit Graph stay put, byte-identical, while more other
+// Frozen rows are stored, not recycled: an incident(v) span and a sorted
+// row span of a generated graph stay put, byte-identical, while more other
 // rows are queried than the K_n ring (kIncSlots) holds.
 TEST(ImplicitRows, SparseIncidentSpansOutliveTheRing) {
-  for (const ImplicitFamily fam :
-       {ImplicitFamily::kGridLong, ImplicitFamily::kGeometric}) {
-    const Graph g = make_implicit_graph(small_spec(fam, 3));
+  for (const Family fam : {Family::kGridLong, Family::kGeometric}) {
+    const Graph g = small_graph(fam, 3);
+    ASSERT_EQ(g.backend(), Graph::Backend::kFrozen);
     const std::span<const Incidence> row = g.incident(0);
     const std::vector<Incidence> copy(row.begin(), row.end());
     const std::span<const AugWeight> sorted = g.sorted_incident(0);
@@ -241,10 +254,10 @@ TEST(ImplicitRows, SparseIncidentSpansOutliveTheRing) {
     EXPECT_EQ(g.sorted_incident(0).data(), sorted.data());
     ASSERT_EQ(row.size(), copy.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(row[i].peer, copy[i].peer) << implicit_family_name(fam);
-      EXPECT_EQ(row[i].edge, copy[i].edge) << implicit_family_name(fam);
+      EXPECT_EQ(row[i].peer, copy[i].peer) << name_of(fam);
+      EXPECT_EQ(row[i].edge, copy[i].edge) << name_of(fam);
     }
-    expect_same_augs(sorted, sorted_copy, implicit_family_name(fam), 0);
+    expect_same_augs(sorted, sorted_copy, name_of(fam), 0);
   }
 }
 
@@ -252,7 +265,6 @@ TEST(ImplicitRows, SparseIncidentSpansOutliveTheRing) {
 
 TEST(ImplicitXL, CompleteMillionNodesAnalyticProbes) {
   ImplicitSpec spec;
-  spec.family = ImplicitFamily::kComplete;
   spec.n = 1'000'000;
   spec.seed = 42;
   const ImplicitCore core(spec);
@@ -311,12 +323,7 @@ TEST(ImplicitXL, CompleteMillionNodesAnalyticProbes) {
 }
 
 TEST(ImplicitXL, GridLongMillionNodesRowProbes) {
-  ImplicitSpec spec;
-  spec.family = ImplicitFamily::kGridLong;
-  spec.n = 1'048'576;  // 1024 x 1024
-  spec.seed = 9;
-  spec.long_links = 2;
-  const Graph g = make_implicit_graph(spec);
+  const Graph g = igridlong(1'048'576, 2, 9);  // 1024 x 1024
   EXPECT_EQ(g.node_count(), 1'048'576u);
   EXPECT_GE(g.edge_slots(), EdgeIdx{2} * 1024 * 1023);  // grid edges alone
   util::Rng rng(11);
@@ -339,16 +346,12 @@ TEST(ImplicitXL, GridLongMillionNodesRowProbes) {
   }
 }
 
-// --- MarkedForest on web-scale implicit graphs ------------------------------
+// --- MarkedForest on web-scale implicit K_n ---------------------------------
 
 // An implicit K_n at web scale must construct a forest without touching
 // Theta(m) memory: marks live in per-node entries, O(n + tree edges).
 TEST(ImplicitForest, WebScaleCompleteForestIsNodeLocal) {
-  ImplicitSpec spec;
-  spec.family = ImplicitFamily::kComplete;
-  spec.n = 1'000'000;
-  spec.seed = 1;
-  const Graph g = make_implicit_graph(spec);
+  const Graph g = make_implicit_graph({1'000'000, 1});
   MarkedForest forest(g);  // per-edge marks would be ~5 TB
   const EdgeIdx e = *g.find_edge(3, 77);
   forest.mark_edge(e, 2);

@@ -86,10 +86,6 @@ TEST(GraphSpecError, RejectsSizesTheGeneratorsOnlyAssert) {
   EXPECT_FALSE(graph_spec_error(GraphSpec::igridlong(64, 64)).has_value());
   EXPECT_TRUE(graph_spec_error(GraphSpec::igridlong(64, 65)).has_value());
   EXPECT_TRUE(graph_spec_error(GraphSpec::icomplete(1)).has_value());
-
-  GraphSpec implicit_ring = ring;
-  implicit_ring.backend = GraphBackend::kImplicit;
-  EXPECT_TRUE(graph_spec_error(implicit_ring).has_value());
 }
 
 TEST(BuildGraph, DeterministicGivenSeed) {

@@ -1,6 +1,6 @@
 // .kkg store pins: pack -> mmap -> serve must round-trip a graph exactly
 // (rows verbatim, edge indices dense-reindexed in ascending original order),
-// and MappedStore::open must reject every corrupted byte pattern with a
+// and FrozenStore::open must reject every corrupted byte pattern with a
 // diagnostic instead of undefined behaviour. The corruption cases below each
 // take a valid packed file and break exactly one invariant the loader
 // documents (docs/GRAPH_STORE.md); asan runs of this suite double as the
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/build_mst.h"
+#include "graph/generators.h"
 #include "graph/implicit.h"
 #include "graph/store.h"
 #include "test_util.h"
@@ -67,7 +68,7 @@ void expect_reject(const std::vector<unsigned char>& bytes,
   const std::string path = test::temp_store_path("bad_" + name);
   write_file(path, bytes);
   std::string error;
-  const auto store = MappedStore::open(path, &error);
+  const auto store = FrozenStore::open(path, &error);
   EXPECT_EQ(store, nullptr) << name;
   EXPECT_NE(error.find(needle), std::string::npos)
       << name << ": diagnostic was \"" << error << "\"";
@@ -96,14 +97,14 @@ TEST(Store, RoundTripServesIdenticalRows) {
   std::string error;
   ASSERT_TRUE(pack_store(path, *src, &error)) << error;
 
-  const auto store = MappedStore::open(path, &error);
+  const auto store = FrozenStore::open(path, &error);
   ASSERT_NE(store, nullptr) << error;
   EXPECT_EQ(store->node_count(), src->node_count());
   EXPECT_EQ(store->edge_count(), src->edge_count());
   EXPECT_EQ(store->id_bits(), src->id_bits());
 
   const Graph g = Graph::from_store(store);
-  EXPECT_EQ(g.backend(), Graph::Backend::kMapped);
+  EXPECT_EQ(g.backend(), Graph::Backend::kFrozen);
   ASSERT_EQ(g.node_count(), src->node_count());
   ASSERT_EQ(g.edge_slots(), src->edge_slots());  // fresh source: all alive
   EXPECT_EQ(g.edge_count(), src->edge_count());
@@ -147,7 +148,7 @@ TEST(Store, MappedGraphRunsProtocolsBitIdentically) {
     ASSERT_TRUE(pack_store(path, *src, &error)) << error;
   }
   std::string error;
-  const auto store = MappedStore::open(path, &error);
+  const auto store = FrozenStore::open(path, &error);
   ASSERT_NE(store, nullptr) << error;
   auto mapped = std::make_unique<Graph>(Graph::from_store(store));
 
@@ -168,7 +169,7 @@ TEST(Store, RemovedEdgesPackDenselyReindexed) {
   const std::string path = test::temp_store_path("reindex");
   std::string error;
   ASSERT_TRUE(pack_store(path, *src, &error)) << error;
-  const auto store = MappedStore::open(path, &error);
+  const auto store = FrozenStore::open(path, &error);
   ASSERT_NE(store, nullptr) << error;
   const Graph g = Graph::from_store(store);
   EXPECT_EQ(g.edge_count(), src->edge_count());
@@ -194,23 +195,17 @@ TEST(Store, RemovedEdgesPackDenselyReindexed) {
   std::remove(path.c_str());
 }
 
-// Backend invisibility extends to the pack: every implicit family serves
-// rows in the same order as the materialised adjacency graph, so both
-// produce byte-identical .kkg files (which is why `kkt_lab gen --out X.kkg`
-// packs the default backend as it is).
+// Backend invisibility extends to the pack: every seeded family serves rows
+// in the same order as its adjacency clone, so both produce byte-identical
+// .kkg files (which is why `kkt_lab gen --out X.kkg` packs the default
+// backend as it is).
 TEST(Store, PackIsByteIdenticalAcrossBackends) {
-  for (const ImplicitFamily family :
-       {ImplicitFamily::kGridLong, ImplicitFamily::kGeometric,
-        ImplicitFamily::kComplete}) {
-    ImplicitSpec spec;
-    spec.family = family;
-    spec.n = family == ImplicitFamily::kGeometric ? 64 : 25;
-    spec.seed = 11;
-    spec.long_links = 2;
-    const Graph adj = materialize_implicit(spec);
-    const Graph imp = make_implicit_graph(spec);
-    EXPECT_EQ(pack_bytes(adj, "pk_adj"), pack_bytes(imp, "pk_imp"))
-        << "family " << static_cast<int>(family);
+  const Graph grid = igridlong(25, 2, 11);
+  const Graph geo = igeo(64, 8.0, 11);
+  const Graph complete = make_implicit_graph({25, 11});
+  for (const Graph* g : {&grid, &geo, &complete}) {
+    EXPECT_EQ(pack_bytes(g->clone(), "pk_adj"), pack_bytes(*g, "pk_own"))
+        << "backend " << static_cast<int>(g->backend());
   }
 }
 
@@ -235,7 +230,7 @@ class StoreCorruption : public ::testing::Test {
 
 TEST_F(StoreCorruption, MissingFile) {
   std::string error;
-  EXPECT_EQ(MappedStore::open(test::temp_store_path("never_written"), &error),
+  EXPECT_EQ(FrozenStore::open(test::temp_store_path("never_written"), &error),
             nullptr);
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }

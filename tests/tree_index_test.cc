@@ -163,7 +163,7 @@ std::vector<Backend> backends() {
          const std::string path = test::temp_store_path("tree_index");
          std::string error;
          EXPECT_TRUE(pack_store(path, gnm(4), &error)) << error;
-         auto store = MappedStore::open(path, &error);
+         auto store = FrozenStore::open(path, &error);
          EXPECT_NE(store, nullptr) << error;
          std::remove(path.c_str());  // the mapping outlives the entry
          return Graph::from_store(std::move(store));
@@ -171,19 +171,12 @@ std::vector<Backend> backends() {
        false},
       {"implicit_grid",
        [] {
-         ImplicitSpec spec;
-         spec.family = ImplicitFamily::kGridLong;
-         spec.n = 64;
-         spec.seed = 5;
-         return make_implicit_graph(spec);
+         return igridlong(/*n=*/64, /*long_links=*/2, /*seed=*/5);
        },
        false},
       {"implicit_complete",
        [] {
-         ImplicitSpec spec;
-         spec.n = 20;
-         spec.seed = 6;
-         return make_implicit_graph(spec);
+         return make_implicit_graph({/*n=*/20, /*seed=*/6});
        },
        false},
   };

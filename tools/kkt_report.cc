@@ -12,7 +12,7 @@
 //       is checked (kkt and ghs against the oracle MSF, flood for
 //       spanning); a failed check prints an `error:` line per cell, writes
 //       nothing and exits 1. --xl-sizes adds
-//       the web-scale build_mst_xl task (implicit grid+long-links family,
+//       the web-scale build_mst_xl task (igridlong grid+long-links family,
 //       kkt vs ghs, one run per cell); --measure additionally stamps the
 //       schema-v2 wall_ns / peak_rss_kb observables onto every cell, which
 //       trades the byte-determinism of the artifact for telemetry -- keep
