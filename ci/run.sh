@@ -27,8 +27,9 @@
 #   ci/run.sh faults    # fault-injection gate (docs/FAULTS.md): the
 #                       # fault-labelled suite (batch deletions, regional
 #                       # outages, partition-and-heal over reliable links;
-#                       # bit-identical metrics across reruns and with or
-#                       # without the sync send skip, oracle-clean heals)
+#                       # bit-identical metrics across reruns and between
+#                       # the sync schedule and its adversarial spelling,
+#                       # oracle-clean heals)
 #                       # under the strict dev preset, then the full fault
 #                       # matrix through kkt_lab
 #                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
@@ -90,9 +91,9 @@ run_lint() {
 
 # Faults stage: the fault-injection gate (docs/FAULTS.md). The labelled
 # suite pins the deterministic fault matrix -- every model x transport x
-# seed with bit-identical metrics across reruns and between SyncNetwork and
-# a unit-delay AdversarialNetwork (the sync send skip vs per-send policy
-# calls), oracle-clean after every event -- under the strict dev build.
+# seed with bit-identical metrics across reruns and between the sync
+# schedule and the adversarial factory with every delay fixed at one tick,
+# oracle-clean after every event -- under the strict dev build.
 # Faults are graph updates; links stay reliable, so the only undelivered
 # sends are max_rounds backstop leftovers (dropped_deliveries, 0 in a
 # correct run). The kkt_lab run then replays all three fault models through

@@ -18,7 +18,7 @@
 #include "core/build_st.h"
 #include "proto/tree_ops.h"
 #include "scenario/scenario.h"
-#include "sim/sync_network.h"
+#include "sim/network.h"
 
 int main(int argc, char** argv) {
   const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 128;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   kkt::graph::MarkedForest st(g);
   std::uint64_t kkt_msgs = 0;
   {
-    kkt::sim::SyncNetwork net(g, seed);
+    kkt::sim::Network net(g, seed, kkt::sim::DeliveryPolicy::sync());
     const auto stats = kkt::core::build_st(net, st);
     kkt_msgs = net.metrics().messages;
     std::printf("Build ST (KKT):   %8" PRIu64 " messages, %zu phases, %s\n",
@@ -44,14 +44,14 @@ int main(int argc, char** argv) {
   }
   {
     kkt::graph::MarkedForest flooded(g);
-    kkt::sim::SyncNetwork net(g, seed);
+    kkt::sim::Network net(g, seed, kkt::sim::DeliveryPolicy::sync());
     kkt::baseline::flood_build_st(net, flooded);
     std::printf("Flooding ST:      %8" PRIu64 " messages (m = %zu)\n",
                 net.metrics().messages, m);
   }
 
   // --- usage: leader election + aggregation over the tree ------------------
-  kkt::sim::SyncNetwork net(g, seed + 1);
+  kkt::sim::Network net(g, seed + 1, kkt::sim::DeliveryPolicy::sync());
   kkt::proto::TreeOps ops(net, kkt::graph::TreeView(st));
   std::vector<kkt::graph::NodeId> everyone(n);
   for (kkt::graph::NodeId v = 0; v < n; ++v) everyone[v] = v;

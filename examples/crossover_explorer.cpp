@@ -15,7 +15,7 @@
 #include "core/build_mst.h"
 #include "graph/mst_oracle.h"
 #include "scenario/scenario.h"
-#include "sim/sync_network.h"
+#include "sim/network.h"
 
 namespace {
 
@@ -26,7 +26,7 @@ struct Run {
 
 Run run_kkt(const kkt::graph::Graph& g, std::uint64_t seed) {
   kkt::graph::MarkedForest f(g);
-  kkt::sim::SyncNetwork net(g, seed);
+  kkt::sim::Network net(g, seed, kkt::sim::DeliveryPolicy::sync());
   kkt::core::build_mst(net, f);
   return {net.metrics().messages,
           kkt::graph::same_edge_set(f.marked_edges(),
@@ -35,7 +35,7 @@ Run run_kkt(const kkt::graph::Graph& g, std::uint64_t seed) {
 
 Run run_ghs(const kkt::graph::Graph& g, std::uint64_t seed) {
   kkt::graph::MarkedForest f(g);
-  kkt::sim::SyncNetwork net(g, seed);
+  kkt::sim::Network net(g, seed, kkt::sim::DeliveryPolicy::sync());
   kkt::baseline::ghs_build_mst(net, f);
   return {net.metrics().messages,
           kkt::graph::same_edge_set(f.marked_edges(),

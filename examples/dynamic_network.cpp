@@ -17,7 +17,7 @@
 #include "core/session.h"
 #include "graph/mst_oracle.h"
 #include "scenario/scenario.h"
-#include "sim/async_network.h"
+#include "sim/network.h"
 #include "workload/generators.h"
 
 int main(int argc, char** argv) {
@@ -83,8 +83,9 @@ int main(int argc, char** argv) {
         // scratch copy of the world so costs do not mix).
         if (tree_edge) {
           kkt::graph::Graph g2 = g.clone();
-          kkt::sim::AsyncNetwork net2(
-              g2, seed + 100 + static_cast<std::uint64_t>(op_index));
+          kkt::sim::Network net2(
+              g2, seed + 100 + static_cast<std::uint64_t>(op_index),
+              kkt::sim::DeliveryPolicy::async(16));
           g2.remove_edge(*edge);
           kkt::graph::MarkedForest f2(g2);
           for (auto e : forest.marked_edges()) {

@@ -249,16 +249,15 @@ void render_crossover(const Series& rep, const Series& reb, std::string& out) {
 
 }  // namespace
 
-std::string render_headtohead_markdown(const ResultFile& f,
-                                       std::string_view source) {
+std::string render_headtohead_markdown(const ResultFile& f) {
   const std::vector<TaskTable> tasks = collect(f);
   std::string out;
   out += "# Head-to-head: KKT vs the Ω(m) baselines\n\n";
   out += "<!-- Generated by kkt_report from ";
-  out += source;
+  out += kHeadToHeadArtifact;
   out += "; do not edit by hand.\n";
   out += "     Regenerate: kkt_report gen --in ";
-  out += source;
+  out += kHeadToHeadArtifact;
   out += " (see docs/RESULT_SCHEMA.md). -->\n\n";
   out +=
       "Every task runs the KKT algorithm and its baselines on the *same* "

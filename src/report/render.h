@@ -31,10 +31,13 @@ inline constexpr std::string_view kGeneratedBeginMarker =
 inline constexpr std::string_view kGeneratedEndMarker =
     "<!-- END GENERATED: kkt_report headtohead -->";
 
+// The artifact's canonical file name: kkt_report run writes it by default,
+// and the rendered document names it whichever file the artifact was read
+// from, so the output depends on the artifact's content alone.
+inline constexpr std::string_view kHeadToHeadArtifact = "BENCH_headtohead.json";
+
 // The full head-to-head document (docs/experiments/headtohead.md).
-// `source` names the artifact the tables were rendered from.
-std::string render_headtohead_markdown(const ResultFile& f,
-                                       std::string_view source);
+std::string render_headtohead_markdown(const ResultFile& f);
 
 // The compact exponent-summary block injected into EXPERIMENTS.md
 // (marker lines not included).

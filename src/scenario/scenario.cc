@@ -194,21 +194,13 @@ graph::Graph build_graph(const GraphSpec& spec, std::uint64_t seed) {
 std::unique_ptr<sim::Network> make_network(const graph::Graph& g,
                                            const NetSpec& spec,
                                            std::uint64_t seed) {
-  std::unique_ptr<sim::Network> net;
-  switch (spec.kind) {
-    case NetKind::kSync:
-      net = std::make_unique<sim::SyncNetwork>(g, seed);
-      break;
-    case NetKind::kAsync:
-      net = std::make_unique<sim::AsyncNetwork>(g, seed, spec.async_cfg);
-      break;
-    case NetKind::kAdversarial:
-      net = std::make_unique<sim::AdversarialNetwork>(g, seed,
-                                                      spec.adversarial_cfg);
-      break;
+  sim::DeliveryPolicy policy = sim::DeliveryPolicy::sync();
+  if (spec.kind == NetKind::kAsync) {
+    policy = sim::DeliveryPolicy::async(spec.async_cfg.max_delay);
+  } else if (spec.kind == NetKind::kAdversarial) {
+    policy = sim::DeliveryPolicy::adversarial(spec.adversarial_cfg);
   }
-  assert(net != nullptr && "unknown network kind");
-  return net;
+  return std::make_unique<sim::Network>(g, seed, policy);
 }
 
 World make_world(std::unique_ptr<graph::Graph> g, const NetSpec& net,

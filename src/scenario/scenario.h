@@ -45,11 +45,9 @@
 #include "graph/forest.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "sim/adversarial_network.h"
-#include "sim/async_network.h"
+#include "sim/delivery_policy.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
-#include "sim/sync_network.h"
 #include "workload/spec.h"
 
 namespace kkt::scenario {
@@ -185,11 +183,11 @@ std::optional<NetKind> net_kind_from_name(std::string_view name) noexcept;
 
 struct NetSpec {
   NetKind kind = NetKind::kSync;
-  sim::AsyncNetwork::Config async_cfg{};     // used when kind == kAsync
+  sim::AsyncConfig async_cfg{};              // used when kind == kAsync
   sim::AdversarialConfig adversarial_cfg{};  // used when kind == kAdversarial
 
   static NetSpec sync() { return NetSpec{}; }
-  static NetSpec async(sim::AsyncNetwork::Config cfg = {}) {
+  static NetSpec async(sim::AsyncConfig cfg = {}) {
     NetSpec s;
     s.kind = NetKind::kAsync;
     s.async_cfg = cfg;

@@ -7,52 +7,41 @@
 
 namespace kkt::sim {
 
+namespace {
+
+// Largest horizon a schedule may have: a wheel of 2^20 buckets is already
+// far wider than any schedule the experiments use.
+constexpr std::uint64_t kMaxHorizon = std::uint64_t{1} << 20;
+
+[[noreturn]] void bad_horizon(const DeliveryPolicy& policy) {
+  std::fprintf(stderr,
+               "kkt::sim::Network: delivery horizon %llu + %llu is outside "
+               "[1, %llu]\n",
+               static_cast<unsigned long long>(policy.max_delay()),
+               static_cast<unsigned long long>(policy.reorder_window()),
+               static_cast<unsigned long long>(kMaxHorizon));
+  std::abort();
+}
+
+}  // namespace
+
 Network::Network(const graph::Graph& g, std::uint64_t seed,
-                 std::unique_ptr<DeliveryPolicy> policy)
-    : graph_(&g), policy_(std::move(policy)) {
-  assert(policy_ != nullptr);
+                 DeliveryPolicy policy)
+    : graph_(&g), policy_(policy) {
+  // Checked term by term so that no sum can wrap past the bound.
+  if (policy_.max_delay() > kMaxHorizon ||
+      policy_.reorder_window() > kMaxHorizon - policy_.max_delay()) {
+    bad_horizon(policy_);
+  }
+  policy_.reseed(seed);
+  wheel_.resize(std::bit_ceil(policy_.horizon() + 1));
+  mask_ = wheel_.size() - 1;
   util::Rng master(seed);
   node_rngs_.reserve(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) {
     node_rngs_.push_back(master.fork(v));
   }
 }
-
-// --- timing wheel ------------------------------------------------------------
-//
-// The wheel's one invariant is that every pending `at` lies in
-// (now_, now_ + horizon_] and horizon_ < wheel_.size(). A policy that breaks
-// it would land a send in an earlier bucket and deliver it early, silently
-// reordering the schedule, so both checks abort in every build type.
-
-namespace {
-
-// Largest horizon run() accepts: a wheel of 2^20 buckets is already far
-// wider than any schedule the experiments use.
-constexpr std::uint64_t kMaxHorizon = std::uint64_t{1} << 20;
-
-[[noreturn]] void bad_horizon(std::uint64_t horizon) {
-  std::fprintf(stderr,
-               "kkt::sim::Network: DeliveryPolicy::max_delay() = %llu is "
-               "outside [1, %llu]\n",
-               static_cast<unsigned long long>(horizon),
-               static_cast<unsigned long long>(kMaxHorizon));
-  std::abort();
-}
-
-[[noreturn]] void bad_delivery_time(std::uint64_t now, std::uint64_t at,
-                                    std::uint64_t horizon) {
-  std::fprintf(stderr,
-               "kkt::sim::Network: delivery_time %llu is outside (%llu, "
-               "%llu]: the policy's max_delay() of %llu is wrong\n",
-               static_cast<unsigned long long>(at),
-               static_cast<unsigned long long>(now),
-               static_cast<unsigned long long>(now + horizon),
-               static_cast<unsigned long long>(horizon));
-  std::abort();
-}
-
-}  // namespace
 
 void Network::send(NodeId from, NodeId to, const Message& msg) {
   assert(active_ != nullptr && "send outside of Network::run");
@@ -68,18 +57,10 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
     ++metrics_.oversized_messages;
     assert(false && "CONGEST message budget exceeded");
   }
-  std::uint64_t at = now_ + 1;
-  if (unit_delay_) {
-    // unit_delay() promises delivery at now + 1, so the policy need not be
-    // asked.
-    assert(policy_->delivery_time(from, to, now_) == at);
-  } else {
-    at = policy_->delivery_time(from, to, now_);
-    // One unsigned compare covers both ends: at <= now_ wraps past horizon_.
-    if (at - now_ - 1 >= horizon_) [[unlikely]] {
-      bad_delivery_time(now_, at, horizon_);
-    }
-  }
+  const std::uint64_t at = policy_.delivery_time(now_);
+  // The bounds keep `at` in (now_, now_ + horizon] (one unsigned compare:
+  // at <= now_ would wrap past the horizon), so it lands in its own bucket.
+  assert(at - now_ - 1 < policy_.horizon());
   wheel_[at & mask_].push_back(Envelope{from, to, msg});
   ++pending_;
 }
@@ -116,16 +97,6 @@ std::uint64_t Network::run(Protocol& proto,
                            std::uint64_t max_rounds) {
   assert(active_ == nullptr && "nested Network::run");
   active_ = &proto;
-  unit_delay_ = policy_->unit_delay();
-  horizon_ = policy_->max_delay();
-  if (horizon_ == 0 || horizon_ > kMaxHorizon) bad_horizon(horizon_);
-  if (horizon_ >= wheel_.size()) {
-    // The wheel is empty between runs, so growing it moves no envelope;
-    // existing buckets keep their capacity.
-    wheel_.resize(std::bit_ceil(horizon_ + 1));
-    mask_ = wheel_.size() - 1;
-  }
-  policy_->begin_op();
   for (NodeId v : participants) proto.on_start(*this, v);
   const std::uint64_t elapsed = drain(proto, max_rounds);
   active_ = nullptr;

@@ -1,4 +1,4 @@
-// The network: one simulator, pluggable delivery schedules.
+// The network: one simulator, one delivery schedule per instance.
 //
 // A Protocol is a distributed algorithm: one object serves all nodes, but
 // every callback is scoped to a single node (`self`), and implementations
@@ -20,33 +20,26 @@
 // fragments while messages still sum.
 //
 // Transport mechanics are uniform across schedules: the DeliveryPolicy
-// assigns each send a delivery timestamp `at`, and send() appends the
-// envelope to a timing wheel -- a ring of bit_ceil(horizon + 1) buckets,
-// where the horizon is the policy's max_delay() bound on `at - now`. Bucket
-// `at & mask` holds the sends due at `at`. Every pending delivery lies in
-// (now, now + horizon], so no two pending timestamps share a bucket, and a
-// handler never appends to the bucket being delivered. drain() advances the
-// clock one tick at a time and delivers each bucket front to back. Append
-// order is send order, so deliveries happen in exactly (timestamp, send
-// sequence) order. Buckets keep their capacity across operations, so
-// steady-state traffic performs no allocation (messages are trivially
-// copyable, see sim/message.h). SyncNetwork / AsyncNetwork /
-// AdversarialNetwork are thin policy instantiations over this one mechanism.
+// (sim/delivery_policy.h) assigns each send a delivery timestamp `at`, and
+// send() appends the envelope to a timing wheel -- a ring of
+// bit_ceil(horizon + 1) buckets, where the horizon is the schedule's bound
+// on `at - now`. Bucket `at & mask` holds the sends due at `at`. Every
+// pending delivery lies in (now, now + horizon], so no two pending
+// timestamps share a bucket, and a handler never appends to the bucket
+// being delivered. drain() advances the clock one tick at a time and
+// delivers each bucket front to back. Append order is send order, so
+// deliveries happen in exactly (timestamp, send sequence) order. Buckets
+// keep their capacity across operations, so steady-state traffic performs
+// no allocation (messages are trivially copyable, see sim/message.h).
 //
-// A policy whose `at` falls outside (now, now + horizon] would wrap onto an
-// earlier bucket; send() aborts on that in every build type. run() reads
-// the horizon when it starts, aborts unless it lies in [1, 2^20], and grows
-// the wheel then, while it is empty.
-//
-// Under a unit-delay policy (FifoSyncPolicy, horizon 1) the wheel is two
-// buckets, this round and the next, and send() skips the per-send
-// delivery_time call: every send lands at now + 1.
+// The schedule is fixed for the Network's lifetime. The constructor aborts
+// unless its horizon lies in [1, 2^20], and sizes the wheel once: two
+// buckets, this round and the next, under the synchronous schedule.
 //
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -77,15 +70,14 @@ class Protocol {
 
 class Network {
  public:
-  Network(const graph::Graph& g, std::uint64_t seed,
-          std::unique_ptr<DeliveryPolicy> policy);
-  virtual ~Network() = default;
+  // Runs `policy`, its draw stream reseeded from `seed`.
+  Network(const graph::Graph& g, std::uint64_t seed, DeliveryPolicy policy);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   // Sends msg from `from` to `to`: counted in Metrics, then delivered once,
-  // at the policy's timestamp. Precondition: an alive edge {from, to}
+  // at the schedule's timestamp. Precondition: an alive edge {from, to}
   // exists (checked).
   void send(NodeId from, NodeId to, const Message& msg);
 
@@ -101,10 +93,9 @@ class Network {
   Metrics& metrics() noexcept { return metrics_; }
   const Metrics& metrics() const noexcept { return metrics_; }
 
-  // The delivery schedule in force (e.g. to tighten per-edge bounds on an
-  // AdversarialPolicy before an experiment).
-  DeliveryPolicy& policy() noexcept { return *policy_; }
-  const DeliveryPolicy& policy() const noexcept { return *policy_; }
+  // The delivery schedule, draw stream included: a copy taken between runs
+  // replays the next run's timestamps.
+  const DeliveryPolicy& policy() const noexcept { return policy_; }
 
   // Per-node random stream (deterministic given the network seed).
   util::Rng& node_rng(NodeId v) noexcept { return node_rngs_[v]; }
@@ -132,15 +123,13 @@ class Network {
   const graph::Graph* graph_;
   Metrics metrics_;
   std::vector<util::Rng> node_rngs_;
-  std::unique_ptr<DeliveryPolicy> policy_;
+  DeliveryPolicy policy_;
   Protocol* active_ = nullptr;  // protocol being run (sends allowed only then)
 
   std::vector<std::vector<Envelope>> wheel_;  // bucket t & mask_: due at t
   std::uint64_t mask_ = 0;            // wheel_.size() - 1
-  std::uint64_t horizon_ = 0;         // this run's policy max_delay()
   std::size_t pending_ = 0;           // envelopes in the wheel
   std::uint64_t now_ = 0;             // virtual clock, per-operation
-  bool unit_delay_ = false;           // this run skips the policy call
 };
 
 // Accounts elapsed time for operations that run conceptually in parallel

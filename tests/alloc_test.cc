@@ -8,9 +8,7 @@
 // counts bytes: the maintained forest's state must stay O(n + tree edges).
 //
 // Discipline: the first run of a workload warms the arenas (bucket growth
-// is amortized and expected), and so does the first run after the policy's
-// horizon widens (the wheel regrows once); the measured run must then
-// allocate nothing.
+// is amortized and expected); the measured run must then allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,9 +19,7 @@
 #include "graph/forest.h"
 #include "graph/implicit.h"
 #include "proto/tree_ops.h"
-#include "sim/adversarial_network.h"
-#include "sim/async_network.h"
-#include "sim/sync_network.h"
+#include "sim/network.h"
 #include "test_util.h"
 
 // Replacing the global allocation functions would fight the sanitizers'
@@ -116,8 +112,7 @@ std::unique_ptr<graph::Graph> path_graph(std::size_t n, std::uint64_t seed) {
   return g;
 }
 
-template <typename Net>
-std::uint64_t allocations_for_thousand_hops(Net& net) {
+std::uint64_t allocations_for_thousand_hops(Network& net) {
   const NodeId participants[] = {0};
   {
     PingPong warmup(0, 1, 1000);  // grows the wheel's buckets once
@@ -134,39 +129,24 @@ std::uint64_t allocations_for_thousand_hops(Net& net) {
 TEST(Allocation, SyncSendDeliverIsAllocationFree) {
   KKT_SKIP_UNLESS_COUNTING();
   auto g = path_graph(2, 1);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
   EXPECT_EQ(allocations_for_thousand_hops(net), 0u);
 }
 
 TEST(Allocation, AsyncSendDeliverIsAllocationFree) {
   KKT_SKIP_UNLESS_COUNTING();
   auto g = path_graph(2, 2);
-  AsyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::async(16));
   EXPECT_EQ(allocations_for_thousand_hops(net), 0u);
 }
 
 TEST(Allocation, AdversarialSendDeliverIsAllocationFree) {
   KKT_SKIP_UNLESS_COUNTING();
   auto g = path_graph(2, 3);
-  AdversarialNetwork::Config cfg;
+  AdversarialConfig cfg;
   cfg.max_delay = 16;
   cfg.reorder_window = 8;
-  AdversarialNetwork net(*g, 7, cfg);
-  EXPECT_EQ(allocations_for_thousand_hops(net), 0u);
-}
-
-TEST(Allocation, RunAfterWheelRegrowthIsAllocationFree) {
-  KKT_SKIP_UNLESS_COUNTING();
-  auto g = path_graph(2, 4);
-  AdversarialNetwork::Config cfg;
-  cfg.reorder_window = 4;
-  AdversarialNetwork net(*g, 7, cfg);
-  const NodeId participants[] = {0};
-  PingPong narrow(0, 1, 1000);
-  net.run(narrow, participants);
-  // Horizon 12 -> 44: the next run regrows the wheel from 16 to 64 buckets
-  // (and warms them); the run after that must allocate nothing.
-  net.adversary().set_edge_bounds(0, 1, 20, 40);
+  Network net(*g, 7, DeliveryPolicy::adversarial(cfg));
   EXPECT_EQ(allocations_for_thousand_hops(net), 0u);
 }
 

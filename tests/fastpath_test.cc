@@ -1,23 +1,21 @@
-// SyncNetwork skips its policy on every send: under a unit-delay policy a
-// send lands at now + 1 without a delivery_time call. The skip must be
-// observationally identical to asking the policy. These pins run whole
-// protocols on SyncNetwork and on a per-send twin whose policy produces the
-// same schedule through those calls, and require the full
-// Metrics block (messages, bits, rounds, per-tag splits, state high-water)
-// to match bit for bit. Both drain the same timing wheel, so a divergence
-// means the skip moved a delivery, which would silently invalidate every
-// counter baseline.
+// One fixed delay, three factories: async with max_delay 1 and adversarial
+// with bounds {1, 1} and no jitter fix every delay at one tick, exactly as
+// the synchronous schedule does. These pins run whole protocols on the
+// sync schedule and on a `kind` twin, and require the full Metrics block
+// (messages, bits, rounds, per-tag splits, state high-water) to match bit
+// for bit. A divergence means a factory's clamping moved a delivery, which
+// would silently invalidate every counter baseline.
 //
-// The NetKind parameter names the twin, a unit-delay schedule that does not
-// declare unit_delay():
-//   kSync        -- FifoSyncPolicy's schedule, asked per send;
-//   kAsync       -- AsyncNetwork with max_delay 1 (one delay draw per send);
-//   kAdversarial -- AdversarialNetwork with min = max = 1 and no jitter
+// The NetKind parameter names the twin:
+//   kSync        -- a second sync world (run-to-run determinism);
+//   kAsync       -- NetSpec::async with max_delay 1;
+//   kAdversarial -- NetSpec::adversarial with min = max = 1 and no jitter
 //                   (test::unit_adversarial_net()).
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "baseline/ghs.h"
 #include "core/build_mst.h"
@@ -25,6 +23,7 @@
 #include "core/repair.h"
 #include "graph/mst_oracle.h"
 #include "test_util.h"
+#include "workload/churn.h"
 
 namespace kkt::sim {
 namespace {
@@ -32,49 +31,33 @@ namespace {
 using test::NetKind;
 using test::World;
 
-// FifoSyncPolicy's schedule without the unit_delay() promise.
-class PerSendSyncPolicy final : public DeliveryPolicy {
- public:
-  std::uint64_t delivery_time(NodeId, NodeId, std::uint64_t now) override {
-    return now + 1;
-  }
-  std::uint64_t max_delay() const noexcept override { return 1; }
-};
-
-World per_send_twin(std::size_t n, std::size_t m, std::uint64_t seed,
-                    NetKind kind) {
+scenario::NetSpec unit_twin(NetKind kind) {
   switch (kind) {
-    case NetKind::kSync: {
-      World w = test::make_gnm_world(n, m, seed);
-      w.net = std::make_unique<Network>(*w.g, seed ^ test::kTestNetSeedSalt,
-                                        std::make_unique<PerSendSyncPolicy>());
-      return w;
-    }
+    case NetKind::kSync:
+      return scenario::NetSpec::sync();
     case NetKind::kAsync:
-      return test::make_gnm_world(
-          n, m, seed, scenario::NetSpec::async(AsyncNetwork::Config{1}));
+      return scenario::NetSpec::async(AsyncConfig{1});
     case NetKind::kAdversarial:
       break;
   }
-  return test::make_gnm_world(n, m, seed, test::unit_adversarial_net());
+  return test::unit_adversarial_net();
 }
 
-// Runs `body(world)` on SyncNetwork and on the `kind` twin, and returns the
-// two metric blocks.
+// Runs `body(world)` on the sync schedule and on the `kind` twin, and
+// returns the two metric blocks.
 template <typename Body>
 std::pair<Metrics, Metrics> both_paths(std::size_t n, std::size_t m,
                                        std::uint64_t seed, NetKind kind,
                                        Body&& body) {
-  World skip = test::make_gnm_world(n, m, seed);
-  EXPECT_TRUE(skip.net->policy().unit_delay());
-  body(skip);
+  World sync = test::make_gnm_world(n, m, seed);
+  EXPECT_EQ(sync.net->policy().horizon(), 1u);
+  body(sync);
 
-  World twin = per_send_twin(n, m, seed, kind);
-  EXPECT_FALSE(twin.net->policy().unit_delay());
-  EXPECT_EQ(twin.net->policy().max_delay(), 1u);
+  World twin = test::make_gnm_world(n, m, seed, unit_twin(kind));
+  EXPECT_EQ(twin.net->policy().horizon(), 1u);
   body(twin);
 
-  return {skip.net->metrics(), twin.net->metrics()};
+  return {sync.net->metrics(), twin.net->metrics()};
 }
 
 class FastPathSweep
@@ -82,32 +65,32 @@ class FastPathSweep
 
 TEST_P(FastPathSweep, BuildMstCountersBitIdentical) {
   const auto [seed, kind] = GetParam();
-  const auto [skip, twin] =
+  const auto [sync, twin] =
       both_paths(64, 256, seed, kind, [](World& w) {
         EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
         EXPECT_TRUE(graph::same_edge_set(w.forest->marked_edges(),
                                          graph::kruskal_msf(*w.g)));
       });
-  EXPECT_EQ(skip, twin);
-  EXPECT_GT(skip.messages, 0u);
+  EXPECT_EQ(sync, twin);
+  EXPECT_GT(sync.messages, 0u);
 }
 
 TEST_P(FastPathSweep, BuildStCountersBitIdentical) {
   const auto [seed, kind] = GetParam();
-  const auto [skip, twin] =
+  const auto [sync, twin] =
       both_paths(48, 160, seed, kind, [](World& w) {
         EXPECT_TRUE(core::build_st(*w.net, *w.forest).spanning);
       });
-  EXPECT_EQ(skip, twin);
+  EXPECT_EQ(sync, twin);
 }
 
 TEST_P(FastPathSweep, GhsCountersBitIdentical) {
   const auto [seed, kind] = GetParam();
-  const auto [skip, twin] =
+  const auto [sync, twin] =
       both_paths(48, 160, seed, kind, [](World& w) {
         EXPECT_TRUE(baseline::ghs_build_mst(*w.net, *w.forest).spanning);
       });
-  EXPECT_EQ(skip, twin);
+  EXPECT_EQ(sync, twin);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -132,6 +115,53 @@ TEST(FastPath, RepairCountersBitIdentical) {
   };
   EXPECT_EQ(run(scenario::NetSpec::sync()),
             run(test::unit_adversarial_net()));
+}
+
+// The adversarial schedule's draw order and salt, pinned: no counter
+// baseline runs NetKind::kAdversarial, so these fixed-seed goldens of the
+// whole Metrics block are its gate. A schedule change that moves a single
+// delivery moves the rounds and, through the protocols' reactions, the
+// traffic; these strings must then be re-derived on purpose.
+std::string describe(const Metrics& m) {
+  std::string out = "messages=" + std::to_string(m.messages) +
+                    " bits=" + std::to_string(m.message_bits) +
+                    " rounds=" + std::to_string(m.rounds) +
+                    " echoes=" + std::to_string(m.broadcast_echoes) +
+                    " oversized=" + std::to_string(m.oversized_messages) +
+                    " dropped=" + std::to_string(m.dropped_deliveries) +
+                    " state=" + std::to_string(m.peak_node_state_bits);
+  for (std::size_t i = 0; i < m.per_tag.size(); ++i) {
+    if (m.per_tag[i] == 0 && m.per_tag_bits[i] == 0) continue;
+    out += std::string(" ") + tag_name(static_cast<Tag>(i)) + "=" +
+           std::to_string(m.per_tag[i]) + "/" +
+           std::to_string(m.per_tag_bits[i]);
+  }
+  return out;
+}
+
+TEST(AdversarialSchedule, BuildMstMetricsArePinned) {
+  World w = test::make_gnm_world(64, 256, 5, scenario::NetSpec::adversarial());
+  EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
+  EXPECT_TRUE(graph::same_edge_set(w.forest->marked_edges(),
+                                   graph::kruskal_msf(*w.g)));
+  EXPECT_EQ(describe(w.net->metrics()),
+            "messages=4975 bits=1841264 rounds=3517 echoes=1730 oversized=0 "
+            "dropped=0 state=576 broadcast=2382/945824 echo=2273/883344 "
+            "elect-echo=128/2048 leader-announce=109/8720 add-edge=83/1328");
+}
+
+TEST(AdversarialSchedule, UniformChurnMetricsArePinned) {
+  scenario::Scenario sc = test::gnm_scenario(64, 256, 5);
+  sc.net = scenario::NetSpec::adversarial();
+  sc.workload =
+      workload::WorkloadSpec::of(workload::WorkloadKind::kUniform, 64);
+  const workload::ChurnResult res = workload::run_churn(sc);
+  EXPECT_EQ(res.oracle_failures, 0u);
+  EXPECT_EQ(res.records.size(), 64u);
+  EXPECT_EQ(describe(res.total),
+            "messages=19149 bits=6491536 rounds=32248 echoes=201 oversized=0 "
+            "dropped=0 state=576 broadcast=10018/3181920 echo=9114/3309344 "
+            "add-edge=17/272");
 }
 
 }  // namespace

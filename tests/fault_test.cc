@@ -6,9 +6,9 @@
 //
 // The determinism contract under test: the full sim::Metrics block --
 // including dropped_deliveries -- must be bit-identical across reruns, and
-// between SyncNetwork's unit-delay skip ("fast") and the same schedule
-// asked of the policy on every send (test::unit_adversarial_net(), the
-// "heap" side of the test names), for every fault model. Oracle checks
+// between the sync schedule ("fast") and the adversarial factory with its
+// bounds fixed at one tick (test::unit_adversarial_net(), the "heap" side
+// of the test names), for every fault model. Oracle checks
 // run after every event, so every heal is verified to reconcile the forest
 // with the centralized MSF.
 //
@@ -133,8 +133,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Delivery-path invariance: the whole fault replay -- batch repairs,
 // partition churn, heal reconciliation -- must cost exactly the same on
-// SyncNetwork and on the unit-delay AdversarialNetwork, which asks its
-// policy on every send.
+// the sync schedule and on the adversarial one with every delay fixed at
+// one tick.
 // ---------------------------------------------------------------------------
 
 class FaultPathSweep : public ::testing::TestWithParam<

@@ -131,9 +131,9 @@ TEST(HeadToHead, ArtifactAndDocsAreByteStable) {
   // Render -> serialize -> parse -> render is the identity on the docs.
   const auto parsed = report::parse_results(once);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(report::render_headtohead_markdown(*parsed, "x.json"),
+  EXPECT_EQ(report::render_headtohead_markdown(*parsed),
             report::render_headtohead_markdown(
-                run_headtohead(smoke_config()).to_result_file(), "x.json"));
+                run_headtohead(smoke_config()).to_result_file()));
 }
 
 }  // namespace

@@ -277,7 +277,7 @@ TEST(Lifecycle, MixedMstAndStOnTheSameGraph) {
   // over one topology (e.g. an MST for routing costs, an ST for broadcast).
   World w = test::make_gnm_world(32, 160, 15);
   graph::MarkedForest st_forest(*w.g);
-  sim::SyncNetwork st_net(*w.g, 16);
+  sim::Network st_net(*w.g, 16, sim::DeliveryPolicy::sync());
   ASSERT_TRUE(build_mst(*w.net, *w.forest).spanning);
   ASSERT_TRUE(build_st(st_net, st_forest).spanning);
   EXPECT_TRUE(graph::same_edge_set(w.forest->marked_edges(),

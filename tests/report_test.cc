@@ -253,9 +253,8 @@ TEST(Fit, ConstantSeriesFitsZeroSlope) {
 // ---------------------------------------------------------------------------
 
 TEST(Render, HeadToHeadTablesContainSeriesAndFits) {
-  const std::string md =
-      render_headtohead_markdown(sample_file(), "BENCH_test.json");
-  EXPECT_NE(md.find("BENCH_test.json"), std::string::npos);
+  const std::string md = render_headtohead_markdown(sample_file());
+  EXPECT_NE(md.find(kHeadToHeadArtifact), std::string::npos);
   EXPECT_NE(md.find("`build_mst`"), std::string::npos);
   EXPECT_NE(md.find("| 64 | 2016 | 4891.5 |"), std::string::npos);
   EXPECT_NE(md.find("| kkt | 1.433 | 0.999 | 4 |"), std::string::npos);
@@ -263,14 +262,14 @@ TEST(Render, HeadToHeadTablesContainSeriesAndFits) {
 
 TEST(Render, ByteStableAcrossCallsAndRoundTrips) {
   const ResultFile f = sample_file();
-  const std::string once = render_headtohead_markdown(f, "a.json");
-  const std::string twice = render_headtohead_markdown(f, "a.json");
+  const std::string once = render_headtohead_markdown(f);
+  const std::string twice = render_headtohead_markdown(f);
   EXPECT_EQ(once, twice);
   // Rendering the parsed copy of the serialized file is also identical:
   // the docs regenerated from a committed artifact cannot drift.
   const auto back = parse_results(serialize_results(f));
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(render_headtohead_markdown(*back, "a.json"), once);
+  EXPECT_EQ(render_headtohead_markdown(*back), once);
   EXPECT_EQ(render_experiments_block(*back), render_experiments_block(f));
 }
 

@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "graph/generators.h"
-#include "sim/adversarial_network.h"
-#include "sim/async_network.h"
-#include "sim/sync_network.h"
+#include "sim/network.h"
 #include "test_util.h"
 
 namespace kkt::sim {
@@ -50,7 +48,7 @@ std::unique_ptr<graph::Graph> path_graph(std::size_t n, std::uint64_t seed) {
 
 TEST(SyncNetwork, CountsMessagesAndRounds) {
   auto g = path_graph(2, 1);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
   PingPong proto(0, 1, 5);
   const NodeId participants[] = {0};
   const std::uint64_t rounds = net.run(proto, participants);
@@ -62,7 +60,7 @@ TEST(SyncNetwork, CountsMessagesAndRounds) {
 
 TEST(SyncNetwork, MessageBitsAccounted) {
   auto g = path_graph(2, 2);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
 
   class OneShot final : public Protocol {
    public:
@@ -80,7 +78,7 @@ TEST(SyncNetwork, MessageBitsAccounted) {
 
 TEST(SyncNetwork, SequentialRunsAccumulate) {
   auto g = path_graph(2, 3);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
   const NodeId participants[] = {0};
   for (int i = 0; i < 3; ++i) {
     PingPong proto(0, 1, 2);
@@ -92,7 +90,7 @@ TEST(SyncNetwork, SequentialRunsAccumulate) {
 
 TEST(AsyncNetwork, DeliversEverythingEventually) {
   auto g = path_graph(2, 4);
-  AsyncNetwork net(*g, 99);
+  Network net(*g, 99, DeliveryPolicy::async(16));
   PingPong proto(0, 1, 50);
   const NodeId participants[] = {0};
   net.run(proto, participants);
@@ -105,7 +103,7 @@ TEST(AsyncNetwork, DeterministicGivenSeed) {
   auto g = path_graph(2, 5);
   std::uint64_t rounds[2];
   for (int i = 0; i < 2; ++i) {
-    AsyncNetwork net(*g, 1234);
+    Network net(*g, 1234, DeliveryPolicy::async(16));
     PingPong proto(0, 1, 20);
     const NodeId participants[] = {0};
     rounds[i] = net.run(proto, participants);
@@ -117,7 +115,7 @@ TEST(AsyncNetwork, DifferentSeedsDifferentSchedules) {
   auto g = path_graph(2, 6);
   std::uint64_t totals[2];
   for (int i = 0; i < 2; ++i) {
-    AsyncNetwork net(*g, 1000 + i);
+    Network net(*g, 1000 + i, DeliveryPolicy::async(16));
     PingPong proto(0, 1, 40);
     const NodeId participants[] = {0};
     totals[i] = net.run(proto, participants);
@@ -127,7 +125,7 @@ TEST(AsyncNetwork, DifferentSeedsDifferentSchedules) {
 
 TEST(ParallelPhase, RoundsAreMaxOverBranches) {
   auto g = path_graph(3, 7);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
   ParallelPhase phase(net);
 
   const NodeId participants0[] = {0};
@@ -154,19 +152,19 @@ TEST(ParallelPhase, RoundsAreMaxOverBranches) {
 
 TEST(Network, NodeRngsAreIndependentStreams) {
   auto g = path_graph(3, 8);
-  SyncNetwork net(*g, 42);
+  Network net(*g, 42, DeliveryPolicy::sync());
   const std::uint64_t a = net.node_rng(0).next();
   const std::uint64_t b = net.node_rng(1).next();
   EXPECT_NE(a, b);
   // Same seed reproduces the same streams.
-  SyncNetwork net2(*g, 42);
+  Network net2(*g, 42, DeliveryPolicy::sync());
   EXPECT_EQ(net2.node_rng(0).next(), a);
   EXPECT_EQ(net2.node_rng(1).next(), b);
 }
 
 TEST(AdversarialNetwork, DeliversEverythingEventually) {
   auto g = path_graph(2, 14);
-  AdversarialNetwork net(*g, 99);
+  Network net(*g, 99, DeliveryPolicy::adversarial({}));
   PingPong proto(0, 1, 50);
   const NodeId participants[] = {0};
   net.run(proto, participants);
@@ -179,51 +177,12 @@ TEST(AdversarialNetwork, DeterministicGivenSeed) {
   auto g = path_graph(2, 15);
   std::uint64_t rounds[2];
   for (int i = 0; i < 2; ++i) {
-    AdversarialNetwork net(*g, 4321);
+    Network net(*g, 4321, DeliveryPolicy::adversarial({}));
     PingPong proto(0, 1, 20);
     const NodeId participants[] = {0};
     rounds[i] = net.run(proto, participants);
   }
   EXPECT_EQ(rounds[0], rounds[1]);
-}
-
-TEST(AdversarialNetwork, PerEdgeDelayBoundsAreHonored) {
-  // Pin the single edge to an exact delay: one hop must take exactly that
-  // long once jitter is disabled.
-  auto g = path_graph(2, 16);
-  AdversarialNetwork::Config cfg;
-  cfg.reorder_window = 0;
-  AdversarialNetwork net(*g, 5, cfg);
-  net.adversary().set_edge_bounds(0, 1, 9, 9);
-  PingPong proto(0, 1, 4);
-  const NodeId participants[] = {0};
-  const std::uint64_t elapsed = net.run(proto, participants);
-  EXPECT_EQ(elapsed, 4 * 9u);
-}
-
-TEST(AdversarialNetwork, EdgeBoundsAreInsertionOrderIndependent) {
-  // Unordered-container audit pin: per-edge bounds now live in a sorted
-  // flat map keyed by the edge id, so the schedule depends only on which
-  // bounds are set -- never on the order the caller installed them in.
-  auto g = path_graph(3, 16);
-  std::uint64_t elapsed[2];
-  for (int i = 0; i < 2; ++i) {
-    AdversarialNetwork::Config cfg;
-    cfg.reorder_window = 0;
-    AdversarialNetwork net(*g, 5, cfg);
-    if (i == 0) {
-      net.adversary().set_edge_bounds(0, 1, 3, 3);
-      net.adversary().set_edge_bounds(1, 2, 7, 7);
-    } else {
-      net.adversary().set_edge_bounds(1, 2, 7, 7);
-      net.adversary().set_edge_bounds(0, 1, 3, 3);
-    }
-    PingPong proto(1, 2, 4);
-    const NodeId participants[] = {1};
-    elapsed[i] = net.run(proto, participants);
-  }
-  EXPECT_EQ(elapsed[0], elapsed[1]);
-  EXPECT_EQ(elapsed[0], 4 * 7u);
 }
 
 TEST(Tag, NameRoundTripCoversEveryEnumerator) {
@@ -245,7 +204,7 @@ TEST(Tag, NameRoundTripCoversEveryEnumerator) {
 
 TEST(Metrics, PerTagBitsAccounted) {
   auto g = path_graph(2, 18);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
 
   class TwoTags final : public Protocol {
    public:
@@ -313,7 +272,7 @@ TEST(InlineWords, ReleaseOverflowIsRememberedNotStored) {
 
 TEST(ParallelPhase, BranchScopeRecordsMaxOverBranches) {
   auto g = path_graph(3, 19);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
   ParallelPhase phase(net);
   {
     const auto branch = phase.branch();
@@ -359,11 +318,11 @@ TEST(Metrics, PlusEquals) {
 
 // The max_rounds backstop discards whatever is still in flight. Those
 // discards must surface in dropped_deliveries -- not vanish silently --
-// and the count must agree between SyncNetwork's unit-delay skip and the
-// same schedule asked of the policy on every send.
+// and the count must agree between the sync schedule and an adversarial
+// one whose bounds fix every delay at one tick.
 TEST(SyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
   auto g = path_graph(2, 20);
-  SyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::sync());
   PingPong proto(0, 1, 100);
   const NodeId participants[] = {0};
   const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/10);
@@ -376,12 +335,11 @@ TEST(SyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
 
 TEST(SyncNetwork, MaxRoundsBackstopDropCountMatchesOnHeapPath) {
   auto g = path_graph(2, 21);
-  AdversarialNetwork::Config unit;
+  AdversarialConfig unit;
   unit.min_delay = 1;
   unit.max_delay = 1;
   unit.reorder_window = 0;
-  AdversarialNetwork net(*g, 7, unit);
-  ASSERT_FALSE(net.policy().unit_delay());
+  Network net(*g, 7, DeliveryPolicy::adversarial(unit));
   PingPong proto(0, 1, 100);
   const NodeId participants[] = {0};
   const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/10);
@@ -411,12 +369,11 @@ class Gossip final : public Protocol {
   }
 };
 
-// Backstop pins off the unit-delay path. The counts are those of a
-// (timestamp, seq) priority-queue transport, which the wheel must
-// reproduce exactly.
+// Backstop pins on drawn delays. The counts are those of a (timestamp,
+// seq) priority-queue transport, which the wheel must reproduce exactly.
 TEST(AsyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
   auto g = path_graph(3, 22);
-  AsyncNetwork net(*g, 7);
+  Network net(*g, 7, DeliveryPolicy::async(16));
   Gossip proto;
   const NodeId participants[] = {1};
   const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/60);
@@ -429,11 +386,11 @@ TEST(AsyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
 
 TEST(AdversarialNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
   auto g = path_graph(3, 23);
-  AdversarialNetwork::Config cfg;
+  AdversarialConfig cfg;
   cfg.min_delay = 1;
   cfg.max_delay = 8;
   cfg.reorder_window = 4;
-  AdversarialNetwork net(*g, 7, cfg);
+  Network net(*g, 7, DeliveryPolicy::adversarial(cfg));
   Gossip proto;
   const NodeId participants[] = {1};
   const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/60);
@@ -445,84 +402,59 @@ TEST(AdversarialNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// The timing wheel's delivery order, horizon guard and growth.
+// The timing wheel's delivery order and the schedule's bounds.
 // ---------------------------------------------------------------------------
-
-// Wraps a policy and logs every timestamp it hands out, tagged with the
-// payload id the sender announced in `payload`: one entry per send, in send
-// order.
-template <typename Inner>
-class LoggingPolicy final : public DeliveryPolicy {
- public:
-  explicit LoggingPolicy(Inner inner) : inner_(std::move(inner)) {}
-
-  std::uint64_t delivery_time(NodeId from, NodeId to,
-                              std::uint64_t now) override {
-    const std::uint64_t at = inner_.delivery_time(from, to, now);
-    log.emplace_back(at, payload);
-    return at;
-  }
-  std::uint64_t max_delay() const noexcept override {
-    return inner_.max_delay();
-  }
-
-  std::uint64_t payload = 0;                                 // set per send
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> log;  // (at, payload)
-
- private:
-  Inner inner_;
-};
 
 // Every node opens by messaging each neighbour; every delivery is answered
 // by one message to a neighbour picked from the payload id, until `budget`
-// sends. Each send carries a fresh id; deliveries are logged by id.
-template <typename Policy>
+// sends. Each send carries a fresh id; deliveries are logged by id. Before
+// each send the tracer asks `replay`, a copy of the network's schedule taken
+// before the run, for the send's timestamp: asked in send order, the copy
+// draws what the network draws.
 class Tracer final : public Protocol {
  public:
-  Tracer(Policy& policy, std::uint64_t budget)
-      : policy_(&policy), budget_(budget) {}
+  Tracer(DeliveryPolicy replay, std::uint64_t budget)
+      : replay_(replay), budget_(budget) {}
 
   void on_start(Network& net, NodeId self) override {
     for (const graph::Incidence& inc : net.graph().incident(self)) {
-      send(net, self, inc.peer);
+      send(net, self, inc.peer, 0);
     }
   }
   void on_message(Network& net, NodeId self, NodeId,
                   const Message& msg) override {
-    delivered.push_back(msg.words[0]);
+    const std::uint64_t id = msg.words[0];
+    delivered.push_back(id);
     const auto row = net.graph().incident(self);
-    send(net, self, row[(msg.words[0] * 7) % row.size()].peer);
+    send(net, self, row[(id * 7) % row.size()].peer, log[id].first);
   }
 
   std::vector<std::uint64_t> delivered;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> log;  // (at, id)
 
  private:
-  void send(Network& net, NodeId from, NodeId to) {
-    if (next_id_ == budget_) return;
-    policy_->payload = next_id_;
-    net.send(from, to, Message(Tag::kNone, {next_id_}));
-    ++next_id_;
+  void send(Network& net, NodeId from, NodeId to, std::uint64_t now) {
+    if (log.size() == budget_) return;
+    const std::uint64_t id = log.size();
+    log.emplace_back(replay_.delivery_time(now), id);
+    net.send(from, to, Message(Tag::kNone, {id}));
   }
 
-  Policy* policy_;
+  DeliveryPolicy replay_;
   std::uint64_t budget_;
-  std::uint64_t next_id_ = 0;
 };
 
-// Runs Tracer over `policy` on K_6 and checks the delivered order against
-// the stable sort of the policy's log by timestamp.
-template <typename Inner>
-void expect_stable_time_order(Inner inner) {
+// Runs Tracer under `policy` on K_6 and checks the delivered order against
+// the stable sort of the replayed timestamps.
+void expect_stable_time_order(const DeliveryPolicy& policy) {
   util::Rng rng(30);
   const graph::Graph g = graph::complete(6, {}, rng);
-  auto owned = std::make_unique<LoggingPolicy<Inner>>(std::move(inner));
-  LoggingPolicy<Inner>& policy = *owned;
-  Network net(g, 7, std::move(owned));
-  Tracer<LoggingPolicy<Inner>> proto(policy, 4000);
+  Network net(g, 7, policy);
+  Tracer proto(net.policy(), 4000);
   const NodeId participants[] = {0, 1, 2, 3, 4, 5};
   net.run(proto, participants);
 
-  auto expected = policy.log;
+  auto expected = proto.log;
   std::stable_sort(expected.begin(), expected.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
@@ -536,74 +468,33 @@ void expect_stable_time_order(Inner inner) {
 }
 
 TEST(DeliveryOrder, AdversarialMatchesStableSortByTimestamp) {
-  // Edge {0, 1} sits at the widest bound, so its sends that draw the full
-  // jitter of 4 land at now + horizon. Horizon 15 makes a wheel of exactly
-  // 16 buckets, and such a send lands in the bucket drained one tick before.
+  // Bounds [1, 11] plus jitter 4 make horizon 15, a wheel of exactly 16
+  // buckets: a send that draws the full delay and jitter lands at
+  // now + horizon, in the bucket drained one tick before.
   AdversarialConfig cfg;
   cfg.min_delay = 1;
-  cfg.max_delay = 8;
+  cfg.max_delay = 11;
   cfg.reorder_window = 4;
-  AdversarialPolicy inner(11, cfg);
-  inner.set_edge_bounds(0, 1, 11, 11);
-  ASSERT_EQ(inner.max_delay(), 15u);
-  expect_stable_time_order(std::move(inner));
+  const DeliveryPolicy policy = DeliveryPolicy::adversarial(cfg);
+  ASSERT_EQ(policy.horizon(), 15u);
+  expect_stable_time_order(policy);
 }
 
 TEST(DeliveryOrder, RandomDelayMatchesStableSortByTimestamp) {
-  expect_stable_time_order(RandomDelayPolicy(12, 15));
+  expect_stable_time_order(DeliveryPolicy::async(15));
 }
 
-// Claims a horizon of 2 but delivers `delay` ticks after the send.
-class LyingPolicy final : public DeliveryPolicy {
- public:
-  explicit LyingPolicy(std::uint64_t delay) : delay_(delay) {}
-  std::uint64_t delivery_time(NodeId, NodeId, std::uint64_t now) override {
-    return now + delay_;
-  }
-  std::uint64_t max_delay() const noexcept override { return 2; }
-
- private:
-  std::uint64_t delay_;
-};
-
-void run_ping_pong_on(std::unique_ptr<DeliveryPolicy> policy) {
-  auto g = path_graph(2, 31);
-  Network net(*g, 7, std::move(policy));
-  PingPong proto(0, 1, 4);
-  const NodeId participants[] = {0};
-  net.run(proto, participants);
-}
-
-// The wheel would file such a send under an earlier bucket and deliver it
-// early. The guard is not an assert: it aborts in Release builds too.
-TEST(TimingWheelDeathTest, DeliveryPastTheHorizonAborts) {
-  EXPECT_DEATH(run_ping_pong_on(std::make_unique<LyingPolicy>(5)),
-               "outside \\(0, 2\\]");
-}
-
-TEST(TimingWheelDeathTest, ZeroLatencyDeliveryAborts) {
-  EXPECT_DEATH(run_ping_pong_on(std::make_unique<LyingPolicy>(0)),
-               "outside \\(0, 2\\]");
-}
-
-TEST(TimingWheel, WiderEdgeBoundsBetweenRunsRegrowTheWheel) {
-  auto g = path_graph(2, 32);
-  AdversarialNetwork::Config cfg;
-  cfg.reorder_window = 0;
-  AdversarialNetwork net(*g, 5, cfg);
-  const NodeId participants[] = {0};
-  PingPong narrow(0, 1, 4);
-  net.run(narrow, participants);
-  EXPECT_EQ(narrow.received(), 4);
-  EXPECT_EQ(net.policy().max_delay(), 8u);
-
-  // 40 is past the 16-bucket wheel the first run built; the next run must
-  // regrow it instead of aborting on the first send.
-  net.adversary().set_edge_bounds(0, 1, 40, 40);
-  EXPECT_EQ(net.policy().max_delay(), 40u);
-  PingPong wide(0, 1, 4);
-  EXPECT_EQ(net.run(wide, participants), 4 * 40u);
-  EXPECT_EQ(wide.received(), 4);
+// The wheel is sized once, from the horizon, when the Network is built; a
+// schedule too wide for the 2^20-bucket bound is refused then, in Release
+// builds too.
+TEST(TimingWheelDeathTest, HorizonPastTheBoundAbortsAtConstruction) {
+  const auto build = [](const AdversarialConfig& cfg) {
+    auto g = path_graph(2, 31);
+    Network net(*g, 7, DeliveryPolicy::adversarial(cfg));
+  };
+  EXPECT_DEATH(build({1, std::uint64_t{1} << 20, 1}),
+               "horizon 1048576 \\+ 1 is outside \\[1, 1048576\\]");
+  EXPECT_DEATH(build({1, 8, ~std::uint64_t{0}}), "is outside");
 }
 
 TEST(AdversarialPolicy, HorizonCoversClampedBoundsAndJitter) {
@@ -611,26 +502,32 @@ TEST(AdversarialPolicy, HorizonCoversClampedBoundsAndJitter) {
   cfg.min_delay = 0;
   cfg.max_delay = 0;
   cfg.reorder_window = 0;
-  AdversarialPolicy policy(1, cfg);
-  EXPECT_EQ(policy.max_delay(), 1u);  // zero bounds clamp to one tick
-  policy.set_edge_bounds(2, 3, 9, 4);  // hi < lo clamps hi up to lo
-  EXPECT_EQ(policy.max_delay(), 9u);
+  // Zero bounds clamp to one tick.
+  EXPECT_EQ(DeliveryPolicy::adversarial(cfg).horizon(), 1u);
   cfg.reorder_window = 6;
-  AdversarialPolicy jittered(1, cfg);
-  EXPECT_EQ(jittered.max_delay(), 7u);
+  EXPECT_EQ(DeliveryPolicy::adversarial(cfg).horizon(), 7u);
+  cfg.min_delay = 9;
+  cfg.max_delay = 4;
+  cfg.reorder_window = 0;
+  // hi < lo clamps hi up to lo, which then fixes every delay.
+  DeliveryPolicy inverted = DeliveryPolicy::adversarial(cfg);
+  EXPECT_EQ(inverted.horizon(), 9u);
+  for (std::uint64_t now = 0; now < 50; ++now) {
+    EXPECT_EQ(inverted.delivery_time(now), now + 9);
+  }
 }
 
 TEST(RandomDelayPolicy, ZeroMaxDelayClampsToOneTick) {
-  RandomDelayPolicy zero(3, 0);
-  RandomDelayPolicy one(3, 1);
-  EXPECT_EQ(zero.max_delay(), 1u);
+  DeliveryPolicy zero = DeliveryPolicy::async(0);
+  DeliveryPolicy one = DeliveryPolicy::async(1);
+  EXPECT_EQ(zero.horizon(), 1u);
   for (std::uint64_t now = 0; now < 50; ++now) {
-    EXPECT_EQ(zero.delivery_time(0, 1, now), now + 1);
-    EXPECT_EQ(one.delivery_time(0, 1, now), now + 1);
+    EXPECT_EQ(zero.delivery_time(now), now + 1);
+    EXPECT_EQ(one.delivery_time(now), now + 1);
   }
 
   auto g = path_graph(2, 33);
-  AsyncNetwork net(*g, 7, AsyncNetwork::Config{0});
+  Network net(*g, 7, DeliveryPolicy::async(0));
   PingPong proto(0, 1, 6);
   const NodeId participants[] = {0};
   EXPECT_EQ(net.run(proto, participants), 6u);  // every hop takes one tick

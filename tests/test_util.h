@@ -65,10 +65,10 @@ inline World make_gnm_world(std::size_t n, std::size_t m, std::uint64_t seed,
   return scenario::make_world(sc);
 }
 
-// The sync schedule on the per-send policy path: an AdversarialNetwork
-// whose every delay is exactly 1, with no jitter. It delivers in
-// SyncNetwork's order but asks its policy on every send, which SyncNetwork's
-// unit-delay skip does not; comparing the two pins the skip.
+// The sync schedule spelled through the adversarial factory: bounds
+// {1, 1} and no jitter fix every delay at one tick. Comparing it with
+// NetSpec::sync() pins the factory's clamping against the synchronous
+// schedule's.
 inline scenario::NetSpec unit_adversarial_net() {
   sim::AdversarialConfig cfg;
   cfg.min_delay = 1;

@@ -50,6 +50,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -97,11 +98,6 @@ bool write_file(const std::string& path, std::string_view text) {
   return static_cast<bool>(os);
 }
 
-std::string basename_of(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 kkt::scenario::HeadToHeadConfig config_from(const Args& a) {
   kkt::scenario::HeadToHeadConfig cfg;
   if (a.has("sizes")) cfg.sizes = parse_sizes(a.get("sizes", ""));
@@ -132,16 +128,25 @@ int cmd_run(const Args& a) {
   a.expect_only("run", {"out", "sizes", "seeds", "first-seed", "seed", "ops",
                         "threads", "net", "gnm", "xl-sizes", "xl-links",
                         "xl-ghs-cap", "measure"});
-  const std::string out = a.get("out", "BENCH_headtohead.json");
+  const std::string out =
+      a.get("out", std::string(kkt::report::kHeadToHeadArtifact));
   const kkt::scenario::HeadToHeadConfig cfg = config_from(a);
-  if (cfg.sizes.size() < 2) {
-    usage_error("need at least two --sizes to fit a slope");
-  }
   for (const std::size_t n : cfg.sizes) {
     if (n < 2) {
       usage_error("every --sizes entry must be >= 2 (got " +
                   std::to_string(n) + ")");
     }
+  }
+  const std::set<std::size_t> distinct(cfg.sizes.begin(), cfg.sizes.end());
+  if (distinct.size() < 2) {
+    usage_error("need at least two distinct --sizes to fit a slope");
+  }
+  if (cfg.seeds < 1) {
+    usage_error("--seeds must be >= 1 (got " + std::to_string(cfg.seeds) +
+                ")");
+  }
+  if (cfg.ops < 1) {
+    usage_error("--ops must be >= 1 (got " + std::to_string(cfg.ops) + ")");
   }
   if (cfg.xl_long_links > 64) {
     usage_error("--xl-links must be <= 64 (got " +
@@ -178,9 +183,8 @@ std::map<std::string, std::string> render_outputs(
   *ok = true;
   std::map<std::string, std::string> outputs;
   const std::string docs_dir = a.get("docs", "docs/experiments");
-  const std::string source = basename_of(a.get("in", "BENCH_headtohead.json"));
   outputs[docs_dir + "/headtohead.md"] =
-      kkt::report::render_headtohead_markdown(file, source);
+      kkt::report::render_headtohead_markdown(file);
 
   const std::string experiments = a.get("experiments", "");
   if (!experiments.empty()) {
@@ -207,7 +211,8 @@ std::map<std::string, std::string> render_outputs(
 }
 
 std::optional<kkt::report::ResultFile> load_artifact(const Args& a) {
-  const std::string in = a.get("in", "BENCH_headtohead.json");
+  const std::string in =
+      a.get("in", std::string(kkt::report::kHeadToHeadArtifact));
   std::string err;
   auto file = kkt::report::read_results_file(in, &err);
   if (!file) std::fprintf(stderr, "error: %s: %s\n", in.c_str(), err.c_str());
