@@ -34,6 +34,10 @@
 #                       # matrix through kkt_lab
 #                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
+#   ci/run.sh bench     # repo-benchmark smoke: one short run of every
+#                       # BENCHMARK.json workload through perfbench/run.py;
+#                       # fails unless each result line reads correct with
+#                       # no failed op (wall time is not gated)
 #
 # The exact counter gate (`kkt_report bench <suite>` for all eight suites
 # against tests/baselines/) is part of the ctest suite the dev and asan
@@ -112,6 +116,30 @@ run_faults() {
   echo "==> archived BENCH_faultmodel.json"
 }
 
+# Bench stage: the repo benchmark (perfbench/, BENCHMARK.json) end to end,
+# one 1-second run per declared workload. Each run checks its own outputs
+# against the oracle and prints one JSON result as its last line; the stage
+# fails unless every result has "correct": true and "failed": 0. Wall time
+# on a CI runner is noise, so no metric is compared here.
+run_bench() {
+  local workloads w result
+  workloads=$(python3 -c 'import json; print(" ".join(
+    w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  for w in $workloads; do
+    echo "==> perfbench workload $w"
+    result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1)
+    echo "$result"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+        "$result"; then
+      echo "FAIL: workload $w is not correct or has failed ops" >&2
+      exit 1
+    fi
+  done
+}
+
 # Bigraph stage: the web-scale backend gate (docs/GRAPH_STORE.md). The
 # backend-labelled suite pins metric bit-identity across each seeded
 # family's own backend (implicit K_n, frozen igridlong / igeo), its
@@ -166,8 +194,9 @@ case "$stage" in
   lint)    run_lint ;;
   bigraph) run_bigraph ;;
   faults)  run_faults ;;
+  bench)   run_bench ;;
   all)     run_preset dev; run_preset asan; run_preset tsan; run_lint ;;
-  *)       echo "usage: $0 [dev|asan|tsan|report|lint|bigraph|faults|all]" >&2; exit 2 ;;
+  *)       echo "usage: $0 [dev|asan|tsan|report|lint|bigraph|faults|bench|all]" >&2; exit 2 ;;
 esac
 
 echo "==> OK [$stage]"

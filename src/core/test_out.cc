@@ -1,38 +1,54 @@
 #include "core/test_out.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <utility>
 
 namespace kkt::core {
 
-Words SlicedKernel::parities(std::span<const AugWeight> row,
-                             int en_bits) const {
-  // Fixed-capacity accumulators (reps <= kMaxMessageWords): no allocation,
-  // and the inner loop is a branch-free sweep of mask-and-xor updates over
-  // the bank. XOR order is immaterial.
-  assert(!bank.empty() && bank.size() <= sim::kMaxMessageWords);
-  std::uint64_t acc[sim::kMaxMessageWords] = {};
-  const util::u128 wd = width.divisor();
+namespace {
+
+// The sweep for a bank of R hashes. R is a compile-time constant, so the
+// per-hash loop unrolls, every index is static, and the bank's multipliers
+// and thresholds and the R accumulators are plain locals the compiler
+// keeps in registers (all of them for small banks; at R = 8 the 24 words
+// outnumber x86-64's registers and some spill). Each entry costs R
+// multiply-compare-and-xor updates. XOR order is immaterial.
+template <std::size_t R>
+Words sweep(const SlicedKernel& k, std::span<const AugWeight> row,
+            int en_bits) {
+  hashing::OddHash bank[R];
+  std::uint64_t acc[R] = {};
+  for (std::size_t r = 0; r < R; ++r) bank[r] = k.bank[r];
+  const Interval& range = k.range;
+  const util::u128 wd = k.width.divisor();
   std::uint64_t bit = 1;  // slice 0 until an entry passes slice_end
   AugWeight slice_end = std::min(range.lo + wd - 1, range.hi);
   for (const AugWeight aug : row) {
     assert(aug >= range.lo);
     if (aug > slice_end) {
       if (aug > range.hi) break;
-      const util::u128 idx = width.div(aug - range.lo);
+      const util::u128 idx = k.width.div(aug - range.lo);
       assert(idx < 64);
       bit = std::uint64_t{1} << static_cast<unsigned>(idx);
       slice_end = std::min(range.lo + (idx + 1) * wd - 1, range.hi);
     }
     const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
-    for (std::size_t r = 0; r < bank.size(); ++r) {
-      acc[r] ^= bit & bank[r].mask(en);
-    }
+    for (std::size_t r = 0; r < R; ++r) acc[r] ^= bit & bank[r].mask(en);
   }
-  return Words(std::span<const std::uint64_t>(acc, bank.size()));
+  return Words(std::span<const std::uint64_t>(acc, R));
 }
 
-namespace {
+// sweep<1> .. sweep<kMaxMessageWords>, indexed by bank size - 1.
+template <std::size_t... I>
+constexpr auto make_sweeps(std::index_sequence<I...>) {
+  using Sweep = Words (*)(const SlicedKernel&, std::span<const AugWeight>,
+                          int);
+  return std::array<Sweep, sizeof...(I)>{&sweep<I + 1>...};
+}
+constexpr auto kSweeps =
+    make_sweeps(std::make_index_sequence<sim::kMaxMessageWords>{});
 
 // One run's state, built once at the initiator. Nodes borrow it through
 // one reference, which keeps the closure in std::function's inline buffer.
@@ -68,6 +84,12 @@ std::uint64_t run_sliced(proto::TreeOps& ops, NodeId root, const Words& payload,
 }
 
 }  // namespace
+
+Words SlicedKernel::parities(std::span<const AugWeight> row,
+                             int en_bits) const {
+  assert(!bank.empty() && bank.size() <= sim::kMaxMessageWords);
+  return kSweeps[bank.size() - 1](*this, row, en_bits);
+}
 
 std::uint64_t test_out_sliced(proto::TreeOps& ops, NodeId root,
                               const hashing::OddHash& h, Interval range,

@@ -36,7 +36,9 @@ struct SlicedKernel {
 
   // Word r, bit i: parity of bank[r] over the entries of `row` in slice i.
   // `row` ascends from range.lo or later; the walk stops past range.hi and
-  // divides only when an entry leaves the current slice.
+  // divides only when an entry leaves the current slice. Each bank size
+  // has its own compiled sweep, which holds the bank and the accumulators
+  // in registers across the row as far as they fit.
   Words parities(std::span<const AugWeight> row, int en_bits) const;
 };
 

@@ -21,7 +21,6 @@
 // fixed on every backend.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -213,21 +212,23 @@ class Graph {
 
   // sorted_incident(v) from its first entry >= lo, for walks that stop at
   // the first entry past hi. Implicit K_n rows end at hi (their tail is
-  // Theta(n)).
+  // Theta(n)). A window that starts at or below the row's first entry --
+  // every HP-TestOut window [0, x] and every FindMin's first TestOut -- is
+  // the whole row, with no search; any other start is a branch-free binary
+  // search (a branching one mispredicts on about half of its halvings).
   std::span<const AugWeight> sorted_incident_from(NodeId v, AugWeight lo,
                                                   AugWeight hi) const {
     if (backend_ == Backend::kImplicit) return implicit_window(v, lo, hi);
     const std::span<const AugWeight> s = sorted_incident(v);
-    return s.subspan(static_cast<std::size_t>(
-        std::lower_bound(s.begin(), s.end(), lo) - s.begin()));
+    if (s.empty() || lo <= s.front()) return s;
+    return s.subspan(partition_point(s, [lo](AugWeight a) { return a < lo; }));
   }
 
   // The window of sorted_incident(v) with aug weights in [lo, hi].
   std::span<const AugWeight> sorted_incident_range(NodeId v, AugWeight lo,
                                                    AugWeight hi) const {
     const std::span<const AugWeight> s = sorted_incident_from(v, lo, hi);
-    return s.first(static_cast<std::size_t>(
-        std::upper_bound(s.begin(), s.end(), hi) - s.begin()));
+    return s.first(partition_point(s, [hi](AugWeight a) { return a <= hi; }));
   }
 
   // Largest raw weight / edge number over alive edges (0 if none).
@@ -258,6 +259,23 @@ class Graph {
         break;
     }
     return implicit_weight(v, inc.peer);
+  }
+  // Index of the first entry of ascending `s` failing `pred` (s.size() if
+  // none), as std::partition_point. Branch-free: each halving picks the
+  // next base with a select (a conditional move), not a jump.
+  template <typename Pred>
+  static std::size_t partition_point(std::span<const AugWeight> s,
+                                     Pred pred) {
+    if (s.empty()) return 0;
+    const AugWeight* base = s.data();
+    std::size_t len = s.size();
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      base = pred(base[half]) ? base + half : base;
+      len -= half;
+    }
+    return static_cast<std::size_t>(base - s.data()) +
+           static_cast<std::size_t>(pred(*base));
   }
   void rebuild_sorted(NodeId v) const;  // slow path of sorted_incident
   void touch_sorted(NodeId u, NodeId v) {

@@ -52,6 +52,8 @@ class OddHash {
   // All-ones word iff h(x) == 1, else zero: batched evaluators (TestOut's
   // sliced parities) fold this into their accumulators branch-free, since
   // h fires on roughly half the keys and the branch would be unpredictable.
+  // Inline and stateless beyond the two words, so a sweep over a fixed-size
+  // bank of copies can hold every multiplier and threshold in registers.
   constexpr std::uint64_t mask(std::uint64_t x) const noexcept {
     return 0 - static_cast<std::uint64_t>(multiplier_ * x <= threshold_);
   }

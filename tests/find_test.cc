@@ -34,10 +34,13 @@ CutWorld make_cut_world(std::size_t n, std::size_t m, std::uint64_t seed,
   return cw;
 }
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and those
+// bytes become part of the test ID; every field is 8 bytes wide, so the
+// struct has no uninitialised padding to print.
 struct FindCase {
   std::size_t n, m;
   std::uint64_t seed;
-  int w;  // FindMin slice width
+  std::uint64_t w;  // FindMin slice width
 };
 
 class FindMinSweep : public ::testing::TestWithParam<FindCase> {};
@@ -48,7 +51,7 @@ TEST_P(FindMinSweep, ReturnsTheLightestCutEdge) {
     CutWorld cw = make_cut_world(n, m, seed + cut, cut * 7);
     proto::TreeOps ops(*cw.w.net, graph::TreeView(*cw.w.forest));
     FindMinConfig cfg;
-    cfg.w = w;
+    cfg.w = static_cast<int>(w);
     const FindMinResult res = find_min(ops, cw.root, cfg);
     ASSERT_TRUE(cw.lightest.has_value());  // split a tree edge of a
                                            // connected graph: cut nonempty

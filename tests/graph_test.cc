@@ -144,6 +144,94 @@ TEST(Graph, SortedRowsFollowMutation) {
   for (NodeId v = 0; v < 8; ++v) expect_row(v);
 }
 
+// sorted_incident_from / sorted_incident_range of every node of g against
+// std::lower_bound / std::upper_bound over the row rebuilt from
+// incident(v). The row is rebuilt without touching the sorted cache, so a
+// stale row is first read through the window call under test. Starts: 0,
+// below the first entry, on an entry, just past one, past the last entry;
+// ends: each of those too, so hi < lo is covered.
+void expect_windows_match_std_bounds(const Graph& g, util::Rng& rng) {
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    std::vector<AugWeight> row;
+    for (const Incidence& inc : g.incident(v)) {
+      row.push_back(g.aug_weight(inc.edge));
+    }
+    std::sort(row.begin(), row.end());
+    std::vector<AugWeight> bounds{0};
+    if (!row.empty()) {
+      const AugWeight mid = row[rng.below(row.size())];
+      bounds.insert(bounds.end(), {row.front() - 1, row.front(), mid, mid + 1,
+                                   row.back(), row.back() + 1});
+    }
+    for (const AugWeight lo : bounds) {
+      const auto first = std::lower_bound(row.begin(), row.end(), lo);
+      const std::span<const AugWeight> from =
+          g.sorted_incident_from(v, lo, ~AugWeight{0});
+      EXPECT_EQ(std::vector<AugWeight>(from.begin(), from.end()),
+                std::vector<AugWeight>(first, row.end()))
+          << "v=" << v << " lo=" << static_cast<std::uint64_t>(lo);
+      for (const AugWeight hi : bounds) {
+        const auto last =
+            std::max(first, std::upper_bound(row.begin(), row.end(), hi));
+        const std::span<const AugWeight> got =
+            g.sorted_incident_range(v, lo, hi);
+        EXPECT_EQ(std::vector<AugWeight>(got.begin(), got.end()),
+                  std::vector<AugWeight>(first, last))
+            << "v=" << v << " lo=" << static_cast<std::uint64_t>(lo)
+            << " hi=" << static_cast<std::uint64_t>(hi);
+      }
+    }
+  }
+}
+
+// The row windows FindMin, HP-TestOut and FindAny walk, on the adjacency
+// and frozen backends, before and after mutations leave rows stale. Node
+// 0 stays isolated: its row is empty.
+TEST(Graph, RowWindowsMatchStdBounds) {
+  util::Rng rng(27);
+  Graph g(40, rng);
+  for (int i = 0; i < 300; ++i) {
+    const auto u = static_cast<NodeId>(1 + rng.below(39));
+    const auto v = static_cast<NodeId>(1 + rng.below(39));
+    if (u != v && !g.find_edge(u, v)) g.add_edge(u, v, rng.below(1u << 16));
+  }
+  ASSERT_EQ(g.degree(0), 0u);
+  expect_windows_match_std_bounds(g, rng);
+
+  const std::string path = test::temp_store_path("windows");
+  std::string error;
+  ASSERT_TRUE(pack_store(path, g, &error)) << error;
+  auto store = FrozenStore::open(path, &error);
+  ASSERT_NE(store, nullptr) << error;
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+  const Graph frozen = Graph::from_store(std::move(store));
+  ASSERT_EQ(frozen.backend(), Graph::Backend::kFrozen);
+  expect_windows_match_std_bounds(frozen, rng);
+  expect_windows_match_std_bounds(igridlong(64, 2, 1), rng);
+
+  // Stale rows: every mutation kind, each followed by a fresh check.
+  const std::vector<EdgeIdx> alive = g.alive_edge_indices();
+  for (std::size_t i = 0; i < 12; ++i) {
+    const EdgeIdx e = alive[rng.below(alive.size())];
+    if (!g.alive(e)) continue;
+    switch (i % 3) {
+      case 0:
+        g.set_weight(e, rng.below(1u << 16));
+        break;
+      case 1:
+        g.remove_edge(e);
+        break;
+      default: {
+        const Edge ed = g.edge(e);
+        g.remove_edge(e);
+        g.add_edge(ed.v, ed.u, rng.below(1u << 16));
+        break;
+      }
+    }
+    expect_windows_match_std_bounds(g, rng);
+  }
+}
+
 sim::Metrics build_mst_cost(const Graph& g) {
   MarkedForest forest(g);
   const auto net = scenario::make_network(g, scenario::NetSpec::sync(), 5);

@@ -144,9 +144,12 @@ TEST(SlicedKernel, EntriesExactlyOnSliceBoundaries) {
         row.push_back(sl.hi);
       }
       std::sort(row.begin(), row.end());
+      // Every bank size: each is its own instance of the kernel's sweep.
       for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-        expect_kernel_matches_reference(row, range, w, seed, 8);
-        expect_kernel_matches_reference(row, range, w, seed, 1);
+        for (int reps = 1;
+             reps <= static_cast<int>(sim::kMaxMessageWords); ++reps) {
+          expect_kernel_matches_reference(row, range, w, seed, reps);
+        }
       }
     }
   }
