@@ -32,7 +32,9 @@
 #                       # oracle-clean heals)
 #                       # under the strict dev preset, then the full fault
 #                       # matrix through kkt_lab
-#                       # at the canonical seed; archives BENCH_faultmodel.json (counter-only
+#                       # at the canonical seed, once per maintained kind;
+#                       # archives BENCH_faultmodel.json (MST) and
+#                       # BENCH_faultmodel_st.json (ST) (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
 #   ci/run.sh bench     # repo-benchmark smoke: one short run of every
 #                       # BENCHMARK.json workload through perfbench/run.py;
@@ -100,8 +102,9 @@ run_lint() {
 # oracle-clean after every event -- under the strict dev build.
 # Faults are graph updates; links stay reliable, so the only undelivered
 # sends are max_rounds backstop leftovers (dropped_deliveries, 0 in a
-# correct run). The kkt_lab run then replays all three fault models through
-# MaintenanceSession::apply_batch and archives the counter-only artifact.
+# correct run). The kkt_lab runs then replay all three fault models through
+# MaintenanceSession::apply_batch, on a maintained MST and on a maintained
+# ST, and archive the two counter-only artifacts.
 run_faults() {
   echo "==> configure/build [dev]"
   cmake --preset dev
@@ -113,7 +116,10 @@ run_faults() {
   ./build/release/examples/kkt_lab churn --family gnm --n 64 --m 192 \
     --faults batch,regional,partition --events 4 --seed 2015 --net sync \
     --out BENCH_faultmodel.json
-  echo "==> archived BENCH_faultmodel.json"
+  ./build/release/examples/kkt_lab churn --family gnm --n 64 --m 192 \
+    --faults batch,regional,partition --events 4 --seed 2015 --net sync \
+    --kind st --out BENCH_faultmodel_st.json
+  echo "==> archived BENCH_faultmodel.json BENCH_faultmodel_st.json"
 }
 
 # Bench stage: the repo benchmark (perfbench/, BENCHMARK.json) end to end,

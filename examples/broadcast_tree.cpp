@@ -15,7 +15,7 @@
 #include <cstdlib>
 
 #include "baseline/flood_st.h"
-#include "core/build_st.h"
+#include "core/build_mst.h"
 #include "proto/tree_ops.h"
 #include "scenario/scenario.h"
 #include "sim/network.h"

@@ -86,7 +86,6 @@
 #include "baseline/flood_st.h"
 #include "baseline/ghs.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "core/verify.h"
 #include "graph/io.h"
 #include "graph/mst_oracle.h"

@@ -184,13 +184,6 @@ class GhsSearch final : public sim::Protocol {
   graph::EdgeNum best_num_ = 0;
 };
 
-std::vector<std::vector<NodeId>> fragment_lists(
-    const std::vector<std::uint32_t>& label, std::size_t count) {
-  std::vector<std::vector<NodeId>> frags(count);
-  for (NodeId v = 0; v < label.size(); ++v) frags[label[v]].push_back(v);
-  return frags;
-}
-
 }  // namespace
 
 GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest) {
@@ -214,22 +207,21 @@ GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest) {
   proto::ProtoScratch scratch;
 
   for (std::size_t phase = 1; phase <= max_phases; ++phase) {
-    auto [label, count] = forest.components();
-    if (count == graph_components) {
+    const auto frags = forest.fragments();
+    if (frags.size() == graph_components) {
       stats.spanning = true;
       break;
     }
     GhsPhaseInfo info;
-    info.fragments = count;
+    info.fragments = frags.size();
     const std::uint64_t msgs_before = net.metrics().messages;
 
     const graph::TreeView tree(forest, static_cast<std::uint32_t>(phase) - 1);
     proto::TreeOps ops(net, tree, &scratch);
-    const auto frags = fragment_lists(label, count);
 
     // Step 1 (all fragments in parallel): elect leaders; the announcement
     // doubles as the fragment-ID broadcast.
-    std::vector<NodeId> leaders(count);
+    std::vector<NodeId> leaders(frags.size());
     {
       sim::ParallelPhase par(net);
       for (std::size_t f = 0; f < frags.size(); ++f) {

@@ -1,8 +1,8 @@
 #include "core/repair.h"
 
+#include <algorithm>
 #include <cassert>
 
-#include "core/build_st.h"
 #include "core/wire.h"
 #include "proto/broadcast.h"
 #include "proto/tree_ops.h"
@@ -114,12 +114,12 @@ RepairOutcome DynamicForest::repair_cut(NodeId initiator) {
   bool found = false;
   bool exhausted = false;
   if (kind_ == ForestKind::kMst) {
-    const FindMinResult res = find_min(ops, initiator, find_min_config);
+    const FindMinResult res = find_min(ops, initiator);
     found = res.found;
     replacement = res.edge_num;
     exhausted = res.stats.budget_exhausted;
   } else {
-    const FindAnyResult res = find_any(ops, initiator, find_any_config);
+    const FindAnyResult res = find_any(ops, initiator);
     found = res.found;
     replacement = res.edge_num;
     exhausted = res.stats.budget_exhausted;
@@ -159,12 +159,13 @@ DynamicForest::BatchOutcome DynamicForest::delete_batch(
     return out;
   }
 
-  // Boruvka completion over the damaged fragments only. A fragment goes
-  // clean when its search certifies no leaving edge or after its found
-  // edge is installed and the next phase re-checks the merged fragment.
-  // Every phase either merges or cleans at least one fragment, so 2k+4
-  // phases always suffice for the MST; the ST's Monte Carlo searches and
-  // cycle lotteries get proportionally more headroom.
+  // Boruvka completion over the damaged fragments only, with the default
+  // (uncapped) FindMin / FindAny. A fragment goes clean when its search
+  // certifies no leaving edge or after its found edge is installed and the
+  // next phase re-checks the merged fragment. Every phase either merges or
+  // cleans at least one fragment, so 2k+4 phases always suffice for the
+  // MST; the ST's Monte Carlo searches and cycle lotteries get
+  // proportionally more headroom.
   const std::size_t phase_cap =
       (kind_ == ForestKind::kMst ? 2 * out.tree_edges_removed + 4
                                  : 32 * (out.tree_edges_removed + 2));
@@ -172,70 +173,14 @@ DynamicForest::BatchOutcome DynamicForest::delete_batch(
   // p+1 (exactly Build MST's snapshot semantics), so concurrently repaired
   // fragments never see each other's half-installed merges.
   const std::uint32_t base_epoch = forest_->max_mark_epoch();
+  proto::ProtoScratch scratch;
   for (std::size_t phase = 0; phase < phase_cap; ++phase) {
-    auto [label, count] = forest_->components();
-    std::vector<char> comp_dirty(count, 0);
-    for (NodeId v = 0; v < label.size(); ++v) {
-      if (dirty[v]) comp_dirty[label[v]] = 1;
-    }
-    std::vector<std::vector<NodeId>> comps(count);
-    for (NodeId v = 0; v < label.size(); ++v) comps[label[v]].push_back(v);
-
-    const auto mark_epoch =
-        base_epoch + static_cast<std::uint32_t>(phase) + 1;
-    bool any = false;
-    proto::TreeOps ops(*net_, graph::TreeView(*forest_, mark_epoch - 1));
-    sim::ParallelPhase par(*net_);
-    for (std::size_t c = 0; c < count; ++c) {
-      if (!comp_dirty[c]) continue;
-      any = true;
-      const auto branch = par.branch();
-      const proto::ElectionResult el = ops.elect(comps[c]);
-      assert(el.leader != graph::kNoNode);
-      bool found = false;
-      graph::EdgeNum replacement = 0;
-      if (kind_ == ForestKind::kMst) {
-        const FindMinResult res = find_min(ops, el.leader, find_min_config);
-        found = res.found;
-        replacement = res.edge_num;
-      } else {
-        const FindAnyResult res = find_any(ops, el.leader, find_any_config);
-        found = res.found;
-        replacement = res.edge_num;
-      }
-      if (found) {
-        ops.add_edge(*forest_, el.leader, replacement, mark_epoch);
-        ++out.replacements;
-      } else {
-        // Maximal (or search exhausted, w.h.p. absent): fragment is clean.
-        for (NodeId v : comps[c]) dirty[v] = 0;
-      }
-    }
-    par.finish();
-
-    if (kind_ == ForestKind::kSt && any) {
-      // Unweighted choices can close one cycle per merged component;
-      // resolve exactly as Build ST does (Section 4.2).
-      auto [mlabel, mcount] = forest_->components();
-      std::vector<char> mdirty(mcount, 0);
-      for (NodeId v = 0; v < mlabel.size(); ++v) {
-        if (dirty[v]) mdirty[mlabel[v]] = 1;
-      }
-      std::vector<std::vector<NodeId>> mcomps(mcount);
-      for (NodeId v = 0; v < mlabel.size(); ++v) {
-        mcomps[mlabel[v]].push_back(v);
-      }
-      proto::TreeOps mops(*net_, graph::TreeView(*forest_));
-      sim::ParallelPhase mpar(*net_);
-      for (std::size_t c = 0; c < mcount; ++c) {
-        if (!mdirty[c]) continue;
-        const auto branch = mpar.branch();
-        resolve_st_cycle(*net_, *forest_, mops, mcomps[c]);
-      }
-      mpar.finish();
-    }
-
-    if (!any) break;
+    if (std::find(dirty.begin(), dirty.end(), 1) == dirty.end()) break;
+    const PhaseInfo info = boruvka_phase(
+        *net_, *forest_, kind_, {}, {},
+        base_epoch + static_cast<std::uint32_t>(phase) + 1,
+        forest_->fragments(), scratch, &dirty);
+    out.replacements += info.merges;
     ++out.phases;
   }
 

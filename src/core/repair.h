@@ -28,8 +28,7 @@
 #include <optional>
 #include <string_view>
 
-#include "core/find_any.h"
-#include "core/find_min.h"
+#include "core/build_mst.h"
 #include "graph/forest.h"
 #include "sim/network.h"
 
@@ -38,9 +37,6 @@ namespace kkt::core {
 using graph::EdgeIdx;
 using graph::NodeId;
 using graph::Weight;
-
-// Which invariant the maintained forest satisfies.
-enum class ForestKind { kMst, kSt };
 
 enum class RepairAction {
   kNone,          // nothing to do (e.g. non-tree deletion)
@@ -81,13 +77,13 @@ class DynamicForest {
 
   // Extension (the paper's "simultaneous edge changes" future work):
   // deletes a whole batch of edges at once and repairs the forest with
-  // Boruvka-style phases restricted to the damaged fragments. Correct for
-  // MSTs because deleting edges never evicts a surviving MST edge (each
-  // survivor stays minimum across the cut that certified it), so the
-  // remaining forest is a subforest of the new MSF and completing it
-  // greedily from minimum leaving edges is exact. Fragments repaired in
-  // parallel phases: messages sum, elapsed time counts the slowest
-  // fragment.
+  // Build MST's / Build ST's Boruvka phase (core::boruvka_phase) restricted
+  // to the damaged fragments. Correct for MSTs because deleting edges never
+  // evicts a surviving MST edge (each survivor stays minimum across the cut
+  // that certified it), so the remaining forest is a subforest of the new
+  // MSF and completing it greedily from minimum leaving edges is exact.
+  // Fragments repaired in parallel phases: messages sum, elapsed time
+  // counts the slowest fragment.
   struct BatchOutcome {
     std::size_t tree_edges_removed = 0;
     std::size_t replacements = 0;
@@ -104,10 +100,6 @@ class DynamicForest {
 
   // Changes the weight of an alive edge and repairs the forest.
   RepairOutcome change_weight(EdgeIdx e, Weight new_weight);
-
-  // Tuning knobs for the embedded searches.
-  FindMinConfig find_min_config;
-  FindAnyConfig find_any_config;
 
  private:
   struct PathQuery {

@@ -6,19 +6,6 @@
 #include "proto/tree_ops.h"
 
 namespace kkt::core {
-namespace {
-
-std::vector<std::vector<graph::NodeId>> component_lists(
-    const graph::MarkedForest& forest) {
-  auto [label, count] = forest.components();
-  std::vector<std::vector<graph::NodeId>> comps(count);
-  for (graph::NodeId v = 0; v < label.size(); ++v) {
-    comps[label[v]].push_back(v);
-  }
-  return comps;
-}
-
-}  // namespace
 
 VerifySpanningResult verify_spanning(sim::Network& net,
                                      const graph::MarkedForest& forest) {
@@ -29,7 +16,7 @@ VerifySpanningResult verify_spanning(sim::Network& net,
 
   const graph::TreeView tree(forest);
   proto::TreeOps ops(net, tree);
-  const auto comps = component_lists(forest);
+  const auto comps = forest.fragments();
   res.components = comps.size();
 
   sim::ParallelPhase par(net);

@@ -219,6 +219,13 @@ std::pair<std::vector<std::uint32_t>, std::size_t> MarkedForest::components()
   return {std::move(label), next};
 }
 
+std::vector<std::vector<NodeId>> MarkedForest::fragments() const {
+  const auto [label, count] = components();
+  std::vector<std::vector<NodeId>> out(count);
+  for (NodeId v = 0; v < label.size(); ++v) out[label[v]].push_back(v);
+  return out;
+}
+
 std::vector<NodeId> MarkedForest::component_of(NodeId root) const {
   std::vector<NodeId> out{root};
   std::vector<char> seen(graph_->node_count(), 0);

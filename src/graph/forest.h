@@ -91,6 +91,10 @@ class MarkedForest {
   // Component label per node of the marked subgraph, plus component count.
   std::pair<std::vector<std::uint32_t>, std::size_t> components() const;
 
+  // The nodes of each marked-subgraph component, ascending, indexed by the
+  // components() label: a Boruvka phase's fragments.
+  std::vector<std::vector<NodeId>> fragments() const;
+
   // All nodes in the marked-subgraph component containing root.
   std::vector<NodeId> component_of(NodeId root) const;
 

@@ -31,7 +31,9 @@ class TreeOps {
   // ProtoScratch outside a phase loop): the per-node protocol arenas then
   // persist across phases, so per-fragment ops cost O(fragment) instead of
   // O(n). When null, this TreeOps owns private arenas (still reused across
-  // its own calls). Counters are bit-identical either way.
+  // its own calls). Counters are bit-identical either way, so one bundle may
+  // also serve TreeOps over different views in turn (a Boruvka phase's
+  // search and its cycle pass).
   explicit TreeOps(sim::Network& net, graph::TreeView tree,
                    ProtoScratch* scratch = nullptr)
       : net_(&net),

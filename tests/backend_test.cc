@@ -17,7 +17,6 @@
 
 #include "baseline/ghs.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "core/find_min.h"
 #include "graph/mst_oracle.h"
 #include "graph/store.h"

@@ -2,6 +2,8 @@
 // work; see DynamicForest::delete_batch).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/repair.h"
 #include "graph/mst_oracle.h"
 #include "test_util.h"
@@ -134,6 +136,44 @@ TEST(Batch, TimeIsSublinearInBatchSize) {
     for (EdgeIdx e : batch) seq_rounds += dyn.delete_edge(e).rounds;
   }
   EXPECT_LT(batch_rounds, seq_rounds);
+}
+
+// The batch repair path, pinned: no counter baseline runs ForestKind::kSt
+// through delete_batch, so these fixed-seed goldens of the whole Metrics
+// block and the batch outcome gate both kinds' phase loops. A change that
+// moves one draw or one send moves these strings.
+std::string pinned_batch(ForestKind kind) {
+  World w = make_repair_world(128, 512, 28);
+  DynamicForest dyn(*w.g, *w.forest, *w.net, kind);
+  const auto batch = pick_batch(w, 6, 2028, /*tree_only=*/true);
+  const auto out = dyn.delete_batch(batch);
+  EXPECT_TRUE(w.forest->properly_marked());
+  EXPECT_TRUE(w.forest->is_spanning_forest());
+  if (kind == ForestKind::kMst) {
+    EXPECT_TRUE(graph::same_edge_set(w.forest->marked_edges(),
+                                     graph::kruskal_msf(*w.g)));
+  }
+  return "removed=" + std::to_string(out.tree_edges_removed) +
+         " replacements=" + std::to_string(out.replacements) +
+         " phases=" + std::to_string(out.phases) + " " +
+         test::describe(w.net->metrics());
+}
+
+TEST(BatchRepair, MstMetricsArePinned) {
+  EXPECT_EQ(pinned_batch(ForestKind::kMst),
+            "removed=6 replacements=7 phases=2 messages=6905 bits=2481680 "
+            "rounds=6213 echoes=166 oversized=0 dropped=0 state=576 "
+            "broadcast=3258/1262624 echo=3137/1195024 elect-echo=255/4080 "
+            "leader-announce=248/19840 add-edge=7/112");
+}
+
+TEST(BatchRepair, StMetricsArePinned) {
+  EXPECT_EQ(pinned_batch(ForestKind::kSt),
+            "removed=6 replacements=52 phases=19 messages=29305 "
+            "bits=5993488 rounds=26159 echoes=267 oversized=0 dropped=0 "
+            "state=320 broadcast=12033/4474512 echo=9944/1220992 "
+            "elect-echo=4271/68336 leader-announce=2824/225920 "
+            "cycle-unmark=181/2896 add-edge=52/832");
 }
 
 }  // namespace

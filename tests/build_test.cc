@@ -6,7 +6,6 @@
 #include "baseline/ghs.h"
 #include "baseline/naive_repair.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "graph/mst_oracle.h"
 #include "test_util.h"
 
@@ -106,7 +105,7 @@ class BuildStSweep : public ::testing::TestWithParam<BuildCase> {};
 TEST_P(BuildStSweep, BuildsASpanningForest) {
   const auto [n, m, seed] = GetParam();
   World w = make_gnm_world(n, m, seed);
-  const BuildStStats stats = build_st(*w.net, *w.forest);
+  const BuildStats stats = build_st(*w.net, *w.forest);
   EXPECT_TRUE(stats.spanning);
   EXPECT_TRUE(w.forest->properly_marked());
   EXPECT_TRUE(w.forest->is_spanning_forest());
@@ -127,7 +126,7 @@ TEST(BuildSt, DisconnectedGraph) {
   for (NodeId v = 0; v < 3; ++v) g->add_edge(v, (v + 1) % 3, 1);
   for (NodeId v = 4; v < 7; ++v) g->add_edge(v, v + 1, 1);
   World w = test::make_world(std::move(g), 15);
-  const BuildStStats stats = build_st(*w.net, *w.forest);
+  const BuildStats stats = build_st(*w.net, *w.forest);
   EXPECT_TRUE(stats.spanning);
   EXPECT_TRUE(w.forest->is_spanning_forest());
 }
@@ -141,7 +140,7 @@ TEST(BuildSt, RingsExerciseCycleHandling) {
     util::Rng rng(seed);
     auto g = std::make_unique<graph::Graph>(graph::ring(16, {4}, rng));
     World w = test::make_world(std::move(g), seed * 31);
-    const BuildStStats stats = build_st(*w.net, *w.forest);
+    const BuildStats stats = build_st(*w.net, *w.forest);
     EXPECT_TRUE(stats.spanning) << "seed " << seed;
     EXPECT_TRUE(w.forest->is_spanning_forest()) << "seed " << seed;
     for (const auto& ph : stats.per_phase) cycles_seen += ph.cycles_detected;

@@ -8,7 +8,6 @@
 #include "baseline/flood_st.h"
 #include "baseline/ghs.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "core/repair.h"
 #include "core/verify.h"
 #include "graph/mst_oracle.h"
@@ -79,7 +78,7 @@ TEST_P(FamilySweep, BuildMstMatchesOracleEverywhere) {
 
 TEST_P(FamilySweep, BuildStSpansEverywhere) {
   World w = make();
-  const BuildStStats stats = build_st(*w.net, *w.forest);
+  const BuildStats stats = build_st(*w.net, *w.forest);
   EXPECT_TRUE(stats.spanning);
   EXPECT_TRUE(w.forest->is_spanning_forest());
   EXPECT_TRUE(verify_spanning(*w.net, *w.forest).spanning_forest());

@@ -13,13 +13,11 @@
 //                   (test::unit_adversarial_net()).
 #include <gtest/gtest.h>
 
-#include <string>
 #include <tuple>
 #include <utility>
 
 #include "baseline/ghs.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "core/repair.h"
 #include "graph/mst_oracle.h"
 #include "test_util.h"
@@ -122,29 +120,12 @@ TEST(FastPath, RepairCountersBitIdentical) {
 // whole Metrics block are its gate. A schedule change that moves a single
 // delivery moves the rounds and, through the protocols' reactions, the
 // traffic; these strings must then be re-derived on purpose.
-std::string describe(const Metrics& m) {
-  std::string out = "messages=" + std::to_string(m.messages) +
-                    " bits=" + std::to_string(m.message_bits) +
-                    " rounds=" + std::to_string(m.rounds) +
-                    " echoes=" + std::to_string(m.broadcast_echoes) +
-                    " oversized=" + std::to_string(m.oversized_messages) +
-                    " dropped=" + std::to_string(m.dropped_deliveries) +
-                    " state=" + std::to_string(m.peak_node_state_bits);
-  for (std::size_t i = 0; i < m.per_tag.size(); ++i) {
-    if (m.per_tag[i] == 0 && m.per_tag_bits[i] == 0) continue;
-    out += std::string(" ") + tag_name(static_cast<Tag>(i)) + "=" +
-           std::to_string(m.per_tag[i]) + "/" +
-           std::to_string(m.per_tag_bits[i]);
-  }
-  return out;
-}
-
 TEST(AdversarialSchedule, BuildMstMetricsArePinned) {
   World w = test::make_gnm_world(64, 256, 5, scenario::NetSpec::adversarial());
   EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
   EXPECT_TRUE(graph::same_edge_set(w.forest->marked_edges(),
                                    graph::kruskal_msf(*w.g)));
-  EXPECT_EQ(describe(w.net->metrics()),
+  EXPECT_EQ(test::describe(w.net->metrics()),
             "messages=4975 bits=1841264 rounds=3517 echoes=1730 oversized=0 "
             "dropped=0 state=576 broadcast=2382/945824 echo=2273/883344 "
             "elect-echo=128/2048 leader-announce=109/8720 add-edge=83/1328");
@@ -158,7 +139,7 @@ TEST(AdversarialSchedule, UniformChurnMetricsArePinned) {
   const workload::ChurnResult res = workload::run_churn(sc);
   EXPECT_EQ(res.oracle_failures, 0u);
   EXPECT_EQ(res.records.size(), 64u);
-  EXPECT_EQ(describe(res.total),
+  EXPECT_EQ(test::describe(res.total),
             "messages=19149 bits=6491536 rounds=32248 echoes=201 oversized=0 "
             "dropped=0 state=576 broadcast=10018/3181920 echo=9114/3309344 "
             "add-edge=17/272");

@@ -7,7 +7,6 @@
 
 #include "baseline/flood_st.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "core/find_min.h"
 #include "core/repair.h"
 #include "core/verify.h"

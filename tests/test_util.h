@@ -19,6 +19,7 @@
 #include "graph/graph.h"
 #include "graph/mst_oracle.h"
 #include "scenario/scenario.h"
+#include "sim/metrics.h"
 #include "util/rng.h"
 
 namespace kkt::test {
@@ -109,6 +110,26 @@ inline std::optional<graph::EdgeIdx> edge_by_num(const graph::Graph& g,
     if (g.edge_num(e) == num) return e;
   }
   return std::nullopt;
+}
+
+// The whole Metrics block as one string (per-tag counts and bits of every
+// tag that saw traffic): fixed-seed pins compare against it, so a mismatch
+// names every counter that moved.
+inline std::string describe(const sim::Metrics& m) {
+  std::string out = "messages=" + std::to_string(m.messages) +
+                    " bits=" + std::to_string(m.message_bits) +
+                    " rounds=" + std::to_string(m.rounds) +
+                    " echoes=" + std::to_string(m.broadcast_echoes) +
+                    " oversized=" + std::to_string(m.oversized_messages) +
+                    " dropped=" + std::to_string(m.dropped_deliveries) +
+                    " state=" + std::to_string(m.peak_node_state_bits);
+  for (std::size_t i = 0; i < m.per_tag.size(); ++i) {
+    if (m.per_tag[i] == 0 && m.per_tag_bits[i] == 0) continue;
+    out += std::string(" ") + sim::tag_name(static_cast<sim::Tag>(i)) + "=" +
+           std::to_string(m.per_tag[i]) + "/" +
+           std::to_string(m.per_tag_bits[i]);
+  }
+  return out;
 }
 
 }  // namespace kkt::test

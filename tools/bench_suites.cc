@@ -15,7 +15,6 @@
 #include "baseline/ghs.h"
 #include "baseline/naive_repair.h"
 #include "core/build_mst.h"
-#include "core/build_st.h"
 #include "core/find_any.h"
 #include "core/find_min.h"
 #include "core/hp_test_out.h"
@@ -194,7 +193,7 @@ void suite_build_st(Recorder& r) {
   for (const std::size_t n : {64, 128, 256, 512}) {
     const std::size_t m = n * (n - 1) / 2;  // complete: worst for flooding
     World w = gnm_world(n, m, 60);
-    const core::BuildStStats stats = core::build_st(*w.net, *w.forest);
+    const core::BuildStats stats = core::build_st(*w.net, *w.forest);
     Counters& c = r.add("BM_BuildSt_Kkt", n);
     r.expect(stats.spanning, "did not span");
     standard_counters(c, w.net->metrics(), n, m);
@@ -215,7 +214,7 @@ void suite_build_st(Recorder& r) {
   constexpr std::size_t kN = 256;
   for (const std::size_t m : {512, 2048, 8192, 32640}) {
     World w = gnm_world(kN, m, 61);
-    const core::BuildStStats stats = core::build_st(*w.net, *w.forest);
+    const core::BuildStats stats = core::build_st(*w.net, *w.forest);
     Counters& c = r.add("BM_BuildSt_Kkt_DensitySweep", m);
     r.expect(stats.spanning, "did not span");
     standard_counters(c, w.net->metrics(), kN, m);
