@@ -37,9 +37,10 @@
 #                       # BENCH_faultmodel_st.json (ST) (counter-only
 #                       # records -- byte-deterministic at a fixed seed)
 #   ci/run.sh bench     # repo-benchmark smoke: one short run of every
-#                       # BENCHMARK.json workload through perfbench/run.py;
-#                       # fails unless each result line reads correct with
-#                       # no failed op (wall time is not gated)
+#                       # BENCHMARK.json workload through perfbench/run.py,
+#                       # from the Release build and from an assert-enabled
+#                       # one; fails unless each result line reads correct
+#                       # with no failed op (wall time is not gated)
 #
 # The exact counter gate (`kkt_report bench <suite>` for all eight suites
 # against tests/baselines/) is part of the ctest suite the dev and asan
@@ -126,23 +127,29 @@ run_faults() {
 # one 1-second run per declared workload. Each run checks its own outputs
 # against the oracle and prints one JSON result as its last line; the stage
 # fails unless every result has "correct": true and "failed": 0. Wall time
-# on a CI runner is noise, so no metric is compared here.
+# on a CI runner is noise, so no metric is compared here. Release compiles
+# out the hot-path asserts (the sliced kernel's slice-index check among
+# them), so each workload runs again from an assert-enabled tree.
 run_bench() {
-  local workloads w result
+  local workloads w result tree checked=build/perfbench-asserts
   workloads=$(python3 -c 'import json; print(" ".join(
     w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  cmake -S perfbench -B "$checked" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
   for w in $workloads; do
-    echo "==> perfbench workload $w"
-    result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
-      --trace 0 | tail -n 1)
-    echo "$result"
-    if ! python3 -c 'import json, sys
+    for tree in "${CARGO_TARGET_DIR:-.bench_build}" "$checked"; do
+      echo "==> perfbench workload $w [$tree]"
+      result=$(CARGO_TARGET_DIR="$tree" python3 perfbench/run.py \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+      echo "$result"
+      if ! python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
-        "$result"; then
-      echo "FAIL: workload $w is not correct or has failed ops" >&2
-      exit 1
-    fi
+          "$result"; then
+        echo "FAIL: workload $w is not correct or has failed ops" >&2
+        exit 1
+      fi
+    done
   done
 }
 

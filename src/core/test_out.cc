@@ -10,30 +10,21 @@ namespace kkt::core {
 namespace {
 
 // The sweep for a bank of R hashes. R is a compile-time constant, so the
-// per-hash loop unrolls, every index is static, and the bank's multipliers
-// and thresholds and the R accumulators are plain locals the compiler
-// keeps in registers (all of them for small banks; at R = 8 the 24 words
-// outnumber x86-64's registers and some spill). Each entry costs R
+// per-hash loop unrolls, every index is static, and the R accumulators are
+// locals the compiler keeps in registers as far as they fit (some spill at
+// R = 8). The bank is read in place, as memory operands, which leaves the
+// registers to the accumulators. Each entry costs its slice index (no
+// division, nothing carried from the previous entry) and R
 // multiply-compare-and-xor updates. XOR order is immaterial.
 template <std::size_t R>
 Words sweep(const SlicedKernel& k, std::span<const AugWeight> row,
             int en_bits) {
-  hashing::OddHash bank[R];
   std::uint64_t acc[R] = {};
-  for (std::size_t r = 0; r < R; ++r) bank[r] = k.bank[r];
-  const Interval& range = k.range;
-  const util::u128 wd = k.width.divisor();
-  std::uint64_t bit = 1;  // slice 0 until an entry passes slice_end
-  AugWeight slice_end = std::min(range.lo + wd - 1, range.hi);
+  const hashing::OddHash* bank = k.bank.data();
   for (const AugWeight aug : row) {
-    assert(aug >= range.lo);
-    if (aug > slice_end) {
-      if (aug > range.hi) break;
-      const util::u128 idx = k.width.div(aug - range.lo);
-      assert(idx < 64);
-      bit = std::uint64_t{1} << static_cast<unsigned>(idx);
-      slice_end = std::min(range.lo + (idx + 1) * wd - 1, range.hi);
-    }
+    assert(aug >= k.range.lo);
+    if (aug > k.range.hi) break;
+    const std::uint64_t bit = std::uint64_t{1} << k.slice_of(aug);
     const graph::EdgeNum en = graph::aug_weight_edge_num(aug, en_bits);
     for (std::size_t r = 0; r < R; ++r) acc[r] ^= bit & bank[r].mask(en);
   }
@@ -63,10 +54,7 @@ struct SlicedRun {
 std::uint64_t run_sliced(proto::TreeOps& ops, NodeId root, const Words& payload,
                          Interval range, int w,
                          std::span<const hashing::OddHash> bank) {
-  assert(w >= 1 && w <= 64);
-  const SlicedRun run{
-      ops.graph(), payload,
-      SlicedKernel{range, util::Recip128(slice_width(range, w)), bank}};
+  const SlicedRun run{ops.graph(), payload, SlicedKernel(range, w, bank)};
   const proto::LocalFn local = [&run](NodeId self,
                                       std::span<const std::uint64_t> received) {
     assert(std::ranges::equal(received, run.payload) &&
@@ -85,9 +73,19 @@ std::uint64_t run_sliced(proto::TreeOps& ops, NodeId root, const Words& payload,
 
 }  // namespace
 
+SlicedKernel::SlicedKernel(Interval range, int w,
+                           std::span<const hashing::OddHash> bank)
+    : range(range), width(slice_width(range, w)), bank(bank) {
+  assert(w >= 1 && w <= 64 && !bank.empty() &&
+         bank.size() <= sim::kMaxMessageWords);
+  assert(range.hi - range.lo <= ~util::u128{0} - 64);  // w * width fits
+  const int bits = util::bit_width_u128(range.hi - range.lo);
+  shift = bits > 63 ? static_cast<unsigned>(bits - 63) : 0;
+  recip = ~std::uint64_t{0} / util::lo64(((width - 1) >> shift) + 1);
+}
+
 Words SlicedKernel::parities(std::span<const AugWeight> row,
                              int en_bits) const {
-  assert(!bank.empty() && bank.size() <= sim::kMaxMessageWords);
   return kSweeps[bank.size() - 1](*this, row, en_bits);
 }
 

@@ -109,37 +109,6 @@ class Barrett {
   std::uint64_t m_;
 };
 
-// Reciprocal of a fixed 128-bit divisor for repeated floor division --
-// same estimate-and-correct scheme as Barrett, returning the quotient.
-// TestOut's slice indexing divides every in-range incident edge by the
-// loop-invariant slice width; this hoists the 128-bit division out of
-// that loop.
-class Recip128 {
- public:
-  constexpr explicit Recip128(u128 d) noexcept : recip_(~u128{0} / d), d_(d) {
-    assert(d >= 1);
-  }
-
-  // floor(x / d), exactly.
-  constexpr u128 div(u128 x) const noexcept {
-    u128 q = mulhi128(x, recip_);
-    u128 rem = x - q * d_;
-    while (rem >= d_) {  // at most two iterations (Barrett bound)
-      rem -= d_;
-      ++q;
-    }
-    return q;
-  }
-
-  constexpr u128 divisor() const noexcept { return d_; }
-
- private:
-  u128 recip_;  // floor(2^128 / d) when d does not divide 2^128; for a
-                // power-of-two divisor ~0/d is one less, which the
-                // correction loop absorbs (undershoot only grows by one)
-  u128 d_;
-};
-
 // The largest prime below 2^63. Default field modulus for HP-TestOut: it
 // exceeds every edge number (< 2^62 by construction, see graph/edge_ids.h)
 // and B/eps(n) for all practical B and eps, as the paper permits for a

@@ -85,8 +85,7 @@ void expect_kernel_matches_reference(const std::vector<AugWeight>& row,
       if (hashing::OddHash::from_seed(seed, r)(en)) expected[r] ^= bit;
     }
   }
-  const SlicedKernel kernel{range, util::Recip128(slice_width(range, w)),
-                            bank};
+  const SlicedKernel kernel(range, w, bank);
   const auto first = std::lower_bound(row.begin(), row.end(), range.lo);
   const Words got = kernel.parities(
       std::span<const AugWeight>(row).subspan(
@@ -129,8 +128,8 @@ TEST(SlicedKernel, MatchesPerEntryReferenceOnRandomRows) {
 
 TEST(SlicedKernel, EntriesExactlyOnSliceBoundaries) {
   // Every slice's first and last value, and the values just outside the
-  // range: the kernel divides only when an entry crosses a slice end, so
-  // these are the entries where an off-by-one would show.
+  // range: the kernel's compare with the end of its estimated slice
+  // decides exactly these entries, so an off-by-one would show here.
   const util::u128 base = util::u128{3} << 70;
   for (const int w : {1, 2, 7, 64}) {
     for (const std::uint64_t size : {std::uint64_t{5}, std::uint64_t{64},
@@ -153,6 +152,81 @@ TEST(SlicedKernel, EntriesExactlyOnSliceBoundaries) {
       }
     }
   }
+}
+
+// Uniform in [0, n) for n >= 1 (the modulo bias is immaterial here).
+util::u128 below_u128(util::Rng& rng, util::u128 n) {
+  return util::make_u128(rng.next(), rng.next()) % n;
+}
+
+TEST(SlicedKernel, MatchesReferenceOnWideRanges) {
+  // Ranges of 2^64 values and more, where the kernel drops low bits before
+  // its 64-bit multiply (shift > 0), and the w = 1 range of exactly 2^64
+  // whose slice width does not fit in 64 bits. FindMin's first TestOut
+  // runs over full_range(max_aug) with augmented weights near 2^82.
+  util::Rng rng(29);
+  const util::u128 base = util::u128{7} << 90;
+  const util::u128 two64 = util::u128{1} << 64;
+  std::vector<Interval> ranges;
+  for (const util::u128 size : {two64 - 1, two64, two64 + 1,
+                                util::u128{1} << 70, util::u128{1} << 100}) {
+    ranges.push_back(Interval{base, base + size - 1});
+  }
+  ranges.push_back(full_range((util::u128{5} << 80) + 12345));
+  for (const Interval& range : ranges) {
+    for (const int w : {1, 2, 63, 64}) {
+      std::vector<AugWeight> row{range.hi + 1};
+      if (range.lo > 0) row.push_back(range.lo - 1);
+      for (int i = 0; i < w; ++i) {
+        const Interval sl = slice(range, w, i);
+        for (const AugWeight aug : {sl.lo, sl.lo + 1, sl.hi - 1, sl.hi}) {
+          row.push_back(aug);
+        }
+      }
+      for (int i = 0; i < 64; ++i) {
+        row.push_back(range.lo + below_u128(rng, range.size()));
+      }
+      std::sort(row.begin(), row.end());
+      for (int reps = 1; reps <= static_cast<int>(sim::kMaxMessageWords);
+           ++reps) {
+        expect_kernel_matches_reference(row, range, w, rng.next(), reps);
+      }
+    }
+  }
+}
+
+TEST(SlicedKernel, SliceIndexMatchesWireOnEveryShift) {
+  // Seeded property: for every range bit width from 1 to 127 (shift 0 up
+  // to 64), random ranges, w and entries -- half of them drawn next to a
+  // slice boundary -- get the slice that wire.h's division assigns.
+  util::Rng rng(2929);
+  const hashing::OddHash bank[1] = {hashing::OddHash::from_seed(1, 0)};
+  long draws = 0;
+  for (int bits = 1; bits <= 127; ++bits) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const util::u128 top = util::u128{1} << (bits - 1);
+      const util::u128 span = top | below_u128(rng, top);
+      const util::u128 lo = below_u128(rng, ~util::u128{0} - span);
+      const Interval r{lo, lo + span};
+      const int w = 1 + static_cast<int>(rng.below(64));
+      const SlicedKernel kernel(r, w, bank);
+      const util::u128 width = slice_width(r, w);
+      for (int i = 0; i < 20; ++i) {
+        util::u128 x = below_u128(rng, span + 1);
+        if (i % 2 == 1) {  // within 2 of a slice start, inside the range
+          const util::u128 edge = width * rng.below(static_cast<unsigned>(w));
+          x = std::min(span, edge + rng.below(5));
+          x = x < 2 ? x : x - 2;
+        }
+        const AugWeight aug = r.lo + x;
+        ASSERT_EQ(static_cast<int>(kernel.slice_of(aug)),
+                  slice_index(r, w, aug))
+            << "bits " << bits << ", w " << w << ", shift " << kernel.shift;
+        ++draws;
+      }
+    }
+  }
+  EXPECT_GE(draws, 100000);
 }
 
 TEST(TestOut, EmptyCutAlwaysFalse) {
